@@ -6,8 +6,8 @@
 //! * `coarsen_forward` / `coarsen_forward_backward` — Claim 1: one HAP
 //!   coarsening pass scales as O(N²) in source nodes (doubling N should
 //!   roughly quadruple the time).
-//! * `attention/*` — MOA vs Sec. 3.4 attention mechanisms: masked
-//!   pairwise GAT attention (O(N²)), SimGNN master attention (O(N)) and
+//! * `attention/*` — MOA vs Sec. 3.4 attention mechanisms: GAT attention
+//!   over the 1-hop edge list (O(E)), SimGNN master attention (O(N)) and
 //!   MOA (O(N·N')).
 //! * `pooling/*` — latency of one forward pass per pooling baseline, the
 //!   cost side of the Table 3 comparison.
@@ -16,10 +16,10 @@
 //!   to one thread and to a multi-worker pool (see EXPERIMENTS.md
 //!   "Parallelism" for how to read these and how to pin `HAP_THREADS`).
 //! * `sparse/spmm/*` — CSR SpMM vs the dense zero-skipping GEMM on the
-//!   same `Â`, swept over `n` and edge density: the measurement behind
-//!   `hap_gnn::SPARSE_DENSITY_THRESHOLD` (EXPERIMENTS.md "Sparse vs dense
-//!   crossover"). Both paths produce byte-identical output; only time
-//!   differs.
+//!   same `Â`, swept over `n` and edge density up to the complete graph:
+//!   the measurement behind propagating every fixed graph on CSR alone
+//!   (EXPERIMENTS.md "Sparse vs dense crossover"). Both paths produce
+//!   byte-identical output; only time differs.
 //! * `sparse/segment_sums` / `sparse/segment_softmax` — the batched
 //!   segment reductions (`Tensor::try_segment_sums`,
 //!   `try_segment_softmax`) over a block-diagonal batch layout: one
@@ -27,8 +27,8 @@
 //!   the readout/attention companions to the batched SpMM.
 //! * `stream/update/*` — the streaming-update maintenance cost
 //!   ([`Graph::apply`]): one edge flip (remove + re-insert) on a graph
-//!   whose Â/CSR/WL caches are warm, against rebuilding the graph from
-//!   its adjacency and recomputing all three structures from scratch —
+//!   whose CSR Â and WL caches are warm, against rebuilding the graph from
+//!   its adjacency and recomputing both structures from scratch —
 //!   the exact pair of code paths `POST /update` chooses between. Swept
 //!   over `n` × edge density; both sides produce bitwise-identical
 //!   caches (crates/integration/tests/stream_determinism.rs), so the
@@ -144,8 +144,7 @@ fn attention(bench: &mut Bench, sizes: &[usize], seed: u64) {
         bench.run(&format!("attention/self_attention/n={n}"), || {
             let mut tape = Tape::new();
             let h = tape.constant(x.clone());
-            let a = gat.attention(&mut tape, AdjacencyRef::Fixed(&g), h);
-            tape.value(a)
+            gat.attention(&mut tape, AdjacencyRef::Fixed(&g), h)
         });
 
         // master attention (SimGNN MeanAtt)
@@ -295,7 +294,7 @@ fn ged(bench: &mut Bench, seed: u64) {
     });
 }
 
-/// Seq-vs-par pairs for the three `hap-par`-wired hot paths. `seq` pins
+/// Seq-vs-par pairs for the two `hap-par`-wired hot paths. `seq` pins
 /// the pool to one thread (the exact pre-parallel code path); `par` uses
 /// `max(4, available_parallelism)` workers so the parallel kernels
 /// genuinely execute even on small hosts — on a 1-core machine the par
@@ -310,12 +309,6 @@ fn parallelism(bench: &mut Bench, seed: u64) {
     let mut rng = Rng::from_seed(seed);
     let ma = Tensor::<f64>::rand_uniform(200, 200, -1.0, 1.0, &mut rng);
     let mb = Tensor::rand_uniform(200, 200, -1.0, 1.0, &mut rng);
-
-    let dim = 16;
-    let g = generators::erdos_renyi_connected(200, 0.1, &mut rng);
-    let x = degree_one_hot(&g, dim);
-    let mut store = ParamStore::new();
-    let gat = GatLayer::new(&mut store, "gat", dim, dim, &mut rng);
 
     let corpus = hap_data::aids_like(16, &mut rng);
     let pairs: Vec<(&Graph, &Graph)> = (0..8)
@@ -337,12 +330,6 @@ fn parallelism(bench: &mut Bench, seed: u64) {
         bench.run(&format!("parallel/matmul_tn/n=200/{mode}"), || {
             ma.matmul_tn(&mb)
         });
-        bench.run(&format!("attention/self_attention/n=200/{mode}"), || {
-            let mut tape = Tape::new();
-            let h = tape.constant(x.clone());
-            let a = gat.attention(&mut tape, AdjacencyRef::Fixed(&g), h);
-            tape.value(a)
-        });
         bench.run(&format!("ged/batch_hungarian/pairs=8/{mode}"), || {
             batch_ged(&pairs, GedMethod::Hungarian, &costs)
         });
@@ -354,24 +341,32 @@ fn parallelism(bench: &mut Bench, seed: u64) {
 }
 
 /// CSR SpMM vs the dense zero-skipping GEMM on the same normalised
-/// adjacency `Â`, over a grid of `n` × edge density. Both kernels run the
-/// identical FMA sequence on the stored non-zeros (ARCHITECTURE.md
-/// "Sparse & batched execution"), so the medians isolate the cost of
-/// *visiting* zeros — the data behind `SPARSE_DENSITY_THRESHOLD`.
+/// adjacency `Â`, over a grid of `n` × edge density, with a complete graph
+/// (density 1.0) as the densest row. Both kernels run the identical FMA
+/// sequence on the stored non-zeros (ARCHITECTURE.md "CSR adjacency"),
+/// so the medians isolate the cost of *visiting* zeros — the data behind
+/// propagating every fixed graph on CSR alone.
 fn sparse_spmm(bench: &mut Bench, sizes: &[usize], seed: u64) {
     let dim = 16;
     for &n in sizes {
-        for p in [0.02, 0.1, 0.3] {
+        // `None` is the complete graph: the densest Â any graph can have.
+        for p in [Some(0.02), Some(0.1), Some(0.3), None] {
             let mut rng = Rng::from_seed(seed);
-            let g = generators::erdos_renyi_connected(n, p, &mut rng);
+            let (label, g) = match p {
+                Some(p) => (
+                    format!("p={p}"),
+                    generators::erdos_renyi_connected(n, p, &mut rng),
+                ),
+                None => ("clique".to_string(), generators::clique(n)),
+            };
             let h = Tensor::rand_uniform(n, dim, -1.0, 1.0, &mut rng);
-            let a_hat = g.sym_norm_adjacency_cached().clone();
             let csr = std::sync::Arc::clone(g.csr_adjacency_cached().matrix());
+            let a_hat = csr.to_dense();
             let density = csr.density();
             bench.run_pair(
-                &format!("sparse/spmm/n={n}/p={p}/density={density:.3}/csr"),
+                &format!("sparse/spmm/n={n}/{label}/density={density:.3}/csr"),
                 || csr.spmm(&h),
-                &format!("sparse/spmm/n={n}/p={p}/density={density:.3}/dense"),
+                &format!("sparse/spmm/n={n}/{label}/density={density:.3}/dense"),
                 || a_hat.matmul(&h),
             );
         }
@@ -381,10 +376,10 @@ fn sparse_spmm(bench: &mut Bench, sizes: &[usize], seed: u64) {
 /// Incremental cache maintenance vs from-scratch recompute under a
 /// streaming edge flip. Each incremental iteration removes one existing
 /// edge and re-inserts it through [`Graph::apply`] with every cache
-/// warm (dense Â, f64 CSR, the 1-WL state), reading all three back
-/// after each delta; the paired full iteration performs the identical
-/// two flips on a dense adjacency, rebuilds the `Graph` from scratch
-/// each time, and recomputes the same three structures. Interleaved
+/// warm (the f64 CSR Â and the 1-WL state), reading both back after each
+/// delta; the paired full iteration performs the identical two flips on
+/// a dense adjacency, rebuilds the `Graph` from scratch each time, and
+/// recomputes the same two structures. Interleaved
 /// ([`Bench::run_pair`]) so host drift cannot bias the ratio — the
 /// number behind ROADMAP item "streaming updates" and the ≥3× gate in
 /// `scripts/bench_check.sh`.
@@ -403,7 +398,6 @@ fn stream_updates(bench: &mut Bench, sizes: &[usize], seed: u64) {
 
             // Incremental side: one long-lived graph, caches warmed once.
             let mut gi = g.clone();
-            let _ = gi.sym_norm_adjacency_cached();
             let _ = gi.csr_adjacency_cached();
             let _ = gi.wl_signature_cached(wl_iterations);
 
@@ -414,11 +408,9 @@ fn stream_updates(bench: &mut Bench, sizes: &[usize], seed: u64) {
                 &format!("stream/update/n={n}/p={p}/incremental"),
                 move || {
                     gi.apply(EdgeDelta::Remove { u, v });
-                    black_box(gi.sym_norm_adjacency_cached());
                     black_box(gi.csr_adjacency_cached());
                     black_box(gi.wl_signature_cached(wl_iterations));
                     gi.apply(EdgeDelta::Upsert { u, v, w });
-                    black_box(gi.sym_norm_adjacency_cached());
                     black_box(gi.csr_adjacency_cached());
                     black_box(gi.wl_signature_cached(wl_iterations));
                     gi.num_edges()
@@ -430,7 +422,6 @@ fn stream_updates(bench: &mut Bench, sizes: &[usize], seed: u64) {
                         adj[(u, v)] = weight;
                         adj[(v, u)] = weight;
                         let gf = Graph::from_adjacency(adj.clone());
-                        black_box(gf.sym_norm_adjacency_cached());
                         black_box(gf.csr_adjacency_cached());
                         black_box(wl_signature(&gf, wl_iterations));
                         edges = gf.num_edges();
@@ -623,9 +614,9 @@ fn train_step_batched_workload(seed: u64) -> impl FnMut() -> f64 {
 }
 
 /// The looped and batched step run interleaved ([`Bench::run_pair`]):
-/// their ~13% gap is smaller than the drift this host accumulates over
-/// a sustained session, so a sequential layout would systematically
-/// penalise whichever case ran second.
+/// their gap (a few percent) is smaller than the drift this host
+/// accumulates over a sustained session, so a sequential layout would
+/// systematically penalise whichever case ran second.
 fn train_step(bench: &mut Bench, seed: u64) {
     bench.run_pair(
         "train/train_step/batch=8",

@@ -19,7 +19,7 @@
 //!    `B ∈ {1, 4, 16, 64}`: the incremental side applies the deltas
 //!    through `Graph::apply` on a warm-cached graph, the full side
 //!    performs the same edits on a raw adjacency and rebuilds the
-//!    `Graph` from scratch, recomputing Â/CSR/WL before the forward
+//!    `Graph` from scratch, recomputing the CSR Â and WL before the forward
 //!    pass. Both sides then embed through the identical eval-mode
 //!    hierarchy forward, so the gap isolates cache maintenance. Pairs
 //!    run interleaved ([`Bench::run_pair`]) so host drift cannot bias
@@ -296,7 +296,6 @@ fn reembed_pair(bench: &mut Bench, batch: usize, seed: u64) {
     // iteration toggles the flip set through `Graph::apply` (edges come
     // back two iterations later, so the workload is periodic).
     let mut gi = g.clone();
-    let _ = gi.sym_norm_adjacency_cached();
     let _ = gi.csr_adjacency_cached();
     let _ = gi.wl_signature_cached(3);
     let mut present_inc = vec![true; flips.len()];

@@ -128,6 +128,24 @@ fn level_label(k: usize) -> &'static str {
     }
 }
 
+/// Rejects an empty graph or a feature/node row mismatch, first offender
+/// first — the degenerate-input contract of
+/// [`HapModel::try_embed_hierarchy`].
+fn validate<T: GraphScalar>(graphs: &[(&Graph, &Tensor<T>)]) -> Result<(), HapError> {
+    for &(g, x) in graphs {
+        if g.n() == 0 {
+            return Err(HapError::EmptyGraph);
+        }
+        if x.rows() != g.n() {
+            return Err(HapError::FeatureShape {
+                rows: x.rows(),
+                nodes: g.n(),
+            });
+        }
+    }
+    Ok(())
+}
+
 /// The hierarchical HAP model: `K` rounds of (two-layer node & cluster
 /// embedding → graph coarsening), producing one intermediate graph
 /// embedding per coarsening level (Sec. 4.5.2's hierarchical features).
@@ -221,59 +239,26 @@ impl<T: GraphScalar> HapModel<T> {
         features: &Tensor<T>,
         ctx: &mut PoolCtx<'_>,
     ) -> Result<Vec<Var>, HapError> {
-        if graph.n() == 0 {
-            return Err(HapError::EmptyGraph);
-        }
-        if features.rows() != graph.n() {
-            return Err(HapError::FeatureShape {
-                rows: features.rows(),
-                nodes: graph.n(),
-            });
-        }
+        let item = [(graph, features)];
+        validate(&item)?;
         let _t = hap_obs::time_scope("core.embed_hierarchy");
-        let mut h = tape.constant(features.clone());
-        let mut a = tape.constant(T::adjacency_of(graph).clone());
-        let mut embeddings = Vec::new();
-
-        if self.coarseners.is_empty() {
-            let enc = self.encoders[0].forward(tape, AdjacencyRef::Fixed(graph), h);
-            embeddings.push(tape.col_means(enc));
-            return Ok(embeddings);
-        }
-
-        for (k, coarsen) in self.coarseners.iter().enumerate() {
-            let _p = hap_obs::phase(level_label(k));
-            h = if k == 0 {
-                self.encoders[0].forward(tape, AdjacencyRef::Fixed(graph), h)
-            } else {
-                self.encoders[k].forward(tape, AdjacencyRef::Dynamic(a), h)
-            };
-            let (a2, h2) = coarsen.forward(tape, a, h, ctx);
-            a = a2;
-            h = h2;
-            embeddings.push(tape.col_means(h));
-        }
-        Ok(embeddings)
+        let mut out = self.embed_batch(tape, &item, ctx);
+        Ok(out.pop().expect("one graph in, one hierarchy out"))
     }
 
     /// Runs the hierarchy for a whole batch of graphs in one forward pass,
     /// returning per-graph level embeddings (the same `Vec<Var>` shape
-    /// [`Self::try_embed_hierarchy`] yields for each graph).
+    /// [`Self::try_embed_hierarchy`] yields for each graph, which is itself
+    /// a batch of one).
     ///
-    /// The expensive level-0 encoder runs **once** over the
-    /// block-diagonal [`BatchGraph`] (one SpMM chain instead of `B` dense
-    /// forwards); coarsening and deeper levels then proceed per graph in
-    /// batch order on the shared tape, so `ctx.rng` draws happen in
-    /// exactly the order the graph-at-a-time loop makes them. Combined
-    /// with the block-diagonal byte-identity of
+    /// The level-0 encoder runs **once** over the block-diagonal
+    /// [`BatchGraph`], for GCN and GAT alike; coarsening and deeper levels
+    /// then proceed per graph in batch order on the shared tape, so
+    /// `ctx.rng` draws happen in exactly the order the graph-at-a-time loop
+    /// makes them. Combined with the block-diagonal byte-identity of
     /// [`hap_gnn::GnnEncoder::forward_batch`], every returned embedding is
     /// **byte-identical** to its looped counterpart — the looped path stays
     /// the differential-test oracle.
-    ///
-    /// GAT encoders cannot be block-diagonal batched byte-identically (row
-    /// softmax leaks `exp(-1e9)` across blocks), so a GAT model falls back
-    /// to the per-graph loop internally; callers get the same results
-    /// either way, just without the batched speedup.
     ///
     /// Validation is all-or-nothing: every graph is checked *before* any
     /// compute, and the first [`HapError::EmptyGraph`] /
@@ -289,28 +274,22 @@ impl<T: GraphScalar> HapModel<T> {
         graphs: &[(&Graph, &Tensor<T>)],
         ctx: &mut PoolCtx<'_>,
     ) -> Result<Vec<Vec<Var>>, HapError> {
-        for &(g, x) in graphs {
-            if g.n() == 0 {
-                return Err(HapError::EmptyGraph);
-            }
-            if x.rows() != g.n() {
-                return Err(HapError::FeatureShape {
-                    rows: x.rows(),
-                    nodes: g.n(),
-                });
-            }
-        }
+        validate(graphs)?;
         if graphs.is_empty() {
             return Ok(Vec::new());
         }
-        if self.encoders[0].kind() == EncoderKind::Gat {
-            return graphs
-                .iter()
-                .map(|&(g, x)| self.try_embed_hierarchy(tape, g, x, ctx))
-                .collect();
-        }
         let _t = hap_obs::time_scope("core.embed_hierarchy_batch");
+        Ok(self.embed_batch(tape, graphs, ctx))
+    }
 
+    /// The shared body of both entry points, over a validated, non-empty
+    /// batch.
+    fn embed_batch(
+        &self,
+        tape: &mut Tape<T>,
+        graphs: &[(&Graph, &Tensor<T>)],
+        ctx: &mut PoolCtx<'_>,
+    ) -> Vec<Vec<Var>> {
         let gs: Vec<&Graph> = graphs.iter().map(|&(g, _)| g).collect();
         let xs: Vec<&Tensor<T>> = graphs.iter().map(|&(_, x)| x).collect();
         let batch = BatchGraph::new(&gs, &xs);
@@ -322,9 +301,9 @@ impl<T: GraphScalar> HapModel<T> {
             // Per-segment col_means is bitwise the per-graph reduction;
             // each graph then picks out its own 1×hidden row.
             let means = tape.segment_means(enc, batch.offsets());
-            return Ok((0..batch.len())
+            return (0..batch.len())
                 .map(|b| vec![tape.gather_rows(means, &[b])])
-                .collect());
+                .collect();
         }
 
         let enc0 = {
@@ -349,7 +328,7 @@ impl<T: GraphScalar> HapModel<T> {
             }
             out.push(embeddings);
         }
-        Ok(out)
+        out
     }
 
     /// [`Self::try_embed_hierarchy`], panicking on degenerate input.
@@ -525,19 +504,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_hierarchy_is_bitwise_equal_to_looped() {
-        // Mixed-size batch including the degenerate n = 1 graph; the
-        // looped path is the oracle, at eval and under training-mode
-        // Gumbel sampling (identically seeded rng for both runs).
-        let mut rng = Rng::from_seed(30);
-        let mut store = ParamStore::<f64>::new();
-        let model = HapModel::new(&mut store, &cfg(), &mut rng);
-        let mut graphs = vec![hap_graph::Graph::empty(1)];
-        graphs.push(generators::erdos_renyi_connected(5, 0.4, &mut rng));
-        graphs.push(generators::erdos_renyi_connected(9, 0.3, &mut rng));
+    /// Embeds `graphs` one at a time and as one batch, at eval and under
+    /// training-mode Gumbel sampling (identically seeded rng for both
+    /// runs), and asserts every level embedding is bitwise equal.
+    fn assert_batched_matches_looped(model: &HapModel, graphs: &[hap_graph::Graph]) {
         let xs: Vec<_> = graphs.iter().map(|g| degree_one_hot(g, 5)).collect();
-
         for training in [false, true] {
             let mut rng1 = Rng::from_seed(77);
             let mut t1 = Tape::new();
@@ -583,6 +554,19 @@ mod tests {
     }
 
     #[test]
+    fn batched_hierarchy_is_bitwise_equal_to_looped() {
+        // Mixed-size batch including the degenerate n = 1 graph; the
+        // looped path is the oracle.
+        let mut rng = Rng::from_seed(30);
+        let mut store = ParamStore::<f64>::new();
+        let model = HapModel::new(&mut store, &cfg(), &mut rng);
+        let mut graphs = vec![hap_graph::Graph::empty(1)];
+        graphs.push(generators::erdos_renyi_connected(5, 0.4, &mut rng));
+        graphs.push(generators::erdos_renyi_connected(9, 0.3, &mut rng));
+        assert_batched_matches_looped(&model, &graphs);
+    }
+
+    #[test]
     fn batched_flat_model_matches_looped_bitwise() {
         // K = 0: batched encoder + segment means vs per-graph col_means.
         let mut rng = Rng::from_seed(31);
@@ -615,33 +599,16 @@ mod tests {
     }
 
     #[test]
-    fn batched_gat_model_falls_back_and_matches_looped() {
+    fn batched_gat_model_matches_looped_bitwise() {
+        // GAT batches block-diagonally like GCN: each node's attention
+        // softmax only sees its own graph's edges.
         let mut rng = Rng::from_seed(32);
         let mut store = ParamStore::<f64>::new();
         let model = HapModel::new(&mut store, &cfg().with_encoder(EncoderKind::Gat), &mut rng);
-        let g = generators::erdos_renyi_connected(7, 0.4, &mut rng);
-        let x = degree_one_hot(&g, 5);
-
-        let mut t1 = Tape::new();
-        let mut rng1 = Rng::from_seed(9);
-        let mut ctx1 = PoolCtx {
-            training: true,
-            rng: &mut rng1,
-        };
-        let looped = model.embed_hierarchy(&mut t1, &g, &x, &mut ctx1);
-
-        let mut t2 = Tape::new();
-        let mut rng2 = Rng::from_seed(9);
-        let mut ctx2 = PoolCtx {
-            training: true,
-            rng: &mut rng2,
-        };
-        let batched = model
-            .try_embed_hierarchy_batch(&mut t2, &[(&g, &x)], &mut ctx2)
-            .expect("valid batch");
-        for (a, b) in looped.iter().zip(&batched[0]) {
-            assert_bits("gat", &t1.value(*a), &t2.value(*b));
-        }
+        let mut graphs = vec![hap_graph::Graph::empty(1), generators::clique(6)];
+        graphs.push(generators::erdos_renyi_connected(7, 0.4, &mut rng));
+        graphs.push(hap_graph::Graph::empty(3));
+        assert_batched_matches_looped(&model, &graphs);
     }
 
     #[test]

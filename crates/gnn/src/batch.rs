@@ -3,14 +3,15 @@
 //! A [`BatchGraph`] packs `B` graphs into one forward pass: node features
 //! are row-concatenated into a `(Σnᵢ) × F` matrix, and the per-graph
 //! propagation matrices `Âᵢ` are assembled into one block-diagonal CSR.
-//! One SpMM then propagates every graph at once — no cross-graph edges
-//! exist, so row `r` of the batched product runs the *same* multiply-add
-//! sequence as row `r - offset(b)` of graph `b`'s own product, making the
-//! batched embedding byte-identical per node to the graph-at-a-time loop
-//! (the differential-test oracle). Per-graph readouts use the segment
-//! kernels (`Tape::segment_means` et al.) over the offsets vector.
+//! One SpMM (GCN) or one edge-list attention (GAT) then propagates every
+//! graph at once — no cross-graph edges exist, so row `r` of the batched
+//! result runs the *same* operation sequence as row `r - offset(b)` of
+//! graph `b`'s own forward, making the batched embedding byte-identical
+//! per node to the graph-at-a-time loop (the differential-test oracle).
+//! Per-graph readouts use the segment kernels (`Tape::segment_means` et
+//! al.) over the offsets vector.
 //!
-//! See ARCHITECTURE.md "Sparse & batched execution" for the full contract.
+//! See ARCHITECTURE.md "Block-diagonal batching" for the full contract.
 
 #![deny(missing_docs)]
 
@@ -22,9 +23,8 @@ use std::sync::Arc;
 ///
 /// Graph `b` owns the contiguous node rows `offsets[b]..offsets[b+1]`;
 /// the adjacency is the block-diagonal of each graph's cached CSR `Â` in
-/// the batch's element type `T` (bitwise the same values dense forwards of
-/// that dtype use — see [`GraphScalar`]). Empty graphs are rejected — an
-/// empty row segment has no well-defined mean readout.
+/// the batch's element type `T` (see [`GraphScalar`]). Empty graphs are
+/// rejected — an empty row segment has no well-defined mean readout.
 ///
 /// ```
 /// use hap_autograd::{ParamStore, Tape};
@@ -185,8 +185,8 @@ mod tests {
 
         // The fused CSR is the two cached CSRs stacked on the diagonal.
         let dense = batch.adjacency().to_dense();
-        let d1 = g1.sym_norm_adjacency_cached();
-        let d2 = g2.sym_norm_adjacency_cached();
+        let d1 = g1.sym_norm_adjacency();
+        let d2 = g2.sym_norm_adjacency();
         for r in 0..4 {
             for c in 0..4 {
                 assert_eq!(dense[(r, c)].to_bits(), d1[(r, c)].to_bits());
@@ -240,7 +240,7 @@ mod tests {
         let x = Tensor::<f64>::ones(5, 3);
         let batch = BatchGraph::new(&[&g], &[&x]);
         assert_eq!(batch.len(), 1);
-        assert_eq!(batch.adjacency().to_dense(), *g.sym_norm_adjacency_cached());
+        assert_eq!(batch.adjacency().to_dense(), g.sym_norm_adjacency());
     }
 
     #[test]

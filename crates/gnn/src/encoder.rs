@@ -30,7 +30,6 @@ enum Layer<T: GraphScalar> {
 /// type (default `f64`).
 pub struct GnnEncoder<T: GraphScalar = f64> {
     layers: Vec<Layer<T>>,
-    kind: EncoderKind,
     in_dim: usize,
     out_dim: usize,
 }
@@ -78,17 +77,9 @@ impl<T: GraphScalar> GnnEncoder<T> {
             .collect();
         Self {
             layers,
-            kind,
             in_dim: dims[0],
             out_dim: *dims.last().expect("non-empty dims"),
         }
-    }
-
-    /// Which convolution the encoder stacks. Batched (block-diagonal)
-    /// forwards are only available for [`EncoderKind::Gcn`]; callers
-    /// dispatch on this to fall back to per-graph loops for GAT.
-    pub fn kind(&self) -> EncoderKind {
-        self.kind
     }
 
     /// Input feature width.
@@ -119,27 +110,17 @@ impl<T: GraphScalar> GnnEncoder<T> {
     }
 
     /// Applies all layers over a [`BatchGraph`]'s block-diagonal CSR,
-    /// embedding every graph in the batch in one pass. Output rows are
-    /// byte-identical, node for node, to per-graph [`GnnEncoder::forward`]
-    /// calls (no cross-graph edges exist, so each block's multiply-add
-    /// sequence is unchanged — see the [`BatchGraph`] docs).
-    ///
-    /// # Panics
-    /// Panics for a [`EncoderKind::Gat`] encoder: GAT's row softmax
-    /// normalises over *all* masked columns, and the `exp(-1e9)` leakage
-    /// from other blocks, while ≈0, is not exactly 0 — a batched GAT
-    /// would not be byte-identical to the per-graph oracle. Dispatch on
-    /// [`GnnEncoder::kind`] and loop per graph instead.
+    /// embedding every graph in the batch in one pass, for either layer
+    /// kind. Output rows are byte-identical, node for node, to per-graph
+    /// [`GnnEncoder::forward`] calls: no cross-graph edges exist, so each
+    /// block's SpMM multiply-adds and each node's attention softmax are
+    /// unchanged (see the [`BatchGraph`] docs).
     pub fn forward_batch(&self, tape: &mut Tape<T>, batch: &BatchGraph<T>, h: Var) -> Var {
         let mut x = h;
         for layer in &self.layers {
             x = match layer {
                 Layer::Gcn(l) => l.forward_csr(tape, batch.adjacency(), x),
-                Layer::Gat(_) => panic!(
-                    "forward_batch supports GCN encoders only; GAT attention cannot be \
-                     block-diagonal batched byte-identically — dispatch on kind() and \
-                     loop per graph"
-                ),
+                Layer::Gat(l) => l.forward_csr(tape, batch.adjacency(), x),
             };
         }
         x

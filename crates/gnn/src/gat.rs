@@ -5,23 +5,28 @@ use hap_autograd::{Param, ParamStore, Tape, Var};
 use hap_graph::GraphScalar;
 use hap_nn::{xavier_uniform, Activation, Linear};
 use hap_rand::Rng;
-use hap_tensor::{Scalar, Tensor};
-
-/// Additive mask value for non-edges: large enough to zero them out after
-/// softmax, small enough to avoid NaN arithmetic.
-const NEG_MASK: f64 = -1e9;
+use hap_tensor::{CsrMatrix, Scalar, Tensor};
+use std::sync::Arc;
 
 /// One (single-head) GAT layer.
 ///
 /// Scores follow Eq. 16: `e_ij = LeakyReLU(aᵀ[Wh_i ‖ Wh_j])`, computed as
 /// the rank-1 decomposition `e_ij = s1_i + s2_j` with `s1 = Wh·a₁`,
 /// `s2 = Wh·a₂` (the standard GAT implementation trick — identical values,
-/// no `N²×2F'` concatenation materialised). Scores are masked to the 1-hop
-/// neighbourhood plus self-loop, row-softmaxed (this realises
-/// `A_k O_att` of Eq. 11), and aggregated: `H' = σ(α · W H)`.
+/// no `2F'`-wide concatenation materialised). Scores exist only on the
+/// admitted pairs — the 1-hop neighbourhood plus self-loop — as an edge
+/// list: each node's scores are softmaxed over its own edges (this
+/// realises `A_k O_att` of Eq. 11) and aggregate `H' = σ(α · W H)`.
 ///
-/// On [`AdjacencyRef::Dynamic`] graphs the mask admits every pair whose
-/// current adjacency weight is positive — after HAP's soft sampling the
+/// The edge list is bitwise equivalent to a dense `n × n` attention whose
+/// non-edges carry a large negative additive mask: those logits underflow
+/// to exactly `0` after the softmax, and the dense kernels add the
+/// resulting `+0.0` terms exactly. Because no score crosses an edge that
+/// is not stored, a block-diagonal batch attends exactly as each graph
+/// alone.
+///
+/// On [`AdjacencyRef::Dynamic`] graphs every pair whose current adjacency
+/// weight exceeds `1e-8` is admitted — after HAP's soft sampling the
 /// coarsened graph is dense, giving the "fully-connected information
 /// channel" of Sec. 4.4.2.
 pub struct GatLayer<T: GraphScalar = f64> {
@@ -30,6 +35,63 @@ pub struct GatLayer<T: GraphScalar = f64> {
     att_dst: Param<T>,
     activation: Activation,
     leaky_slope: f64,
+}
+
+/// The admitted attention pairs in row-major order: edge `e` runs from
+/// node `rows[e]` to node `cols[e]`, and `indptr` segments the edges by
+/// row for the segment kernels. Every row holds at least its self-loop,
+/// so no segment is empty.
+struct Edges {
+    rows: Vec<usize>,
+    cols: Vec<usize>,
+    indptr: Arc<Vec<usize>>,
+}
+
+impl Edges {
+    /// Builds the list from each row's admitted columns, which
+    /// `admit(u, out)` pushes in ascending order; the self-loop is inserted
+    /// where a row lacks it.
+    fn new(n: usize, mut admit: impl FnMut(usize, &mut Vec<usize>)) -> Self {
+        let (mut rows, mut cols) = (Vec::new(), Vec::new());
+        let mut indptr = Vec::with_capacity(n + 1);
+        indptr.push(0);
+        for u in 0..n {
+            let start = cols.len();
+            admit(u, &mut cols);
+            if let Err(pos) = cols[start..].binary_search(&u) {
+                cols.insert(start + pos, u);
+            }
+            rows.resize(cols.len(), u);
+            indptr.push(cols.len());
+        }
+        Self {
+            rows,
+            cols,
+            indptr: Arc::new(indptr),
+        }
+    }
+
+    /// The stored entries of a CSR `Â` (one graph or a block-diagonal
+    /// batch) plus the diagonal.
+    fn of_csr<T: Scalar>(a_hat: &CsrMatrix<T>) -> Self {
+        Self::new(a_hat.rows(), |u, out| out.extend_from_slice(a_hat.row(u).0))
+    }
+
+    /// The structure of `adj`: fixed graphs use their cached CSR `Â`;
+    /// a tape-resident adjacency admits the entries above `1e-8`.
+    /// Structure is data, not a differentiable quantity — same as
+    /// `edge_index` in PyG.
+    fn of<T: GraphScalar>(tape: &Tape<T>, adj: AdjacencyRef<'_>) -> Self {
+        match adj {
+            AdjacencyRef::Fixed(g) => Self::of_csr(T::csr_of(g)),
+            AdjacencyRef::Dynamic(a) => {
+                let av = tape.value(a);
+                Self::new(av.rows(), |u, out| {
+                    out.extend((0..av.cols()).filter(|&v| av[(u, v)].to_f64() > 1e-8));
+                })
+            }
+        }
+    }
 }
 
 impl<T: GraphScalar> GatLayer<T> {
@@ -76,124 +138,56 @@ impl<T: GraphScalar> GatLayer<T> {
         self.linear.out_dim()
     }
 
-    /// The additive neighbourhood mask (0 on edges/self-loops, `NEG_MASK`
-    /// elsewhere).
-    ///
-    /// Each mask row depends only on that node's neighbourhood, so the
-    /// `n × n` fill runs in row blocks on the `hap-par` pool above a size
-    /// threshold — with identical per-row writes, the result is the same at
-    /// every thread count.
-    fn mask(&self, tape: &Tape<T>, adj: &AdjacencyRef<'_>) -> Tensor<T> {
-        /// Element count above which the mask fill is parallelised
-        /// (`n = 200` crosses it, `n = 100` does not).
-        const PAR_MASK_LEN: usize = 32_768;
-
-        fn fill_rows<S: Scalar>(
-            n: usize,
-            m: &mut Tensor<S>,
-            row_entries: impl Fn(usize, &mut [S]) + Sync,
-        ) {
-            if n == 0 {
-                return;
-            }
-            let fill_block = |row0: usize, chunk: &mut [S]| {
-                for (local, row) in chunk.chunks_mut(n).enumerate() {
-                    row_entries(row0 + local, row);
-                }
-            };
-            if n * n >= PAR_MASK_LEN && hap_par::threads() > 1 {
-                let chunk_len = hap_par::row_chunk_len(n, n);
-                let rows_per_chunk = chunk_len / n;
-                hap_par::par_chunks_mut(m.as_mut_slice(), chunk_len, |ci, chunk| {
-                    fill_block(ci * rows_per_chunk, chunk);
-                });
-            } else {
-                fill_block(0, m.as_mut_slice());
-            }
-        }
-
-        let neg_mask = T::from_f64(NEG_MASK);
-        match adj {
-            AdjacencyRef::Fixed(g) => {
-                let n = g.n();
-                // Row `u` of the cached CSR Â lists u's neighbourhood plus
-                // its self-loop in ascending order — the same admitted set
-                // as `g.neighbors(u)`, without a per-row Vec allocation or
-                // O(n) adjacency scan.
-                let csr = T::csr_of(g);
-                let mut m = Tensor::full(n, n, neg_mask);
-                fill_rows(n, &mut m, |u, row| {
-                    row[u] = T::ZERO;
-                    let (cols, _) = csr.row(u);
-                    for &v in cols {
-                        row[v] = T::ZERO;
-                    }
-                });
-                m
-            }
-            AdjacencyRef::Dynamic(a) => {
-                // Structure (which pairs interact) is treated as data, not
-                // as a differentiable quantity — same as edge_index in PyG.
-                let av = tape.value(*a);
-                let n = av.rows();
-                let mut m = Tensor::full(n, n, neg_mask);
-                fill_rows(n, &mut m, |u, row| {
-                    row[u] = T::ZERO;
-                    for (v, slot) in row.iter_mut().enumerate() {
-                        if av[(u, v)].to_f64() > 1e-8 {
-                            *slot = T::ZERO;
-                        }
-                    }
-                });
-                m
-            }
-        }
-    }
-
     /// Applies the layer, returning `N × out_dim` features.
     pub fn forward(&self, tape: &mut Tape<T>, adj: AdjacencyRef<'_>, h: Var) -> Var {
-        let n = adj.n(tape);
-        debug_assert_eq!(tape.shape(h).0, n, "feature/adjacency size mismatch");
+        let edges = Edges::of(tape, adj);
+        self.propagate(tape, &edges, h)
+    }
 
+    /// Applies the layer over an explicit CSR propagation matrix (a single
+    /// graph's `Â` or a block-diagonal batch of them), attending over its
+    /// stored entries plus the diagonal.
+    pub fn forward_csr(&self, tape: &mut Tape<T>, a_hat: &CsrMatrix<T>, h: Var) -> Var {
+        self.propagate(tape, &Edges::of_csr(a_hat), h)
+    }
+
+    /// The attention coefficients as a dense `N × N` matrix, zero off the
+    /// admitted pairs — for inspection and visualisation.
+    pub fn attention(&self, tape: &mut Tape<T>, adj: AdjacencyRef<'_>, h: Var) -> Tensor<T> {
+        let n = adj.n(tape);
+        let edges = Edges::of(tape, adj);
+        let (_, alpha) = self.attend(tape, &edges, h);
+        let alpha = tape.value(alpha);
+        let mut dense = Tensor::zeros(n, n);
+        for (e, (&r, &c)) in edges.rows.iter().zip(&edges.cols).enumerate() {
+            dense[(r, c)] = alpha[(e, 0)];
+        }
+        dense
+    }
+
+    /// Records `Wh` and the per-edge attention `α` (`E × 1`), in the op
+    /// order of the dense formulation, so gradient contributions reach
+    /// `Wh` in the same sequence.
+    fn attend(&self, tape: &mut Tape<T>, edges: &Edges, h: Var) -> (Var, Var) {
         let wh = self.linear.forward(tape, h); // N×F'
         let a_src = tape.param(&self.att_src); // F'×1
         let a_dst = tape.param(&self.att_dst);
         let s1 = tape.matmul(wh, a_src); // N×1
         let s2 = tape.matmul(wh, a_dst); // N×1
-
-        // e_ij = s1_i + s2_j via two broadcasts over a zero matrix.
-        let zeros = tape.constant(Tensor::zeros(n, n));
-        let s2t = tape.transpose(s2); // 1×N
-        let e = tape.add_row(zeros, s2t);
-        let e = tape.add_col(e, s1);
+        let e_dst = tape.gather_rows(s2, &edges.cols); // E×1: s2_j
+        let e_src = tape.gather_rows(s1, &edges.rows); // E×1: s1_i
+        let e = tape.add(e_dst, e_src);
         let e = tape.leaky_relu(e, self.leaky_slope);
-
-        let mask = self.mask(tape, &adj);
-        let mask = tape.constant(mask);
-        let e = tape.add(e, mask);
-        let alpha = tape.softmax_rows(e);
-
-        let agg = tape.matmul(alpha, wh);
-        self.activation.apply(tape, agg)
+        (wh, tape.segment_softmax(e, &edges.indptr))
     }
 
-    /// Exposes the attention matrix for inspection/visualisation.
-    pub fn attention(&self, tape: &mut Tape<T>, adj: AdjacencyRef<'_>, h: Var) -> Var {
-        let n = adj.n(tape);
-        let wh = self.linear.forward(tape, h);
-        let a_src = tape.param(&self.att_src);
-        let a_dst = tape.param(&self.att_dst);
-        let s1 = tape.matmul(wh, a_src);
-        let s2 = tape.matmul(wh, a_dst);
-        let zeros = tape.constant(Tensor::zeros(n, n));
-        let s2t = tape.transpose(s2);
-        let e = tape.add_row(zeros, s2t);
-        let e = tape.add_col(e, s1);
-        let e = tape.leaky_relu(e, self.leaky_slope);
-        let mask = self.mask(tape, &adj);
-        let mask = tape.constant(mask);
-        let e = tape.add(e, mask);
-        tape.softmax_rows(e)
+    /// `σ(Σ_j α_ij · Wh_j)` over `edges`.
+    fn propagate(&self, tape: &mut Tape<T>, edges: &Edges, h: Var) -> Var {
+        let (wh, alpha) = self.attend(tape, edges, h);
+        let msg = tape.gather_rows(wh, &edges.cols); // E×F': Wh_j
+        let msg = tape.mul_col(msg, alpha);
+        let agg = tape.segment_sums(msg, &edges.indptr);
+        self.activation.apply(tape, agg)
     }
 }
 
@@ -225,8 +219,7 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2)]); // node 3 isolated
         let mut t = Tape::new();
         let h = t.constant(Tensor::rand_uniform(4, 3, -1.0, 1.0, &mut rng));
-        let alpha = layer.attention(&mut t, AdjacencyRef::Fixed(&g), h);
-        let a = t.value(alpha);
+        let a = layer.attention(&mut t, AdjacencyRef::Fixed(&g), h);
         for r in 0..4 {
             let sum: f64 = a.row(r).iter().sum();
             assert!((sum - 1.0).abs() < 1e-9, "row {r} sums to {sum}");
@@ -268,8 +261,7 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2)]); // node 3 isolated
         let mut t = Tape::new();
         let h = t.constant(Tensor::<f32>::rand_uniform(4, 3, -1.0, 1.0, &mut rng));
-        let alpha = layer.attention(&mut t, AdjacencyRef::Fixed(&g), h);
-        let a = t.value(alpha);
+        let a = layer.attention(&mut t, AdjacencyRef::Fixed(&g), h);
         for r in 0..4 {
             let sum: f32 = a.row(r).iter().sum();
             assert!((sum - 1.0).abs() < 1e-5, "row {r} sums to {sum}");
@@ -286,8 +278,7 @@ mod tests {
         let mut t = Tape::new();
         let a = t.constant(Tensor::full(4, 4, 0.25)); // dense soft-sampled adjacency
         let h = t.constant(Tensor::rand_uniform(4, 3, -1.0, 1.0, &mut rng));
-        let alpha = layer.attention(&mut t, AdjacencyRef::Dynamic(a), h);
-        let av = t.value(alpha);
+        let av = layer.attention(&mut t, AdjacencyRef::Dynamic(a), h);
         // every entry positive: full information channel
         assert!(av.min() > 0.0);
     }

@@ -5,22 +5,8 @@ use hap_autograd::{ParamStore, Tape, Var};
 use hap_graph::GraphScalar;
 use hap_nn::{Activation, Linear};
 use hap_rand::Rng;
-use hap_tensor::CsrMatrix;
+use hap_tensor::{CsrMatrix, Tensor};
 use std::sync::Arc;
-
-/// Density (`nnz / n²` of `Â`) at or below which a fixed-graph GCN forward
-/// propagates with CSR SpMM instead of the dense matmul.
-///
-/// Dispatch is *purely* a performance decision: the dense kernel skips zero
-/// entries in the same ascending order the CSR walk visits non-zeros, so
-/// both paths produce byte-identical values and gradients at any threshold
-/// (verified by the sparse-vs-dense differential tests). The value sits at
-/// the measured crossover of the `sparse/spmm` microbench sweep — below
-/// ~25% fill the CSR walk wins by skipping the zero-test work and the
-/// tape's dense constant copy; above it the dense kernel's simpler inner
-/// loop is at least as fast. See EXPERIMENTS.md "Sparse vs dense
-/// crossover".
-pub const SPARSE_DENSITY_THRESHOLD: f64 = 0.25;
 
 /// One GCN layer: `H' = σ(Â H W)` with `Â = D̃^{-1/2}(A+I)D̃^{-1/2}`
 /// (Kipf & Welling; the paper's Eq. 12).
@@ -71,31 +57,46 @@ impl<T: GraphScalar> GcnLayer<T> {
 
     /// Applies the layer: `σ(Â · H · W)`.
     ///
-    /// On a [`AdjacencyRef::Fixed`] graph whose `Â` density is at or below
-    /// [`SPARSE_DENSITY_THRESHOLD`], propagation dispatches to the cached
-    /// CSR and [`Tape::spmm`]; the result is byte-identical to the dense
-    /// path either way (see the threshold's docs).
+    /// A [`AdjacencyRef::Fixed`] graph propagates over its cached CSR `Â`
+    /// ([`GcnLayer::forward_csr`]); a [`AdjacencyRef::Dynamic`] adjacency
+    /// is normalised on the tape and multiplied densely.
     pub fn forward(&self, tape: &mut Tape<T>, adj: AdjacencyRef<'_>, h: Var) -> Var {
-        if let AdjacencyRef::Fixed(g) = adj {
-            // Density is structural (nnz/n²), so the dispatch decision is
-            // taken on the canonical f64 CSR for every dtype.
-            if g.csr_adjacency_cached().density() <= SPARSE_DENSITY_THRESHOLD {
-                return self.forward_csr(tape, &Arc::clone(T::csr_of(g)), h);
+        match adj {
+            AdjacencyRef::Fixed(g) => self.forward_csr(tape, T::csr_of(g), h),
+            AdjacencyRef::Dynamic(a) => {
+                let a_hat = sym_norm_on_tape(tape, a);
+                let agg = tape.matmul(a_hat, h);
+                self.transform(tape, agg)
             }
         }
-        let a_hat = adj.sym_norm(tape);
-        let agg = tape.matmul(a_hat, h);
-        let lin = self.linear.forward(tape, agg);
-        self.activation.apply(tape, lin)
     }
 
     /// Applies the layer over an explicit CSR propagation matrix (a single
     /// graph's `Â` or a block-diagonal batch of them): `σ(S · H · W)`.
     pub fn forward_csr(&self, tape: &mut Tape<T>, a_hat: &Arc<CsrMatrix<T>>, h: Var) -> Var {
         let agg = tape.spmm(a_hat, h);
+        self.transform(tape, agg)
+    }
+
+    /// `σ(agg · W)`, shared by both propagation forms.
+    fn transform(&self, tape: &mut Tape<T>, agg: Var) -> Var {
         let lin = self.linear.forward(tape, agg);
         self.activation.apply(tape, lin)
     }
+}
+
+/// Records `D̃^{-1/2}(A+I)D̃^{-1/2}` of a tape-resident adjacency, so
+/// gradients flow through the normalisation.
+fn sym_norm_on_tape<T: GraphScalar>(tape: &mut Tape<T>, a: Var) -> Var {
+    let (n, m) = tape.shape(a);
+    assert_eq!(n, m, "adjacency must be square");
+    let eye = tape.constant(Tensor::eye(n));
+    let a_tilde = tape.add(a, eye);
+    let deg = tape.row_sums(a_tilde); // N×1, strictly positive
+    let inv_sqrt = tape.pow_const(deg, -0.5);
+    let left = tape.mul_col(a_tilde, inv_sqrt);
+    let inv_sqrt_row = tape.transpose(inv_sqrt);
+    tape.mul_row(left, inv_sqrt_row)
 }
 
 #[cfg(test)]
@@ -104,7 +105,6 @@ mod tests {
     use hap_autograd::check_param_grad;
     use hap_graph::{generators, Graph};
     use hap_rand::Rng;
-    use hap_tensor::Tensor;
 
     #[test]
     fn output_shape() {
@@ -155,75 +155,6 @@ mod tests {
         let out2 = layer.forward(&mut t2, AdjacencyRef::Dynamic(a), h2);
 
         hap_tensor::testutil::assert_close(&t1.value(out1), &t2.value(out2), 1e-10);
-    }
-
-    #[test]
-    fn sparse_dispatch_is_bitwise_equal_to_dense_path() {
-        let mut rng = Rng::from_seed(9);
-        let mut store = ParamStore::<f64>::new();
-        let layer = GcnLayer::new(&mut store, "gcn", 4, 4, &mut rng);
-        let g = generators::erdos_renyi_connected(30, 0.08, &mut rng);
-        assert!(
-            g.csr_adjacency_cached().density() <= SPARSE_DENSITY_THRESHOLD,
-            "test graph must land on the sparse side of the dispatch"
-        );
-        let x = Tensor::rand_uniform(30, 4, -1.0, 1.0, &mut rng);
-
-        // Fixed path: dispatches to CSR SpMM below the threshold.
-        let mut t1 = Tape::new();
-        let h1 = t1.constant(x.clone());
-        let out1 = layer.forward(&mut t1, AdjacencyRef::Fixed(&g), h1);
-        let l1 = t1.sum_all(out1);
-        t1.backward(l1);
-
-        // Dense oracle: the pre-dispatch constant+matmul pipeline.
-        let mut t2 = Tape::new();
-        let h2 = t2.constant(x);
-        let a = t2.constant(g.sym_norm_adjacency_cached().clone());
-        let agg = t2.matmul(a, h2);
-        let lin = layer.linear.forward(&mut t2, agg);
-        let out2 = layer.activation.apply(&mut t2, lin);
-        let l2 = t2.sum_all(out2);
-        t2.backward(l2);
-
-        for (which, (a, b)) in [
-            ("value", (t1.value(out1), t2.value(out2))),
-            ("dH", (t1.grad(h1), t2.grad(h2))),
-        ] {
-            assert_eq!(a.shape(), b.shape());
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{which}: {x} vs {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn f32_sparse_dispatch_is_bitwise_equal_to_dense_path() {
-        // The sparse/dense byte-identity contract holds per dtype: the f32
-        // dense kernel skips exactly the zeros the f32 CSR cast dropped.
-        let mut rng = Rng::from_seed(9);
-        let mut store = ParamStore::<f32>::new();
-        let layer = GcnLayer::new(&mut store, "gcn", 4, 4, &mut rng);
-        let g = generators::erdos_renyi_connected(30, 0.08, &mut rng);
-        assert!(g.csr_adjacency_cached().density() <= SPARSE_DENSITY_THRESHOLD);
-        let x = Tensor::<f32>::rand_uniform(30, 4, -1.0, 1.0, &mut rng);
-
-        let mut t1 = Tape::new();
-        let h1 = t1.constant(x.clone());
-        let out1 = layer.forward(&mut t1, AdjacencyRef::Fixed(&g), h1);
-
-        let mut t2 = Tape::new();
-        let h2 = t2.constant(x);
-        let a = t2.constant(g.sym_norm_adjacency_cached_f32().clone());
-        let agg = t2.matmul(a, h2);
-        let lin = layer.linear.forward(&mut t2, agg);
-        let out2 = layer.activation.apply(&mut t2, lin);
-
-        let (v1, v2) = (t1.value(out1), t2.value(out2));
-        assert_eq!(v1.shape(), v2.shape());
-        for (x, y) in v1.as_slice().iter().zip(v2.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
-        }
     }
 
     #[test]

@@ -11,20 +11,20 @@
 //! * [`GnnEncoder`] — a stack of either layer kind; HAP uses a two-layer
 //!   encoder before each coarsening module (Sec. 6.1.3).
 //! * [`BatchGraph`] — a block-diagonal fusion of several graphs so one
-//!   SpMM-based forward embeds a whole batch, byte-identical per node to
-//!   the graph-at-a-time loop (GCN only; see
+//!   forward embeds a whole batch, byte-identical per node to the
+//!   graph-at-a-time loop, for either layer kind (see
 //!   [`GnnEncoder::forward_batch`]).
 //!
-//! Fixed-graph GCN propagation dispatches to the graph's cached CSR and
-//! sparse SpMM when `Â`'s density is at or below
-//! [`SPARSE_DENSITY_THRESHOLD`] — a pure performance decision, since both
-//! paths are byte-identical (ARCHITECTURE.md "Sparse & batched
-//! execution").
+//! Fixed-graph propagation has one code path: the graph's cached CSR `Â`.
+//! GCN multiplies by it with SpMM; GAT attends over its stored entries as
+//! an edge list (`gather_rows` → `segment_softmax` → `segment_sums`). Both
+//! are byte-identical to the dense formulations (ARCHITECTURE.md "CSR
+//! adjacency").
 //!
 //! ## Static vs. dynamic adjacency
 //!
-//! At the input level the graph is fixed, so propagation matrices are
-//! precomputed constants ([`AdjacencyRef::Fixed`]). After a HAP coarsening
+//! At the input level the graph is fixed, so its propagation structure is
+//! a precomputed constant ([`AdjacencyRef::Fixed`]). After a HAP coarsening
 //! step the adjacency `A' = MᵀAM` is itself a differentiable tape value
 //! ([`AdjacencyRef::Dynamic`]); layers then normalise degrees *on the
 //! tape* (via `pow_const`) so gradients flow through the coarsened
@@ -38,64 +38,32 @@ mod gcn;
 pub use batch::BatchGraph;
 pub use encoder::{EncoderKind, GnnEncoder};
 pub use gat::GatLayer;
-pub use gcn::{GcnLayer, SPARSE_DENSITY_THRESHOLD};
+pub use gcn::GcnLayer;
 
 use hap_autograd::{Tape, Var};
 use hap_graph::{Graph, GraphScalar};
 
 /// How a GNN layer should see the graph structure.
 ///
-/// The enum itself is dtype-agnostic; its accessors are generic over
-/// [`GraphScalar`], so a `Fixed` graph serves whichever cached propagation
-/// matrices (`f64` canonical or `f32` mirrors) the calling tape's element
-/// type requires.
+/// The enum itself is dtype-agnostic: a `Fixed` graph serves its cached
+/// CSR `Â` in whichever element type the calling tape requires (`f64`
+/// canonical or the `f32` mirror, via [`GraphScalar`]).
 #[derive(Clone, Copy)]
 pub enum AdjacencyRef<'a> {
-    /// A fixed input graph: propagation matrices are precomputed tensors
-    /// entering the tape as constants.
+    /// A fixed input graph: layers propagate over its cached CSR `Â`,
+    /// which enters the tape as constant structure.
     Fixed(&'a Graph),
     /// A coarsened graph whose (dense, non-negative) adjacency lives on the
     /// tape; normalisation happens differentiably.
     Dynamic(Var),
 }
 
-impl<'a> AdjacencyRef<'a> {
-    /// Records/loads the symmetric-normalised propagation matrix
-    /// `D̃^{-1/2}(A+I)D̃^{-1/2}` on `tape` and returns it as a `Var`.
-    pub fn sym_norm<T: GraphScalar>(&self, tape: &mut Tape<T>) -> Var {
-        match self {
-            // The fixed-graph propagation matrix is cached on the Graph:
-            // every layer and epoch reuses one computation (and the tape
-            // still records its own constant copy, so gradients/values are
-            // unchanged).
-            AdjacencyRef::Fixed(g) => tape.constant(T::sym_norm_of(g).clone()),
-            AdjacencyRef::Dynamic(a) => {
-                let (n, m) = tape.shape(*a);
-                assert_eq!(n, m, "adjacency must be square");
-                let eye = tape.constant(hap_tensor::Tensor::eye(n));
-                let a_tilde = tape.add(*a, eye);
-                let deg = tape.row_sums(a_tilde); // N×1, strictly positive
-                let inv_sqrt = tape.pow_const(deg, -0.5);
-                let left = tape.mul_col(a_tilde, inv_sqrt);
-                let inv_sqrt_row = tape.transpose(inv_sqrt);
-                tape.mul_row(left, inv_sqrt_row)
-            }
-        }
-    }
-
+impl AdjacencyRef<'_> {
     /// Number of nodes of the underlying graph.
     pub fn n<T: GraphScalar>(&self, tape: &Tape<T>) -> usize {
         match self {
             AdjacencyRef::Fixed(g) => g.n(),
             AdjacencyRef::Dynamic(a) => tape.shape(*a).0,
-        }
-    }
-
-    /// The raw adjacency (with no self loops) as a tape `Var`.
-    pub fn raw<T: GraphScalar>(&self, tape: &mut Tape<T>) -> Var {
-        match self {
-            AdjacencyRef::Fixed(g) => tape.constant(T::adjacency_of(g).clone()),
-            AdjacencyRef::Dynamic(a) => *a,
         }
     }
 }

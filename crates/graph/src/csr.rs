@@ -1,20 +1,19 @@
 //! CSR form of the GCN propagation matrix.
 //!
-//! [`CsrAdjacency`] freezes a graph's normalised adjacency
-//! `D̃^{-1/2}ÃD̃^{-1/2}` (Eq. 12) into a [`CsrMatrix`] so GNN layers can
-//! propagate with SpMM instead of a dense product. The CSR is built from
-//! the *same* cached dense matrix every dense forward uses
-//! ([`Graph::sym_norm_adjacency_cached`]), entry for entry, so the two
-//! representations hold bitwise-identical values — and because the dense
-//! matmul kernel skips zero entries in ascending column order (exactly the
-//! CSR row walk), sparse and dense propagation produce byte-identical
-//! results. Choosing between them is purely a performance decision; see
-//! ARCHITECTURE.md "Sparse & batched execution" for the density threshold.
+//! [`CsrAdjacency`] holds a graph's normalised adjacency
+//! `D̃^{-1/2}ÃD̃^{-1/2}` (Eq. 12) as a [`CsrMatrix`], the only cached form
+//! of `Â`: every fixed-graph GNN layer propagates with SpMM over it. It is
+//! assembled straight from the adjacency and the `D̃^{-1/2}` factors, with
+//! the exact floating-point operations of [`Graph::sym_norm_adjacency`],
+//! so its values are bitwise those of the dense matrix — and because the
+//! dense matmul kernel skips zero entries in ascending column order
+//! (exactly the CSR row walk), SpMM over it is byte-identical to a dense
+//! product (ARCHITECTURE.md "CSR adjacency").
 
 #![deny(missing_docs)]
 
 use crate::Graph;
-use hap_tensor::CsrMatrix;
+use hap_tensor::{CsrMatrix, Tensor};
 use std::sync::Arc;
 
 /// A graph's symmetric normalised adjacency in CSR form, shareable across
@@ -26,12 +25,15 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub struct CsrAdjacency {
     csr: Arc<CsrMatrix>,
+    /// The `D̃^{-1/2}` factors `csr` was assembled from, kept so an edge
+    /// flip re-derives only the two touched factors.
+    inv_sqrt: Vec<f64>,
 }
 
 impl CsrAdjacency {
-    /// Builds the CSR propagation matrix for `g` from its cached dense
-    /// normalised adjacency. Every self-loop contributes a structural
-    /// non-zero, so each of the `n` rows holds at least its diagonal entry.
+    /// Builds the CSR propagation matrix for `g` from its adjacency. Every
+    /// self-loop contributes a structural non-zero, so each of the `n` rows
+    /// holds at least its diagonal entry.
     ///
     /// ```
     /// use hap_graph::{csr::CsrAdjacency, Graph};
@@ -40,21 +42,38 @@ impl CsrAdjacency {
     /// let s = CsrAdjacency::from_graph(&g);
     /// // The triangle's Â is dense (every Ã entry is 1/3) …
     /// assert_eq!(s.matrix().nnz(), 9);
-    /// assert_eq!(s.density(), 1.0);
-    /// // … and bitwise identical to the dense matrix the GCN path uses.
-    /// assert_eq!(s.matrix().to_dense(), *g.sym_norm_adjacency_cached());
+    /// // … and bitwise identical to the from-scratch dense matrix.
+    /// assert_eq!(s.matrix().to_dense(), g.sym_norm_adjacency());
     /// ```
     pub fn from_graph(g: &Graph) -> Self {
+        let adj = g.adjacency();
+        let n = adj.rows();
+        let inv_sqrt: Vec<f64> = (0..n).map(|r| inv_sqrt_degree(adj, r)).collect();
+        let csr = CsrMatrix::from_fn(n, n, |r, c| sym_norm_entry(adj, &inv_sqrt, r, c));
         Self {
-            csr: Arc::new(CsrMatrix::from_dense(g.sym_norm_adjacency_cached())),
+            csr: Arc::new(csr),
+            inv_sqrt,
         }
     }
 
-    /// Wraps an already-built matrix — the handoff point for the
-    /// incremental mutation path ([`Graph::apply`]), which splices the
-    /// touched rows itself and must install the result without a rebuild.
-    pub(crate) fn from_matrix(csr: Arc<CsrMatrix>) -> Self {
-        Self { csr }
+    /// Re-establishes the matrix after the edge between the `touched` nodes
+    /// changed in `adj`: re-derives their `D̃^{-1/2}` factors, then splices
+    /// the touched rows and columns into a fresh `Arc`
+    /// ([`CsrMatrix::splice_rows`], O(n + nnz)). Holders of the old `Arc`
+    /// keep the old matrix. Bitwise equal to [`CsrAdjacency::from_graph`]
+    /// on the mutated graph.
+    pub(crate) fn refresh(&mut self, adj: &Tensor, touched: &[usize]) {
+        for &t in touched {
+            self.inv_sqrt[t] = inv_sqrt_degree(adj, t);
+        }
+        let inv_sqrt = &self.inv_sqrt;
+        let entry = |r: usize, c: usize| sym_norm_entry(adj, inv_sqrt, r, c);
+        let n = adj.rows();
+        let spliced = self
+            .csr
+            .splice_rows(touched, entry)
+            .unwrap_or_else(|| CsrMatrix::from_fn(n, n, entry));
+        self.csr = Arc::new(spliced);
     }
 
     /// The shared CSR matrix, cloneable into tape ops without copying.
@@ -62,14 +81,26 @@ impl CsrAdjacency {
     pub fn matrix(&self) -> &Arc<CsrMatrix> {
         &self.csr
     }
+}
 
-    /// Fraction of non-zero entries, `nnz / n²` (1.0 for a 0×0 matrix).
-    /// This is the quantity the dense↔sparse dispatch threshold compares
-    /// against.
-    #[inline]
-    pub fn density(&self) -> f64 {
-        self.csr.density()
-    }
+/// `D̃_rr^{-1/2}`, with the degree summed over row `r` of `Ã = A + I` in
+/// column order — the summation [`Graph::sym_norm_adjacency`] performs.
+fn inv_sqrt_degree(adj: &Tensor, r: usize) -> f64 {
+    let d: f64 = adj
+        .row(r)
+        .iter()
+        .enumerate()
+        .map(|(c, &a)| if c == r { a + 1.0 } else { a })
+        .sum();
+    1.0 / d.sqrt()
+}
+
+/// Entry `(r, c)` of `D̃^{-1/2}ÃD̃^{-1/2}`, in the factor order of
+/// [`Graph::sym_norm_adjacency`]: `Ã_rc · (D̃_rr^{-1/2} · D̃_cc^{-1/2})`.
+fn sym_norm_entry(adj: &Tensor, inv_sqrt: &[f64], r: usize, c: usize) -> f64 {
+    let a = adj[(r, c)];
+    let a_tilde = if r == c { a + 1.0 } else { a };
+    a_tilde * (inv_sqrt[r] * inv_sqrt[c])
 }
 
 #[cfg(test)]
@@ -79,9 +110,15 @@ mod tests {
     #[test]
     fn csr_values_match_dense_normalised_adjacency_bitwise() {
         let mut rng = hap_rand::Rng::from_seed(11);
-        let g = crate::generators::erdos_renyi(20, 0.15, &mut rng);
+        let mut g = crate::generators::erdos_renyi(20, 0.15, &mut rng);
+        // Non-unit weights and self-loops, so the factor order of each
+        // entry shows in its bits.
+        for (u, v) in g.edges() {
+            g.add_weighted_edge(u, v, 0.25 + rng.gen_f64());
+        }
+        g.add_weighted_edge(3, 3, 0.7);
         let s = CsrAdjacency::from_graph(&g);
-        let dense = g.sym_norm_adjacency_cached();
+        let dense = g.sym_norm_adjacency();
         let roundtrip = s.matrix().to_dense();
         assert_eq!(roundtrip.shape(), dense.shape());
         for (a, b) in roundtrip.as_slice().iter().zip(dense.as_slice()) {
@@ -95,7 +132,7 @@ mod tests {
         let g = Graph::empty(4);
         let s = CsrAdjacency::from_graph(&g);
         assert_eq!(s.matrix().nnz(), 4, "self-loops only");
-        assert_eq!(s.density(), 4.0 / 16.0);
+        assert_eq!(s.matrix().to_dense(), Tensor::eye(4));
     }
 
     #[test]
@@ -113,8 +150,8 @@ mod tests {
         );
         assert_eq!(
             after.matrix().to_dense(),
-            *g.sym_norm_adjacency_cached(),
-            "rebuilt CSR must match the new dense matrix"
+            g.sym_norm_adjacency(),
+            "spliced CSR must match the new from-scratch matrix"
         );
 
         let before_remove = Arc::clone(after.matrix());

@@ -153,8 +153,7 @@ fn self_attention_is_byte_identical_across_thread_counts() {
         let (layer, g, h) = make();
         let mut t = Tape::new();
         let hv = t.constant(h);
-        let alpha = layer.attention(&mut t, AdjacencyRef::Fixed(&g), hv);
-        t.value(alpha)
+        layer.attention(&mut t, AdjacencyRef::Fixed(&g), hv)
     });
     assert_bits_equal("self_attention", &seq, &par);
 }

@@ -1,15 +1,20 @@
 //! Differential tests for the sparse/batched execution contract
-//! (ARCHITECTURE.md "Sparse & batched execution").
+//! (ARCHITECTURE.md "CSR adjacency" and "Block-diagonal batching").
 //!
-//! The contract is twofold and stronger than numerical closeness:
+//! The contract is threefold and stronger than numerical closeness:
 //!
 //! 1. **Sparse = dense, bitwise.** `CsrMatrix::spmm` walks each row's
 //!    stored columns in ascending order — the same FMA sequence the dense
 //!    zero-skipping GEMM performs — so the CSR path must be byte-identical
 //!    to the dense product on the same operands, forward and backward.
-//! 2. **Batched = looped, bitwise.** A block-diagonal `BatchGraph`
+//! 2. **Fixed-graph layers = their dense formulations, bitwise.** GCN
+//!    over the cached CSR `Â` matches a dense `constant`+`matmul`
+//!    oracle, and edge-list GAT matches a dense attention with an
+//!    additive `-1e9` mask on non-edges, forward and backward, in `f64`
+//!    and `f32`, from the edgeless graph to the complete one.
+//! 3. **Batched = looped, bitwise.** A block-diagonal `BatchGraph`
 //!    forward must reproduce every per-graph embedding bit-for-bit, at
-//!    any batch composition.
+//!    any batch composition and for either encoder kind.
 //!
 //! Both properties must additionally hold across thread counts
 //! (`HAP_THREADS=1` vs a multi-worker pool), because the sparse kernel
@@ -17,12 +22,13 @@
 //! cases above the `nnz·m ≥ 100 000` parallel crossover so the parallel
 //! code path genuinely executes.
 
-use hap_autograd::{ParamStore, Tape};
+use hap_autograd::{Param, ParamStore, Tape, Var};
 use hap_core::{HapClassifier, HapConfig, HapModel};
-use hap_graph::{degree_one_hot, generators, Graph};
+use hap_gnn::{AdjacencyRef, BatchGraph, EncoderKind, GatLayer, GcnLayer, GnnEncoder};
+use hap_graph::{degree_one_hot, generators, Graph, GraphScalar};
 use hap_pooling::PoolCtx;
 use hap_rand::Rng;
-use hap_tensor::{CsrMatrix, Tensor};
+use hap_tensor::{CsrMatrix, Scalar, Tensor};
 use std::sync::Arc;
 use std::sync::Mutex;
 
@@ -42,12 +48,13 @@ fn seq_and_par<T>(mut f: impl FnMut() -> T) -> (T, T) {
     (seq, par)
 }
 
-fn assert_bits_equal(what: &str, a: &Tensor, b: &Tensor) {
+fn assert_bits_equal<T: Scalar>(what: &str, a: &Tensor<T>, b: &Tensor<T>) {
     assert_eq!(a.shape(), b.shape(), "{what}: shape changed");
     for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+        // Widening f32 → f64 is exact, so this compares f32 bits too.
         assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
+            x.to_f64().to_bits(),
+            y.to_f64().to_bits(),
             "{what}: element {i} differs: {x} vs {y}"
         );
     }
@@ -184,4 +191,261 @@ fn batched_embeddings_match_looped_across_thread_counts() {
     for (k, (s, p)) in seq.1.iter().zip(&par.1).enumerate() {
         assert_bits_equal(&format!("graph {k} batched across threads"), s, p);
     }
+}
+
+/// The graphs the fixed-graph differential tests sweep: the degenerate
+/// corners, Erdős–Rényi from sparse to dense (the densest above the
+/// SpMM parallel crossover at width 16), a weighted graph with self-loops
+/// (so `Â`'s factor order shows in its bits), and a clique (density 1.0).
+fn sweep_graphs() -> Vec<(String, Graph)> {
+    let mut rng = Rng::from_seed(31);
+    let mut out = vec![
+        ("edgeless".to_string(), Graph::empty(6)),
+        ("n=1".to_string(), Graph::empty(1)),
+    ];
+    for p in [0.05, 0.3, 0.6] {
+        let g = generators::erdos_renyi(120, p, &mut rng);
+        out.push((format!("er p={p}"), g));
+    }
+    let mut weighted = generators::erdos_renyi(40, 0.2, &mut rng);
+    for (u, v) in weighted.edges() {
+        weighted.add_weighted_edge(u, v, 0.25 + rng.gen_f64());
+    }
+    for u in (0..40).step_by(5) {
+        weighted.add_weighted_edge(u, u, 0.5 + rng.gen_f64());
+    }
+    out.push(("weighted".to_string(), weighted));
+    out.push(("clique".to_string(), generators::clique(100)));
+    out
+}
+
+/// A value, the input gradient and every parameter gradient of one
+/// forward + backward over `loss = Σ out²`.
+fn forward_backward<T: GraphScalar>(
+    store: &ParamStore<T>,
+    x: &Tensor<T>,
+    forward: impl FnOnce(&mut Tape<T>, Var) -> Var,
+) -> Vec<Tensor<T>> {
+    store.zero_grads();
+    let mut t = Tape::new();
+    let h = t.constant(x.clone());
+    let out = forward(&mut t, h);
+    let sq = t.hadamard(out, out);
+    let loss = t.sum_all(sq);
+    t.backward(loss);
+    let mut res = vec![t.value(out), t.grad(h)];
+    res.extend(store.iter().map(Param::grad));
+    res
+}
+
+fn gcn_matches_dense_oracle<T: GraphScalar>() {
+    for (label, g) in sweep_graphs() {
+        let mut rng = Rng::from_seed(41);
+        let mut store = ParamStore::<T>::new();
+        let layer = GcnLayer::new(&mut store, "gcn", 16, 8, &mut rng);
+        let w = store.iter().next().expect("weight").clone();
+        let x = Tensor::<T>::rand_uniform(g.n(), 16, -1.0, 1.0, &mut rng);
+        let (seq, par) = seq_and_par(|| {
+            let csr = forward_backward(&store, &x, |t, h| {
+                layer.forward(t, AdjacencyRef::Fixed(&g), h)
+            });
+            // The dense oracle: Â as a tape constant, then matmul.
+            let dense = forward_backward(&store, &x, |t, h| {
+                let a = t.constant(g.sym_norm_adjacency().cast::<T>());
+                let agg = t.matmul(a, h);
+                let wv = t.param(&w);
+                let lin = t.matmul(agg, wv);
+                t.relu(lin)
+            });
+            (csr, dense)
+        });
+        for (mode, (csr, dense)) in [("seq", &seq), ("par", &par)] {
+            for (k, what) in ["value", "dH", "dW"].iter().enumerate() {
+                let tag = format!("gcn {label} {mode} {what}");
+                assert_bits_equal(&tag, &csr[k], &dense[k]);
+            }
+        }
+        assert_bits_equal(&format!("gcn {label} across threads"), &seq.0[0], &par.0[0]);
+    }
+}
+
+#[test]
+fn gcn_csr_forward_and_backward_match_dense_oracle() {
+    gcn_matches_dense_oracle::<f64>();
+    gcn_matches_dense_oracle::<f32>();
+}
+
+/// Additive mask value of the dense GAT oracle for non-admitted pairs.
+const NEG_MASK: f64 = -1e9;
+
+/// The dense GAT formulation the edge-list layer replaced: `n × n` logits
+/// `s1_i + s2_j` built by broadcasting, an additive [`NEG_MASK`] on every
+/// pair `admitted` rejects, a row softmax and a dense aggregation. The
+/// params are the layer's own `[W, a_src, a_dst]`, bound in the layer's
+/// order.
+fn dense_gat<T: GraphScalar>(
+    t: &mut Tape<T>,
+    params: &[Param<T>],
+    admitted: &impl Fn(usize, usize) -> bool,
+    h: Var,
+) -> Var {
+    let n = t.shape(h).0;
+    let w = t.param(&params[0]);
+    let wh = t.matmul(h, w);
+    let a_src = t.param(&params[1]);
+    let a_dst = t.param(&params[2]);
+    let s1 = t.matmul(wh, a_src);
+    let s2 = t.matmul(wh, a_dst);
+    let zeros = t.constant(Tensor::zeros(n, n));
+    let s2t = t.transpose(s2);
+    let e = t.add_row(zeros, s2t);
+    let e = t.add_col(e, s1);
+    let e = t.leaky_relu(e, 0.2);
+    let mut mask = Tensor::full(n, n, T::from_f64(NEG_MASK));
+    for u in 0..n {
+        for v in 0..n {
+            if u == v || admitted(u, v) {
+                mask[(u, v)] = T::ZERO;
+            }
+        }
+    }
+    let mask = t.constant(mask);
+    let e = t.add(e, mask);
+    let alpha = t.softmax_rows(e);
+    let agg = t.matmul(alpha, wh);
+    t.relu(agg)
+}
+
+/// Soft-sampled-style dense adjacencies for the `Dynamic` path: mostly
+/// positive weights, with exact zeros and sub-threshold entries mixed in.
+fn dynamic_adjacencies<T: GraphScalar>() -> Vec<Tensor<T>> {
+    let mut rng = Rng::from_seed(61);
+    [1usize, 5, 16]
+        .iter()
+        .map(|&n| {
+            let mut a = Tensor::<T>::rand_uniform(n, n, 0.0, 1.0, &mut rng);
+            for u in 0..n {
+                for v in 0..n {
+                    match (u * 7 + v * 3) % 5 {
+                        0 => a[(u, v)] = T::ZERO,
+                        1 => a[(u, v)] = T::from_f64(1e-9),
+                        _ => {}
+                    }
+                }
+            }
+            a
+        })
+        .collect()
+}
+
+/// The structure a GAT differential case attends over.
+#[derive(Clone, Copy)]
+enum Structure<'a, T: Scalar> {
+    Fixed(&'a Graph),
+    Dynamic(&'a Tensor<T>),
+}
+
+/// Edge-list GAT over `structure` vs [`dense_gat`] masked by `admitted`:
+/// value, dH and every parameter gradient, at both thread counts.
+fn check_gat<T: GraphScalar>(
+    label: &str,
+    structure: Structure<'_, T>,
+    admitted: impl Fn(usize, usize) -> bool,
+) {
+    let n = match structure {
+        Structure::Fixed(g) => g.n(),
+        Structure::Dynamic(a) => a.rows(),
+    };
+    let mut rng = Rng::from_seed(43);
+    let mut store = ParamStore::<T>::new();
+    let layer = GatLayer::new(&mut store, "gat", 16, 8, &mut rng);
+    let params: Vec<Param<T>> = store.iter().cloned().collect();
+    let x = Tensor::<T>::rand_uniform(n, 16, -1.0, 1.0, &mut rng);
+    let (seq, par) = seq_and_par(|| {
+        let edges = forward_backward(&store, &x, |t, h| {
+            let adj = match structure {
+                Structure::Fixed(g) => AdjacencyRef::Fixed(g),
+                Structure::Dynamic(a) => AdjacencyRef::Dynamic(t.constant(a.clone())),
+            };
+            layer.forward(t, adj, h)
+        });
+        let dense = forward_backward(&store, &x, |t, h| dense_gat(t, &params, &admitted, h));
+        (edges, dense)
+    });
+    for (mode, (edges, dense)) in [("seq", &seq), ("par", &par)] {
+        for (k, what) in ["value", "dH", "dW", "da_src", "da_dst"].iter().enumerate() {
+            let tag = format!("gat {label} {mode} {what}");
+            assert_bits_equal(&tag, &edges[k], &dense[k]);
+        }
+    }
+}
+
+fn gat_matches_dense_oracle<T: GraphScalar>() {
+    for (label, g) in sweep_graphs() {
+        let csr = T::csr_of(&g);
+        check_gat(
+            &format!("fixed {label}"),
+            Structure::<T>::Fixed(&g),
+            |u, v| csr.row(u).0.contains(&v),
+        );
+    }
+    for a in dynamic_adjacencies::<T>() {
+        check_gat(
+            &format!("dynamic n={}", a.rows()),
+            Structure::Dynamic(&a),
+            |u, v| a[(u, v)].to_f64() > 1e-8,
+        );
+    }
+}
+
+#[test]
+fn gat_edge_attention_matches_dense_mask_oracle() {
+    gat_matches_dense_oracle::<f64>();
+    gat_matches_dense_oracle::<f32>();
+}
+
+fn gat_batch_matches_loop<T: GraphScalar>() {
+    let graphs = sweep_graphs();
+    let mut rng = Rng::from_seed(51);
+    let mut store = ParamStore::<T>::new();
+    let enc = GnnEncoder::new(&mut store, "enc", EncoderKind::Gat, &[16, 8, 8], &mut rng);
+    let xs: Vec<Tensor<T>> = graphs
+        .iter()
+        .map(|(_, g)| Tensor::rand_uniform(g.n(), 16, -1.0, 1.0, &mut rng))
+        .collect();
+    let (seq, par) = seq_and_par(|| {
+        let gs: Vec<&Graph> = graphs.iter().map(|(_, g)| g).collect();
+        let xr: Vec<&Tensor<T>> = xs.iter().collect();
+        let batch = BatchGraph::new(&gs, &xr);
+        let mut tb = Tape::new();
+        let h = tb.constant(batch.features().clone());
+        let hb = enc.forward_batch(&mut tb, &batch, h);
+        let batched = tb.value(hb);
+        let looped: Vec<Tensor<T>> = gs
+            .iter()
+            .zip(&xs)
+            .map(|(g, x)| {
+                let mut t = Tape::new();
+                let h = t.constant(x.clone());
+                let out = enc.forward(&mut t, AdjacencyRef::Fixed(g), h);
+                t.value(out)
+            })
+            .collect();
+        (batch, batched, looped)
+    });
+    for (mode, (batch, batched, looped)) in [("seq", &seq), ("par", &par)] {
+        for (b, single) in looped.iter().enumerate() {
+            let rows = batch.node_range(b);
+            let block = batched.slice_rows(rows.start, rows.end);
+            let tag = format!("gat batch {mode} graph {}", graphs[b].0);
+            assert_bits_equal(&tag, &block, single);
+        }
+    }
+    assert_bits_equal("gat batch across threads", &seq.1, &par.1);
+}
+
+#[test]
+fn gat_forward_batch_matches_per_graph_loop() {
+    gat_batch_matches_loop::<f64>();
+    gat_batch_matches_loop::<f32>();
 }

@@ -1,6 +1,6 @@
 //! Streaming-update determinism: a graph mutated through
 //! [`hap_graph::Graph::apply`] must hold *bitwise* the same cached
-//! structures — dense Â, CSR, the f32 mirrors, the 1-WL signature, and
+//! structures — the CSR Â, the f32 mirrors, the 1-WL signature, and
 //! the maintained edge/degree stats — as a graph rebuilt from scratch
 //! from the same adjacency. The contract is exact equality of bytes,
 //! not approximate agreement: the incremental paths replay the oracle's
@@ -52,34 +52,29 @@ fn assert_matches_fresh(g: &Graph, wl_iterations: usize, step: usize) {
         );
     }
 
-    // Dense Â, bitwise.
-    let inc = g.sym_norm_adjacency_cached();
-    let scratch = fresh.sym_norm_adjacency_cached();
-    for (i, (a, b)) in inc.as_slice().iter().zip(scratch.as_slice()).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "step {step}: dense Â entry {i} ({a} vs {b})"
-        );
-    }
-
-    // CSR, spliced vs rebuilt.
+    // CSR, spliced vs rebuilt, and its values vs the dense oracle.
+    let inc = g.csr_adjacency_cached().matrix();
     assert_csr_bitwise(
-        g.csr_adjacency_cached().matrix(),
+        inc,
         fresh.csr_adjacency_cached().matrix(),
         &format!("step {step}: f64 CSR"),
     );
-
-    // f32 mirrors.
-    for (i, (a, b)) in g
-        .sym_norm_adjacency_cached_f32()
+    let scratch = fresh.sym_norm_adjacency();
+    for (i, (a, b)) in inc
+        .to_dense()
         .as_slice()
         .iter()
-        .zip(fresh.sym_norm_adjacency_cached_f32().as_slice())
+        .zip(scratch.as_slice())
         .enumerate()
     {
-        assert_eq!(a.to_bits(), b.to_bits(), "step {step}: f32 Â entry {i}");
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "step {step}: Â entry {i} ({a} vs {b})"
+        );
     }
+
+    // f32 mirrors.
     assert_csr_bitwise(
         g.csr_adjacency_cached_f32(),
         fresh.csr_adjacency_cached_f32(),
@@ -143,9 +138,7 @@ fn fuzzed_mutation_streams_keep_every_cache_bitwise_fresh() {
         let mut g = hap_graph::erdos_renyi(n, p, &mut rng);
         // Warm every cache up front so each delta exercises the
         // incremental maintenance paths, not lazy rebuilds.
-        let _ = g.sym_norm_adjacency_cached();
         let _ = g.csr_adjacency_cached();
-        let _ = g.sym_norm_adjacency_cached_f32();
         let _ = g.csr_adjacency_cached_f32();
         let _ = g.adjacency_f32();
         let _ = g.wl_signature_cached(wl_iterations);
@@ -171,7 +164,7 @@ fn batched_deltas_commute_with_a_single_rebuild() {
     // independent of batch boundaries.
     let mut rng = Rng::from_seed(91);
     let mut g = hap_graph::erdos_renyi(20, 0.2, &mut rng);
-    let _ = g.sym_norm_adjacency_cached();
+    let _ = g.csr_adjacency_cached();
     let _ = g.wl_signature_cached(3);
     for batch in 0..12 {
         for _ in 0..16 {
@@ -184,7 +177,7 @@ fn batched_deltas_commute_with_a_single_rebuild() {
 #[test]
 fn mutated_graph_embeds_bitwise_like_a_fresh_copy() {
     // End to end through the model: the HAP forward pass consumes the
-    // cached Â (dense or CSR, by density dispatch), so a stream of
+    // cached CSR Â, so a stream of
     // incremental updates must leave the *embedding* bitwise equal to
     // embedding a freshly rebuilt graph. This is the property the
     // streaming /update route leans on.
@@ -201,7 +194,6 @@ fn mutated_graph_embeds_bitwise_like_a_fresh_copy() {
 
     let mut graph_rng = Rng::from_seed(17);
     let mut g = hap_graph::erdos_renyi(22, 0.18, &mut graph_rng);
-    let _ = g.sym_norm_adjacency_cached();
     let _ = g.csr_adjacency_cached();
     for round in 0..6 {
         for _ in 0..9 {

@@ -7,7 +7,8 @@ use hap_graph::Graph;
 use hap_nn::{bce_scalar, Linear};
 use hap_pooling::{CoarsenModule, PoolCtx};
 use hap_rand::Rng;
-use hap_tensor::Tensor;
+use hap_tensor::{CsrMatrix, Tensor};
+use std::sync::Arc;
 
 const DIST_EPS: f64 = 1e-12;
 
@@ -92,18 +93,18 @@ impl GmnEncoder {
         g1: (&Graph, &Tensor),
         g2: (&Graph, &Tensor),
     ) -> (Var, Var) {
-        let a1 = tape.constant(g1.0.sym_norm_adjacency());
-        let a2 = tape.constant(g2.0.sym_norm_adjacency());
+        let a1 = g1.0.csr_adjacency_cached().matrix();
+        let a2 = g2.0.csr_adjacency_cached().matrix();
         let x1 = tape.constant(g1.1.clone());
         let x2 = tape.constant(g2.1.clone());
         let mut h1 = self.embed.forward(tape, x1);
         let mut h2 = self.embed.forward(tape, x2);
         for layer in &self.layers {
             let (n1, n2) = (h1, h2);
-            let next = |tape: &mut Tape, h: Var, a: Var, other: Var| {
+            let next = |tape: &mut Tape, h: Var, a: &Arc<CsrMatrix>, other: Var| {
                 let s = layer.w_self.forward(tape, h);
                 let m = layer.w_msg.forward(tape, h);
-                let agg = tape.matmul(a, m);
+                let agg = tape.spmm(a, m);
                 let mu = cross_message(tape, h, other);
                 let c = layer.w_cross.forward(tape, mu);
                 let sum = tape.add(s, agg);

@@ -7,10 +7,11 @@
 //! `p`, so a CSR row walk performs the *exact same sequence* of
 //! multiply–adds per output row — [`CsrMatrix::spmm`] is byte-identical to
 //! [`Tensor::matmul`] on the densified matrix at every `HAP_THREADS`
-//! setting, not merely close. Sparsity is therefore purely a performance
-//! dispatch decision, never a numerics one. The contract holds for both
-//! element types ([`crate::Scalar`]): the kernels are generic and
-//! monomorphise to the same arithmetic per dtype.
+//! setting, not merely close. Propagating sparse therefore never changes a
+//! result, which is what lets every fixed-graph propagation in the
+//! workspace run on CSR alone. The contract holds for both element types
+//! ([`crate::Scalar`]): the kernels are generic and monomorphise to the
+//! same arithmetic per dtype.
 
 use crate::ops::PAR_MATMUL_FLOPS;
 use crate::{Scalar, ShapeError, Tensor};
@@ -49,17 +50,25 @@ impl<T: Scalar> CsrMatrix<T> {
     /// ```
     pub fn from_dense(dense: &Tensor<T>) -> CsrMatrix<T> {
         let (rows, cols) = dense.shape();
+        Self::from_fn(rows, cols, |r, c| dense[(r, c)])
+    }
+
+    /// Builds a `rows × cols` matrix from an entry function: visits every
+    /// `(r, c)` in row-major order and stores the entries that are not
+    /// `0.0`. This is the loop behind [`CsrMatrix::from_dense`], for
+    /// callers that can compute entries without materialising a dense
+    /// matrix first.
+    pub fn from_fn(
+        rows: usize,
+        cols: usize,
+        mut entry: impl FnMut(usize, usize) -> T,
+    ) -> CsrMatrix<T> {
         let mut indptr = Vec::with_capacity(rows + 1);
         let mut indices = Vec::new();
         let mut values = Vec::new();
         indptr.push(0);
         for r in 0..rows {
-            for (c, &v) in dense.row(r).iter().enumerate() {
-                if v != T::ZERO {
-                    indices.push(c);
-                    values.push(v);
-                }
-            }
+            push_row(r, cols, &mut entry, &mut indices, &mut values);
             indptr.push(indices.len());
         }
         CsrMatrix {
@@ -71,51 +80,46 @@ impl<T: Scalar> CsrMatrix<T> {
         }
     }
 
-    /// Re-compresses only the `touched` rows of `dense`, splicing the
-    /// untouched rows through from `self` — the O(deg) update path for a
-    /// localised edit (an edge flip touches two rows of Â plus the two
-    /// matching columns of every other row).
+    /// Rebuilds the matrix after a localised edit, where `entry(r, c)`
+    /// gives the *new* value of every entry. The `touched` rows are
+    /// re-scanned in full by the [`CsrMatrix::from_fn`] loop; every other
+    /// row keeps its column structure and re-reads only its `touched`
+    /// columns. An edge flip of a symmetric matrix touches two rows plus
+    /// the two matching columns of every other row.
     ///
-    /// Precondition: `dense` differs from the matrix `self` represents
-    /// only within the `touched` rows and the `touched` columns. Under
-    /// that contract the result is **bitwise equal** to
-    /// [`CsrMatrix::from_dense`] on `dense`: touched rows are recompressed
-    /// by the exact `from_dense` loop, and untouched rows keep their
-    /// column structure with values patched at the touched columns.
+    /// Precondition: the new matrix differs from `self` only within the
+    /// `touched` rows and the `touched` columns. Under that contract the
+    /// result is **bitwise equal** to [`CsrMatrix::from_fn`] over the same
+    /// `entry`.
     ///
-    /// Returns `None` (caller falls back to a full `from_dense`) when the
-    /// shapes disagree, or when the sparsity *structure* changed outside a
-    /// touched row — an entry appearing or vanishing at a touched column
-    /// of an untouched row (e.g. a product underflowing to `0.0`), which a
-    /// value patch cannot represent.
+    /// Cost: `touched.len() · cols` entry calls for the touched rows, one
+    /// binary search per untouched row and touched column, and
+    /// O(rows + nnz) copying — every row moves into the fresh vectors, so
+    /// the splice saves the O(rows · cols) rescan, not the copy.
     ///
-    /// # Panics
-    /// Panics when a `touched` index is out of range as a column index.
-    pub fn splice_from_dense(&self, dense: &Tensor<T>, touched: &[usize]) -> Option<CsrMatrix<T>> {
-        if dense.shape() != self.shape() {
-            return None;
-        }
+    /// Returns `None` (caller falls back to a full build) when the sparsity
+    /// *structure* changed outside a touched row: an entry appearing or
+    /// vanishing at a touched column of an untouched row (e.g. a product
+    /// underflowing to `0.0`), which a value patch cannot represent.
+    pub fn splice_rows(
+        &self,
+        touched: &[usize],
+        mut entry: impl FnMut(usize, usize) -> T,
+    ) -> Option<CsrMatrix<T>> {
         let mut indptr = Vec::with_capacity(self.rows + 1);
         let mut indices = Vec::with_capacity(self.indices.len());
         let mut values = Vec::with_capacity(self.values.len());
         indptr.push(0);
         for r in 0..self.rows {
             if touched.contains(&r) {
-                // Recompress the whole row exactly as `from_dense` would.
-                for (c, &v) in dense.row(r).iter().enumerate() {
-                    if v != T::ZERO {
-                        indices.push(c);
-                        values.push(v);
-                    }
-                }
+                push_row(r, self.cols, &mut entry, &mut indices, &mut values);
             } else {
                 let start = indices.len();
                 let (cols, vals) = self.row(r);
                 indices.extend_from_slice(cols);
                 values.extend_from_slice(vals);
-                let row_dense = dense.row(r);
                 for &c in touched {
-                    let v = row_dense[c];
+                    let v = entry(r, c);
                     match cols.binary_search(&c) {
                         Ok(pos) if v != T::ZERO => values[start + pos] = v,
                         Err(_) if v == T::ZERO => {}
@@ -348,6 +352,24 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 }
 
+/// Appends row `r`'s stored entries — the non-zero `entry(r, c)` for
+/// `c` in ascending order — to the column and value buffers.
+fn push_row<T: Scalar>(
+    r: usize,
+    cols: usize,
+    entry: &mut impl FnMut(usize, usize) -> T,
+    indices: &mut Vec<usize>,
+    values: &mut Vec<T>,
+) {
+    for c in 0..cols {
+        let v = entry(r, c);
+        if v != T::ZERO {
+            indices.push(c);
+            values.push(v);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,7 +503,7 @@ mod tests {
             }
         }
         let spliced = old
-            .splice_from_dense(&d, &touched)
+            .splice_rows(&touched, |r, c| d[(r, c)])
             .expect("structure splice");
         let fresh = CsrMatrix::from_dense(&d);
         assert_eq!(spliced, fresh);
@@ -499,15 +521,11 @@ mod tests {
         // Entry appears at (1, 4): row 1 is untouched, col 4 is touched.
         let mut appear = d.clone();
         appear[(1, 4)] = 2.0;
-        assert!(old.splice_from_dense(&appear, &[4]).is_none());
+        assert!(old.splice_rows(&[4], |r, c| appear[(r, c)]).is_none());
         // Entry vanishes at (2, 4).
         let mut vanish = d.clone();
         vanish[(2, 4)] = 0.0;
-        assert!(old.splice_from_dense(&vanish, &[4]).is_none());
-        // Shape mismatch.
-        assert!(old
-            .splice_from_dense(&Tensor::<f64>::zeros(5, 5), &[0])
-            .is_none());
+        assert!(old.splice_rows(&[4], |r, c| vanish[(r, c)]).is_none());
     }
 
     #[test]

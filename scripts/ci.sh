@@ -49,9 +49,11 @@ env -u HAP_THREADS cargo test -q --offline -p hap-integration --test obs_determi
 
 # Sparse & batched execution contract (ARCHITECTURE.md "Sparse & batched
 # execution"): CSR SpMM must be byte-identical to the dense zero-skipping
-# GEMM forward and backward, and a block-diagonal BatchGraph forward must
-# reproduce every per-graph embedding bit-for-bit — again at both
-# threading modes, since the sparse kernel has its own parallel dispatch.
+# GEMM forward and backward, the CSR-only GCN and edge-list GAT layers
+# must match their dense oracles bit-for-bit, and a block-diagonal
+# BatchGraph forward must reproduce every per-graph embedding — again at
+# both threading modes, since the sparse kernel has its own parallel
+# dispatch.
 HAP_THREADS=1 cargo test -q --offline -p hap-integration --test sparse_batch_determinism
 env -u HAP_THREADS cargo test -q --offline -p hap-integration --test sparse_batch_determinism
 
@@ -136,6 +138,13 @@ shash_c=$(grep -o '"results_hash": "[0-9a-f]*"' "$STREAM_TMP/c.json")
   echo "streaming updates are not deterministic: $shash_a / $shash_b / $shash_c" >&2
   exit 1
 }
+# Run-to-run equality is not enough: the replay must also reproduce the
+# committed golden, so a change that shifts every run alike still fails.
+shash_golden=$(grep -o '"results_hash": "[0-9a-f]*"' results/stream.json)
+[ "$shash_a" = "$shash_golden" ] || {
+  echo "stream results_hash $shash_a differs from results/stream.json $shash_golden" >&2
+  exit 1
+}
 grep -q '"errors": 0,' "$STREAM_TMP/a.json" || {
   echo "stream smoke run had request errors" >&2
   exit 1
@@ -164,3 +173,10 @@ rhash_c=$(grep -o '"results_hash": "[0-9a-f]*"' "$RETRIEVAL_TMP/c.json")
 rm -rf "$RETRIEVAL_TMP"
 HAP_THREADS=1 cargo test -q --offline -p hap-retrieval --test admissibility
 env -u HAP_THREADS cargo test -q --offline -p hap-retrieval --test admissibility
+
+# Committed benchmark goldens: every perfbench workload (serve-hot,
+# serve-cold, stream, train) must reproduce the result hashes pinned in
+# perfbench/tests/contract.rs, with HAP_THREADS=1 and unset. The test
+# runs both thread modes itself.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml --test contract -- \
+  golden_hashes_do_not_depend_on_thread_count
