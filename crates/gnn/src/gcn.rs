@@ -158,6 +158,68 @@ mod tests {
     }
 
     #[test]
+    fn sparse_dispatch_is_bitwise_equal_to_dense_path() {
+        let mut rng = Rng::from_seed(9);
+        let mut store = ParamStore::<f64>::new();
+        let layer = GcnLayer::new(&mut store, "gcn", 4, 4, &mut rng);
+        let g = generators::erdos_renyi_connected(30, 0.08, &mut rng);
+        let x = Tensor::rand_uniform(30, 4, -1.0, 1.0, &mut rng);
+
+        // Fixed path: propagates over the cached CSR with SpMM.
+        let mut t1 = Tape::new();
+        let h1 = t1.constant(x.clone());
+        let out1 = layer.forward(&mut t1, AdjacencyRef::Fixed(&g), h1);
+        let l1 = t1.sum_all(out1);
+        t1.backward(l1);
+
+        // Dense oracle: the from-scratch Â as a constant, then matmul.
+        let mut t2 = Tape::new();
+        let h2 = t2.constant(x);
+        let a = t2.constant(g.sym_norm_adjacency());
+        let agg = t2.matmul(a, h2);
+        let out2 = layer.transform(&mut t2, agg);
+        let l2 = t2.sum_all(out2);
+        t2.backward(l2);
+
+        for (which, (a, b)) in [
+            ("value", (t1.value(out1), t2.value(out2))),
+            ("dH", (t1.grad(h1), t2.grad(h2))),
+        ] {
+            assert_eq!(a.shape(), b.shape());
+            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{which}: {x} vs {y}");
+            }
+        }
+    }
+
+    #[test]
+    fn f32_sparse_dispatch_is_bitwise_equal_to_dense_path() {
+        // The sparse/dense byte-identity contract holds per dtype: the f32
+        // dense kernel skips exactly the zeros the f32 CSR cast dropped.
+        let mut rng = Rng::from_seed(9);
+        let mut store = ParamStore::<f32>::new();
+        let layer = GcnLayer::new(&mut store, "gcn", 4, 4, &mut rng);
+        let g = generators::erdos_renyi_connected(30, 0.08, &mut rng);
+        let x = Tensor::<f32>::rand_uniform(30, 4, -1.0, 1.0, &mut rng);
+
+        let mut t1 = Tape::new();
+        let h1 = t1.constant(x.clone());
+        let out1 = layer.forward(&mut t1, AdjacencyRef::Fixed(&g), h1);
+
+        let mut t2 = Tape::new();
+        let h2 = t2.constant(x);
+        let a = t2.constant(g.sym_norm_adjacency().cast::<f32>());
+        let agg = t2.matmul(a, h2);
+        let out2 = layer.transform(&mut t2, agg);
+
+        let (v1, v2) = (t1.value(out1), t2.value(out2));
+        assert_eq!(v1.shape(), v2.shape());
+        for (x, y) in v1.as_slice().iter().zip(v2.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
+        }
+    }
+
+    #[test]
     fn f32_gradcheck_weights_through_dynamic_normalisation() {
         use hap_autograd::{check_param_grad_default, default_gradcheck_tol};
         assert!(default_gradcheck_tol::<f32>() > default_gradcheck_tol::<f64>());
