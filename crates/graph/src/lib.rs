@@ -38,6 +38,6 @@ pub use generators::{
 pub use graph::{EdgeDelta, Graph, GraphScalar};
 pub use permutation::Permutation;
 pub use wl::{
-    wl_cache_key, wl_cache_key_from_signature, wl_colors, wl_compact_l1, wl_histogram_signature,
-    wl_maybe_isomorphic, wl_signature, WlSignature, WlState,
+    wl_cache_key, wl_cache_key_from_signature, wl_colors, wl_maybe_isomorphic, wl_signature,
+    WlSignature, WlState,
 };

@@ -4,47 +4,62 @@
 //! WL colours are the discrete analogue of the "continuous WL colors"
 //! SortPooling sorts by (Sec. 2.1.2); they also give a sound (never
 //! wrongly-positive) isomorphism pre-check that complements VF2.
+//!
+//! # Colours are hashes
+//! As in the WL subtree kernel, each round relabels a node's signature to
+//! a short label instead of nesting it: a colour is a 64-bit hash of the
+//! node's previous colour, its neighbour count and its neighbours'
+//! previous colours sorted ascending; round 0 hashes the node label. The
+//! mixer is the fixed splitmix64 finaliser, so colours (and every key
+//! derived from them) agree across processes, runs and thread counts.
+//! Two colours are equal iff their colour trees are equal, except when
+//! two distinct trees share a 64-bit hash — probability ≈ 2⁻⁶⁴ per pair,
+//! the same collision class the cache key has always accepted.
 
 use crate::Graph;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Runs `iterations` rounds of 1-WL colour refinement.
+/// The splitmix64 finaliser: a fixed bijective 64-bit mixer.
+#[inline]
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Folds `x` into the running hash `h`. The golden-ratio offset keeps
+/// `fold(0, 0)` away from the mixer's fixed point at zero.
+#[inline]
+fn fold(h: u64, x: u64) -> u64 {
+    mix(h.wrapping_add(0x9E37_79B9_7F4A_7C15) ^ x)
+}
+
+/// Runs `iterations` rounds of 1-WL colour refinement and returns each
+/// node's final colour compacted to `0..k` in order of first appearance.
 ///
-/// Round 0 colours are node labels (0 for unlabelled graphs); each round
-/// recolours a node by hashing its own colour with the sorted multiset of
-/// neighbour colours. Returned colours are compacted to `0..k` and are
-/// **canonical across graphs** for a fixed iteration count — comparing
-/// colour histograms of two graphs is meaningful.
+/// Round 0 colours are node labels (0 for unlabelled graphs). The ids are
+/// per-graph: two nodes of one graph share an id iff they share a colour.
+/// To compare colours across graphs, use [`wl_signature`].
 pub fn wl_colors(g: &Graph, iterations: usize) -> Vec<usize> {
-    // signature -> canonical id, shared across rounds via re-derivation:
-    // we re-run the refinement deterministically, so equal signatures on
-    // different graphs map to equal ids only within one call. To compare
-    // across graphs, use `wl_histogram_signature`.
-    let mut colors: Vec<usize> = match g.node_labels() {
-        Some(l) => l.to_vec(),
-        None => vec![0; g.n()],
-    };
-    for _ in 0..iterations {
-        let mut palette: HashMap<(usize, Vec<usize>), usize> = HashMap::new();
-        let mut next = vec![0; g.n()];
-        for u in 0..g.n() {
-            let mut neigh: Vec<usize> = g.neighbors(u).into_iter().map(|v| colors[v]).collect();
-            neigh.sort_unstable();
-            let sig = (colors[u], neigh);
-            let fresh = palette.len();
-            next[u] = *palette.entry(sig).or_insert(fresh);
-        }
-        colors = next;
-    }
-    colors
+    let mut ids: HashMap<u64, usize> = HashMap::new();
+    refine(g, iterations)
+        .pop()
+        .expect("round 0 always exists")
+        .into_iter()
+        .map(|c| {
+            let fresh = ids.len();
+            *ids.entry(c).or_insert(fresh)
+        })
+        .collect()
 }
 
 /// The canonical 1-WL colour **histogram** of a graph after a fixed
-/// number of refinement rounds: sorted `(colour signature, count)` pairs,
-/// where each colour signature is a cross-graph-comparable string (the
-/// full refinement trace, not a per-call id). Isomorphic graphs always
-/// produce equal signatures; unequal signatures prove non-isomorphism.
+/// number of refinement rounds: sorted `(colour, count)` pairs, where each
+/// colour is the cross-graph-comparable hash described in the module
+/// docs. Isomorphic graphs always produce equal signatures; unequal
+/// signatures prove non-isomorphism. Equal signatures mean 1-WL
+/// equivalence up to the documented 2⁻⁶⁴ hash collision.
 ///
 /// This is the single shared computation behind both the serving cache
 /// key ([`wl_cache_key`]) and the retrieval-index admissible WL-overlap
@@ -53,13 +68,14 @@ pub fn wl_colors(g: &Graph, iterations: usize) -> Vec<usize> {
 /// both.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WlSignature {
-    /// `(colour signature, multiplicity)` sorted by signature string.
-    entries: Vec<(String, u32)>,
+    /// `(colour, multiplicity)` sorted by colour, colours distinct.
+    entries: Vec<(u64, u32)>,
 }
 
 impl WlSignature {
-    /// The sorted `(colour signature, count)` pairs.
-    pub fn entries(&self) -> &[(String, u32)] {
+    /// The sorted `(colour, count)` pairs — the compact form index
+    /// structures store directly.
+    pub fn entries(&self) -> &[(u64, u32)] {
         &self.entries
     }
 
@@ -68,38 +84,9 @@ impl WlSignature {
         self.entries.iter().map(|&(_, c)| c as u64).sum()
     }
 
-    /// The legacy serialised form: every node's colour signature, sorted,
-    /// joined with `;` (duplicates repeated). [`wl_cache_key`] hashes
-    /// exactly this string, so the key is a pure function of the
-    /// histogram.
-    pub fn canonical_string(&self) -> String {
-        let mut parts: Vec<&str> = Vec::with_capacity(self.total() as usize);
-        for (sig, count) in &self.entries {
-            for _ in 0..*count {
-                parts.push(sig.as_str());
-            }
-        }
-        parts.join(";")
-    }
-
-    /// A storage-friendly projection for index structures: `(FNV-1a of
-    /// the colour signature, count)` sorted by hash. Distinct colours
-    /// collide with probability ≈ 2⁻⁶⁴ per pair — the same trade
-    /// [`wl_cache_key`] documents.
-    pub fn compact(&self) -> Vec<(u64, u32)> {
-        let mut out: Vec<(u64, u32)> = self
-            .entries
-            .iter()
-            .map(|(sig, count)| (fnv1a(sig.as_bytes()), *count))
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
     /// L1 distance between the two colour multisets: the number of nodes
     /// that would have to change colour (counting both sides) to make the
-    /// histograms equal. Zero iff the graphs are 1-WL equivalent at this
-    /// iteration count.
+    /// histograms equal. Zero iff the signatures are equal.
     pub fn l1_distance(&self, other: &WlSignature) -> u64 {
         let (mut i, mut j, mut d) = (0, 0, 0u64);
         let (a, b) = (&self.entries, &other.entries);
@@ -126,85 +113,86 @@ impl WlSignature {
     }
 }
 
-/// L1 distance between two [`WlSignature::compact`] projections — the
-/// same multiset distance as [`WlSignature::l1_distance`], computed on
-/// the hash-sorted compact form an index actually stores (modulo the
-/// documented 2⁻⁶⁴ hash-collision approximation).
-pub fn wl_compact_l1(a: &[(u64, u32)], b: &[(u64, u32)]) -> u64 {
-    let (mut i, mut j, mut d) = (0, 0, 0u64);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => {
-                d += a[i].1 as u64;
-                i += 1;
+/// Runs `iterations` rounds of refinement and returns the canonical
+/// colour histogram — the one shared computation behind [`wl_cache_key`]
+/// and the retrieval filters.
+pub fn wl_signature(g: &Graph, iterations: usize) -> WlSignature {
+    histogram(&refine(g, iterations)[iterations])
+}
+
+/// Every node's neighbour list (ascending, self-loops excluded), gathered
+/// in one scan of the dense adjacency so the refinement rounds never
+/// rescan a row.
+fn neighbour_lists(g: &Graph) -> Vec<Vec<usize>> {
+    let adj = g.adjacency();
+    (0..g.n())
+        .map(|u| {
+            let mut out = Vec::with_capacity(g.degree_count(u));
+            for (v, &w) in adj.row(u).iter().enumerate() {
+                if w != 0.0 && v != u {
+                    out.push(v);
+                }
             }
-            std::cmp::Ordering::Greater => {
-                d += b[j].1 as u64;
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                d += (a[i].1 as i64 - b[j].1 as i64).unsigned_abs();
-                i += 1;
-                j += 1;
-            }
+            out
+        })
+        .collect()
+}
+
+/// All refinement rounds: `rounds[r]` holds every node's colour after `r`
+/// rounds, `rounds[0]` the hashed labels. Length `iterations + 1`.
+fn refine(g: &Graph, iterations: usize) -> Vec<Vec<u64>> {
+    let seeds: Vec<u64> = match g.node_labels() {
+        Some(l) => l.iter().map(|&x| fold(0, x as u64)).collect(),
+        None => vec![fold(0, 0); g.n()],
+    };
+    let mut rounds = Vec::with_capacity(iterations + 1);
+    rounds.push(seeds);
+    if iterations > 0 {
+        let nbrs = neighbour_lists(g);
+        let mut scratch = Vec::new();
+        for r in 0..iterations {
+            let prev = &rounds[r];
+            let next: Vec<u64> = (0..g.n())
+                .map(|u| refine_one(prev, u, &nbrs[u], &mut scratch))
+                .collect();
+            rounds.push(next);
         }
     }
-    d += a[i..].iter().map(|&(_, c)| c as u64).sum::<u64>();
-    d += b[j..].iter().map(|&(_, c)| c as u64).sum::<u64>();
-    d
+    rounds
 }
 
-/// Runs `iterations` rounds of refinement and returns the canonical
-/// colour histogram — the one shared computation behind
-/// [`wl_histogram_signature`], [`wl_cache_key`] and the retrieval
-/// filters.
-pub fn wl_signature(g: &Graph, iterations: usize) -> WlSignature {
-    // Re-derive colours but track full signature strings so they are
-    // comparable across graphs (ids from `wl_colors` are per-call).
-    let mut sigs = seed_sigs(g);
-    for _ in 0..iterations {
-        let next: Vec<String> = (0..g.n()).map(|u| refine_one(g, &sigs, u)).collect();
-        sigs = next;
-    }
-    histogram(sigs)
+/// One node's next-round colour from the previous round: the hash of its
+/// own colour, its neighbour count and its neighbours' colours sorted
+/// ascending. The single refinement step shared by full passes and
+/// [`WlState::refresh`]'s ball-local recolouring, so both produce
+/// identical colours.
+fn refine_one(prev: &[u64], u: usize, nbrs: &[usize], scratch: &mut Vec<u64>) -> u64 {
+    scratch.clear();
+    scratch.extend(nbrs.iter().map(|&v| prev[v]));
+    scratch.sort_unstable();
+    scratch
+        .iter()
+        .fold(fold(prev[u], nbrs.len() as u64), |h, &c| fold(h, c))
 }
 
-/// Round-0 colour strings: `"l{label}"` per node (`"l0"` unlabelled).
-fn seed_sigs(g: &Graph) -> Vec<String> {
-    match g.node_labels() {
-        Some(l) => l.iter().map(|x| format!("l{x}")).collect(),
-        None => vec!["l0".to_string(); g.n()],
-    }
-}
-
-/// One node's next-round colour string from the previous round — the
-/// single refinement step shared by [`wl_signature`] (full passes) and
-/// [`WlState::refresh`] (ball-local recolouring), so both paths produce
-/// literally identical strings.
-fn refine_one(g: &Graph, prev: &[String], u: usize) -> String {
-    let mut neigh: Vec<&str> = g.neighbors(u).iter().map(|&v| prev[v].as_str()).collect();
-    neigh.sort_unstable();
-    format!("({}|{})", prev[u], neigh.join(","))
-}
-
-/// Sorts per-node colour strings and run-length-encodes them into the
-/// canonical histogram.
-fn histogram(mut sigs: Vec<String>) -> WlSignature {
-    sigs.sort_unstable();
-    let mut entries: Vec<(String, u32)> = Vec::new();
-    for sig in sigs {
+/// Sorts per-node colours and run-length-encodes them into the canonical
+/// histogram.
+fn histogram(colors: &[u64]) -> WlSignature {
+    let mut sorted = colors.to_vec();
+    sorted.sort_unstable();
+    let mut entries: Vec<(u64, u32)> = Vec::new();
+    for c in sorted {
         match entries.last_mut() {
-            Some((last, count)) if *last == sig => *count += 1,
-            _ => entries.push((sig, 1)),
+            Some((last, count)) if *last == c => *count += 1,
+            _ => entries.push((c, 1)),
         }
     }
     WlSignature { entries }
 }
 
 /// Incrementally-maintained 1-WL refinement state: every round's per-node
-/// colour strings plus the final histogram, kept consistent with a
-/// mutating [`Graph`] by recolouring only the ball an edge flip can
-/// influence.
+/// colours plus the final histogram, kept consistent with a mutating
+/// [`Graph`] by recolouring only the ball an edge flip can influence.
 ///
 /// The locality argument: a node's round-`r` colour depends only on its
 /// radius-`r` ball, so flipping edge `(u,v)` changes round-`r` colours
@@ -216,28 +204,23 @@ fn histogram(mut sigs: Vec<String>) -> WlSignature {
 /// than half the graph, [`WlState::refresh`] falls back to a full
 /// rebuild — same result, no wasted bookkeeping.
 ///
-/// Strings are exact (no floating point), so "bitwise identical to a
-/// from-scratch refinement" here is plain equality — pinned by the
+/// Colours are exact integers (no floating point), so "bitwise identical
+/// to a from-scratch refinement" here is plain equality — pinned by the
 /// differential tests.
 #[derive(Clone, Debug)]
 pub struct WlState {
     iterations: usize,
-    /// `rounds[r]` = per-node colour strings after `r` refinement rounds;
-    /// `rounds[0]` are the label seeds. Length `iterations + 1`.
-    rounds: Vec<Vec<String>>,
+    /// `rounds[r]` = per-node colours after `r` refinement rounds;
+    /// `rounds[0]` are the hashed labels. Length `iterations + 1`.
+    rounds: Vec<Vec<u64>>,
     signature: Arc<WlSignature>,
 }
 
 impl WlState {
     /// Runs the full refinement, keeping every intermediate round.
     pub fn build(g: &Graph, iterations: usize) -> WlState {
-        let mut rounds = Vec::with_capacity(iterations + 1);
-        rounds.push(seed_sigs(g));
-        for r in 0..iterations {
-            let next: Vec<String> = (0..g.n()).map(|u| refine_one(g, &rounds[r], u)).collect();
-            rounds.push(next);
-        }
-        let signature = Arc::new(histogram(rounds[iterations].clone()));
+        let rounds = refine(g, iterations);
+        let signature = Arc::new(histogram(&rounds[iterations]));
         WlState {
             iterations,
             rounds,
@@ -276,6 +259,9 @@ impl WlState {
         }
         let radius = self.iterations - 1;
         let mut dist = vec![usize::MAX; n];
+        // Each ball member's neighbour list, gathered once by the BFS and
+        // reused by every round's recolour.
+        let mut nbrs: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut queue = VecDeque::new();
         dist[u] = 0;
         queue.push_back(u);
@@ -286,10 +272,11 @@ impl WlState {
         let mut ball = Vec::new();
         while let Some(x) = queue.pop_front() {
             ball.push(x);
+            nbrs[x] = g.neighbors(x);
             if dist[x] == radius {
                 continue;
             }
-            for w in g.neighbors(x) {
+            for &w in &nbrs[x] {
                 if dist[w] == usize::MAX {
                     dist[w] = dist[x] + 1;
                     queue.push_back(w);
@@ -300,6 +287,7 @@ impl WlState {
             *self = WlState::build(g, self.iterations);
             return false;
         }
+        let mut scratch = Vec::new();
         for r in 1..=self.iterations {
             let (done, rest) = self.rounds.split_at_mut(r);
             let prev = &done[r - 1];
@@ -308,38 +296,18 @@ impl WlState {
                 // Round-r colours change only within distance r-1 of the
                 // flip; farther ball members wait for later rounds.
                 if dist[x] < r {
-                    cur[x] = refine_one(g, prev, x);
+                    cur[x] = refine_one(prev, x, &nbrs[x], &mut scratch);
                 }
             }
         }
-        self.signature = Arc::new(histogram(self.rounds[self.iterations].clone()));
+        self.signature = Arc::new(histogram(&self.rounds[self.iterations]));
         true
     }
 }
 
-/// The serialised form of [`wl_signature`] (kept for compatibility): the
-/// sorted list of per-node colour signatures, joined. Two isomorphic
-/// graphs always produce equal strings; unequal strings prove
-/// non-isomorphism.
-pub fn wl_histogram_signature(g: &Graph, iterations: usize) -> String {
-    wl_signature(g, iterations).canonical_string()
-}
-
-/// FNV-1a over a byte string — the workspace's stock string hash (the
-/// same construction `hap-rand` uses to mix fork labels).
-#[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// A compact canonical cache key for a graph: the FNV-1a hash of the node
-/// count, edge count and the [`wl_histogram_signature`] after
-/// `iterations` rounds of refinement.
+/// A compact canonical cache key for a graph: the hash of the node count,
+/// the edge count and the [`wl_signature`] histogram after `iterations`
+/// rounds of refinement.
 ///
 /// # Invariance
 /// The key is a pure function of the graph's isomorphism-relevant
@@ -361,11 +329,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 ///    hash serves such a pair the embedding of whichever member arrived
 ///    first — an **approximation, not an error**, and precisely the
 ///    approximation 1-WL-based graph kernels make by design.
-/// 2. **64-bit hash collisions** of distinct signatures — probability
+/// 2. **64-bit hash collisions** — two distinct colour trees sharing a
+///    colour, or two distinct histograms sharing a key; probability
 ///    ≈ 2⁻⁶⁴ per pair, negligible against (1).
 ///
-/// Consumers that cannot tolerate (1) must key on the full
-/// [`wl_histogram_signature`] string *and* verify graph equality on hit;
+/// Consumers that cannot tolerate (1) must verify graph equality on hit;
 /// the serving cache deliberately does not.
 pub fn wl_cache_key(g: &Graph, iterations: usize) -> u64 {
     wl_cache_key_from_signature(&wl_signature(g, iterations), g.n(), g.num_edges())
@@ -377,11 +345,13 @@ pub fn wl_cache_key(g: &Graph, iterations: usize) -> u64 {
 /// (for embedding lookup) run the refinement once and derive both from
 /// the same [`WlSignature`].
 pub fn wl_cache_key_from_signature(sig: &WlSignature, n: usize, num_edges: usize) -> u64 {
-    let mut h = fnv1a(sig.canonical_string().as_bytes());
-    h ^= fnv1a(&(n as u64).to_le_bytes());
-    h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    h ^= fnv1a(&(num_edges as u64).to_le_bytes());
-    h
+    let head = fold(
+        fold(fold(0, n as u64), num_edges as u64),
+        sig.entries.len() as u64,
+    );
+    sig.entries
+        .iter()
+        .fold(head, |h, &(c, k)| fold(fold(h, c), k as u64))
 }
 
 /// Sound non-isomorphism test: `true` means the graphs are *possibly*
@@ -390,7 +360,7 @@ pub fn wl_cache_key_from_signature(sig: &WlSignature, n: usize, num_edges: usize
 pub fn wl_maybe_isomorphic(a: &Graph, b: &Graph, iterations: usize) -> bool {
     a.n() == b.n()
         && a.num_edges() == b.num_edges()
-        && wl_histogram_signature(a, iterations) == wl_histogram_signature(b, iterations)
+        && wl_signature(a, iterations) == wl_signature(b, iterations)
 }
 
 #[cfg(test)]
@@ -398,6 +368,153 @@ mod tests {
     use super::*;
     use crate::{generators, Permutation};
     use hap_rand::Rng;
+
+    /// Nested-string refinement, the oracle the hashed colours must agree
+    /// with: a round's colour is `(own|n1,n2,…)` over the sorted
+    /// neighbour colours, round 0 is `l{label}`, and the histogram is the
+    /// sorted `(string, count)` run-length encoding. Strings are
+    /// injective, so equal strings mean equal colour trees.
+    mod oracle {
+        use crate::Graph;
+
+        pub fn signature(g: &Graph, iterations: usize) -> Vec<(String, u32)> {
+            let mut sigs: Vec<String> = match g.node_labels() {
+                Some(l) => l.iter().map(|x| format!("l{x}")).collect(),
+                None => vec!["l0".to_string(); g.n()],
+            };
+            for _ in 0..iterations {
+                sigs = (0..g.n())
+                    .map(|u| {
+                        let mut neigh: Vec<&str> =
+                            g.neighbors(u).iter().map(|&v| sigs[v].as_str()).collect();
+                        neigh.sort_unstable();
+                        format!("({}|{})", sigs[u], neigh.join(","))
+                    })
+                    .collect();
+            }
+            sigs.sort_unstable();
+            let mut entries: Vec<(String, u32)> = Vec::new();
+            for sig in sigs {
+                match entries.last_mut() {
+                    Some((last, count)) if *last == sig => *count += 1,
+                    _ => entries.push((sig, 1)),
+                }
+            }
+            entries
+        }
+    }
+
+    /// Multiset L1 between two histograms sorted by colour id.
+    fn id_l1(a: &[(u32, u32)], b: &[(u32, u32)]) -> u64 {
+        let mut counts: std::collections::BTreeMap<u32, i64> = Default::default();
+        for &(c, k) in a {
+            *counts.entry(c).or_default() += k as i64;
+        }
+        for &(c, k) in b {
+            *counts.entry(c).or_default() -= k as i64;
+        }
+        counts.values().map(|d| d.unsigned_abs()).sum()
+    }
+
+    /// A seeded mix of at least 300 graphs on 1..=64 nodes: sparse ER and
+    /// BA graphs, cycles, stars and paths, labelled and unlabelled, each
+    /// with two permuted copies and a one-edge edit, plus the regular
+    /// pairs 1-WL cannot separate.
+    fn oracle_corpus() -> Vec<Graph> {
+        let mut rng = Rng::from_seed(2024);
+        let mut out = Vec::new();
+        for i in 0..80usize {
+            let n = 1 + (i * 37) % 64;
+            let mut g = match i % 5 {
+                0 => generators::erdos_renyi(n, (2.5 / n as f64).min(1.0), &mut rng),
+                1 => generators::barabasi_albert(n.max(2), 1 + i % 2, &mut rng),
+                2 => generators::cycle(n),
+                3 => generators::star(n),
+                _ => generators::path(n),
+            };
+            if i % 2 == 1 {
+                let labels = (0..g.n()).map(|_| rng.gen_range(0..3usize)).collect();
+                g = g.with_node_labels(labels);
+            }
+            for _ in 0..2 {
+                let p = Permutation::random(g.n(), &mut rng);
+                out.push(p.apply_graph(&g));
+            }
+            // A one-edge edit of the same graph: a near miss at equal n.
+            let mut edited = g.clone();
+            let (u, v) = (rng.gen_range(0..g.n()), rng.gen_range(0..g.n()));
+            if u != v {
+                if edited.has_edge(u, v) {
+                    edited.remove_edge(u, v);
+                } else {
+                    edited.add_edge(u, v);
+                }
+            }
+            out.push(edited);
+            out.push(g);
+        }
+        for k in [3usize, 4, 5] {
+            // C_{2k} vs 2×C_k: 2-regular, 1-WL equivalent, not isomorphic.
+            out.push(generators::cycle(2 * k));
+            out.push(generators::cycle(k).disjoint_union(&generators::cycle(k)));
+        }
+        out
+    }
+
+    #[test]
+    fn hashed_colours_split_graphs_exactly_like_the_string_oracle() {
+        let graphs = oracle_corpus();
+        assert!(graphs.len() >= 300, "{} graphs", graphs.len());
+        for iterations in 0..=4 {
+            // Intern oracle strings to ids so pairwise checks stay cheap.
+            let mut ids: HashMap<String, u32> = HashMap::new();
+            let oracle: Vec<Vec<(u32, u32)>> = graphs
+                .iter()
+                .map(|g| {
+                    let mut h: Vec<(u32, u32)> = oracle::signature(g, iterations)
+                        .into_iter()
+                        .map(|(s, k)| {
+                            let fresh = ids.len() as u32;
+                            (*ids.entry(s).or_insert(fresh), k)
+                        })
+                        .collect();
+                    h.sort_unstable();
+                    h
+                })
+                .collect();
+            let sigs: Vec<WlSignature> =
+                graphs.iter().map(|g| wl_signature(g, iterations)).collect();
+            let keys: Vec<u64> = graphs.iter().map(|g| wl_cache_key(g, iterations)).collect();
+            for i in 0..graphs.len() {
+                assert_eq!(
+                    sigs[i].entries().len(),
+                    oracle[i].len(),
+                    "it={iterations} g{i}"
+                );
+                for j in i..graphs.len() {
+                    let same = oracle[i] == oracle[j];
+                    let same_key = same
+                        && graphs[i].n() == graphs[j].n()
+                        && graphs[i].num_edges() == graphs[j].num_edges();
+                    assert_eq!(
+                        sigs[i] == sigs[j],
+                        same,
+                        "it={iterations} pair ({i},{j}): signature equality"
+                    );
+                    assert_eq!(
+                        keys[i] == keys[j],
+                        same_key,
+                        "it={iterations} pair ({i},{j}): key equality"
+                    );
+                    assert_eq!(
+                        sigs[i].l1_distance(&sigs[j]),
+                        id_l1(&oracle[i], &oracle[j]),
+                        "it={iterations} pair ({i},{j}): l1 distance"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn refinement_distinguishes_degrees_after_one_round() {
@@ -565,7 +682,13 @@ mod tests {
         let g = generators::erdos_renyi_connected(9, 0.35, &mut rng);
         let sig = wl_signature(&g, 3);
         assert_eq!(sig.total(), 9);
-        assert_eq!(sig.canonical_string(), wl_histogram_signature(&g, 3));
+        // One entry per oracle colour string, with the same multiplicities.
+        let legacy = oracle::signature(&g, 3);
+        let mut counts: Vec<u32> = sig.entries().iter().map(|&(_, k)| k).collect();
+        let mut legacy_counts: Vec<u32> = legacy.iter().map(|&(_, k)| k).collect();
+        counts.sort_unstable();
+        legacy_counts.sort_unstable();
+        assert_eq!(counts, legacy_counts);
         // Entries are sorted and deduplicated.
         for w in sig.entries().windows(2) {
             assert!(w[0].0 < w[1].0, "entries must be strictly sorted");
@@ -587,12 +710,6 @@ mod tests {
         assert!(sp.l1_distance(&ss) > 0);
         // Triangle inequality on this triple.
         assert!(sp.l1_distance(&sc) <= sp.l1_distance(&ss) + ss.l1_distance(&sc));
-        // The compact projection computes the same distance.
-        assert_eq!(
-            wl_compact_l1(&sp.compact(), &ss.compact()),
-            sp.l1_distance(&ss)
-        );
-        assert_eq!(wl_compact_l1(&sc.compact(), &sc.compact()), 0);
         // Disjoint histograms: distance is the total node count of both.
         let labelled = crate::Graph::from_edges(2, &[(0, 1)]).with_node_labels(vec![7, 7]);
         let sl = wl_signature(&labelled, 0);
@@ -625,7 +742,7 @@ mod tests {
                 );
                 assert_eq!(
                     state.rounds, fresh.rounds,
-                    "it={iterations} step={step}: a round's colour strings diverged"
+                    "it={iterations} step={step}: a round's colours diverged"
                 );
             }
         }

@@ -90,8 +90,8 @@ fn assert_matches_fresh(g: &Graph, wl_iterations: usize, step: usize) {
         assert_eq!(a.to_bits(), b.to_bits(), "step {step}: f32 adj entry {i}");
     }
 
-    // WL signature: string-exact (pure string algorithm, so plain
-    // equality is bit-equality).
+    // WL signature: integer colours (no floating point), so plain
+    // equality is bit-equality.
     assert_eq!(
         *g.wl_signature_cached(wl_iterations),
         wl_signature(&fresh, wl_iterations),

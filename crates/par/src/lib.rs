@@ -43,13 +43,19 @@
 //! live for the remainder of the process (they park on a condvar when
 //! idle). Tasks are lifetime-erased closures pushed to one shared injector
 //! queue; a thread waiting for its scope to drain *helps* by executing
-//! queued tasks — including tasks of nested scopes — so nested parallelism
-//! (e.g. a parallel matmul inside a batched-GED task) cannot deadlock.
-//! Panics inside tasks are caught, recorded, and re-raised on the thread
-//! that owns the scope once all of its tasks have settled.
+//! queued tasks. Parallelism is one level deep: a scope opened while the
+//! thread is running a pool task (e.g. a parallel matmul inside a
+//! batched-GED or index-build task) runs its tasks inline, exactly the
+//! `HAP_THREADS=1` path. Nested scopes therefore never wait, so they
+//! cannot deadlock, and a helping thread never starts a second task
+//! inside the one it is running — task recursion, and the stack depth it
+//! costs, stays bounded at one. The outer level already spreads work over
+//! every thread. Panics inside tasks are caught, recorded, and re-raised
+//! on the thread that owns the scope once all of its tasks have settled.
 
 #![deny(missing_docs)]
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -93,6 +99,17 @@ fn threads_from_env() -> usize {
         },
         Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
     }
+}
+
+thread_local! {
+    /// Whether this thread is running a pool task right now.
+    static IN_TASK: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether parallel primitives must run inline on this thread: the
+/// sequential mode, or a scope nested inside a running pool task.
+fn inline() -> bool {
+    threads() == 1 || IN_TASK.with(Cell::get)
 }
 
 /// Overrides the effective thread count for the rest of the process (or
@@ -203,9 +220,9 @@ pub struct Scope<'env> {
 }
 
 impl<'env> Scope<'env> {
-    /// Spawns `f` onto the pool. With an effective thread count of 1 the
-    /// closure runs inline, immediately, on the calling thread — the
-    /// sequential guarantee of the crate docs.
+    /// Spawns `f` onto the pool. With an effective thread count of 1, or
+    /// inside a running pool task, the closure runs inline, immediately,
+    /// on the calling thread — the sequential path of the crate docs.
     ///
     /// There are no join handles: results flow out through the mutable
     /// borrows the closure holds (each task must own its output region).
@@ -213,7 +230,7 @@ impl<'env> Scope<'env> {
     where
         F: FnOnce() + Send + 'env,
     {
-        if threads() == 1 {
+        if inline() {
             f();
             return;
         }
@@ -223,9 +240,11 @@ impl<'env> Scope<'env> {
         }
         let state = Arc::clone(&self.state);
         let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
+            let outer = IN_TASK.with(|t| t.replace(true));
             if catch_unwind(AssertUnwindSafe(f)).is_err() {
                 state.panicked.store(true, Ordering::Release);
             }
+            IN_TASK.with(|t| t.set(outer));
             state.complete_one();
         });
         // SAFETY: lifetime erasure only. `Scope::wait` (always executed by
@@ -240,10 +259,13 @@ impl<'env> Scope<'env> {
     }
 
     /// Blocks until every spawned task has finished, executing queued
-    /// tasks (from this or any other scope) while waiting so that nested
-    /// scopes make progress instead of deadlocking.
+    /// tasks (from this or any other scope) while waiting. An inline
+    /// scope has nothing pending and returns at once, without helping.
     fn wait(&self) {
         loop {
+            if *self.state.pending.lock().unwrap() == 0 {
+                return;
+            }
             while let Some(job) = try_pop_job() {
                 job();
             }
@@ -284,9 +306,8 @@ pub fn scope<'env, F, R>(f: F) -> R
 where
     F: FnOnce(&Scope<'env>) -> R,
 {
-    let n = threads();
-    if n > 1 {
-        ensure_workers(n - 1);
+    if !inline() {
+        ensure_workers(threads() - 1);
     }
     let s = Scope {
         state: Arc::new(ScopeState {
@@ -344,7 +365,7 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(chunk_len > 0, "par_chunks_mut: chunk_len must be > 0");
-    if threads() == 1 || data.len() <= chunk_len {
+    if inline() || data.len() <= chunk_len {
         for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
             f(i, chunk);
         }
@@ -360,7 +381,8 @@ where
 
 /// Runs two closures, potentially in parallel, and returns both results —
 /// `b` goes to the pool while `a` runs on the calling thread. Sequential
-/// order (`a` then `b`) is preserved under `HAP_THREADS=1`.
+/// order (`a` then `b`) is preserved under `HAP_THREADS=1` and inside a
+/// running pool task.
 ///
 /// ```
 /// let (a, b) = hap_par::par_join(|| 2 + 2, || "done");
@@ -373,7 +395,7 @@ where
     RA: Send,
     RB: Send,
 {
-    if threads() == 1 {
+    if inline() {
         let ra = a();
         let rb = b();
         return (ra, rb);
@@ -494,6 +516,46 @@ mod tests {
             let expect: u64 = (0..16).map(|e| (i + e) as u64).sum();
             assert_eq!(v, expect, "outer task {i}");
         }
+    }
+
+    #[test]
+    fn nested_scopes_run_inline_so_outer_tasks_never_stack() {
+        // A nested scope's wait must never pick up another outer task:
+        // outer tasks running inside each other recurse without bound and
+        // can overflow a pool thread's stack.
+        let _g = locked();
+        set_threads(2);
+        thread_local! {
+            static DEPTH: Cell<usize> = const { Cell::new(0) };
+        }
+        let max_depth = AtomicUsize::new(0);
+        let mut out = vec![0usize; 256];
+        scope(|s| {
+            for (i, slot) in out.iter_mut().enumerate() {
+                let max_depth = &max_depth;
+                s.spawn(move || {
+                    let depth = DEPTH.with(|d| {
+                        d.set(d.get() + 1);
+                        d.get()
+                    });
+                    max_depth.fetch_max(depth, Ordering::Relaxed);
+                    let mut inner = [0usize; 4];
+                    scope(|t| {
+                        for (j, e) in inner.iter_mut().enumerate() {
+                            t.spawn(move || *e = i * j);
+                        }
+                    });
+                    *slot = inner.iter().sum();
+                    DEPTH.with(|d| d.set(d.get() - 1));
+                });
+            }
+        });
+        assert!(out.iter().enumerate().all(|(i, &v)| v == 6 * i));
+        assert_eq!(
+            max_depth.load(Ordering::Relaxed),
+            1,
+            "an outer task ran inside another"
+        );
     }
 
     #[test]

@@ -129,7 +129,7 @@ impl QueryEmbedding {
             // when warm (the streaming update path mutates and re-embeds
             // the same Graph value); cold graphs pay one refinement, same
             // as before.
-            wl: g.wl_signature_cached(wl_iterations).compact(),
+            wl: g.wl_signature_cached(wl_iterations).entries().to_vec(),
             levels: concat.chunks(hidden).map(<[f64]>::to_vec).collect(),
         })
     }
@@ -530,7 +530,8 @@ fn embed_chunk<T: GraphScalar>(
     debug_assert_eq!(embs.len(), hi - lo);
     for (g, emb) in graphs.iter().zip(embs) {
         out.stats.push(GraphStats::of(g));
-        out.wl.push(wl_signature(g, wl_iterations).compact());
+        out.wl
+            .push(wl_signature(g, wl_iterations).entries().to_vec());
         let row: Vec<f64> = emb.cast::<f64>().row(0).to_vec();
         debug_assert_eq!(row.len(), hidden * levels);
         out.concat.push(row);
@@ -551,7 +552,8 @@ pub(crate) fn l2_distance(a: &[f64], b: &[f64]) -> f64 {
 
 /// Multiset L1 between a query's `(hash, count)` pairs and an index
 /// row's split hash/count slices (both sorted by hash) — the same merge
-/// as [`hap_graph::wl_compact_l1`], specialised to the SoA layout.
+/// as [`hap_graph::WlSignature::l1_distance`], specialised to the SoA
+/// layout.
 pub(crate) fn wl_l1_split(q: &[(u64, u32)], hashes: &[u64], counts: &[u32]) -> u64 {
     let (mut i, mut j) = (0, 0);
     let mut total = 0u64;

@@ -1,12 +1,12 @@
-//! The TCP front end: accept loop, worker pool, routing, and shutdown.
+//! The TCP front end: worker pool, routing, and shutdown.
 //!
-//! One thread accepts connections and feeds a condvar-guarded queue; a
-//! pool of workers (sized by `HAP_THREADS` via `hap_par::threads()` by
-//! default) pops connections, parses requests with [`crate::http`], and
-//! exchanges jobs with the single model thread through the
-//! [`crate::batch::Batcher`]. Every request handler runs under
-//! `catch_unwind`, so a panic answers 500 and the worker lives on —
-//! untrusted bytes must never take down the pool.
+//! A pool of workers (sized by `HAP_THREADS` via `hap_par::threads()` by
+//! default) blocks in `accept()` on one shared listener — pending
+//! connections wait in the kernel's listen backlog, not in a user-space
+//! queue — parses requests with [`crate::http`], and exchanges jobs with
+//! the single model thread through the [`crate::batch::Batcher`]. Every
+//! request handler runs under `catch_unwind`, so a panic answers 500 and
+//! the worker lives on — untrusted bytes must never take down the pool.
 
 use crate::batch::{Batcher, BatcherClient, CacheStats, Job};
 use crate::http::{read_request, write_response, HttpError, Method, Request};
@@ -15,16 +15,15 @@ use crate::service::{graph_from_json, ServiceConfig};
 use hap_graph::GraphScalar;
 use hap_snapshot::{peek_dtype, ModelSnapshot, SnapshotError};
 use hap_tensor::Dtype;
-use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Server tunables. `Default` is suitable for tests and local use:
-/// ephemeral loopback port, auto-sized workers, 1 ms batch window,
+/// ephemeral loopback port, auto-sized workers, 1 ms batch window cap,
 /// 1 MiB body cap.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -32,7 +31,11 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker thread count; `0` means `hap_par::threads()`.
     pub workers: usize,
-    /// Micro-batch collection window.
+    /// Upper bound on a micro-batch's collection time, counted from its
+    /// first job. Batches close on idle: the model thread takes only jobs
+    /// already queued and ships the batch once the queue is empty, so a
+    /// lone job never waits for the window. `Duration::ZERO` means
+    /// batches of one.
     pub window: Duration,
     /// Maximum jobs per micro-batch.
     pub max_batch: usize,
@@ -96,20 +99,12 @@ impl From<hap_retrieval::RetrievalError> for ServeError {
     }
 }
 
-/// Shared state between the accept loop and the workers.
-struct Shared {
-    queue: Mutex<VecDeque<TcpStream>>,
-    ready: Condvar,
-    shutdown: AtomicBool,
-}
-
 /// A running server. Dropping the handle (or calling
-/// [`ServerHandle::shutdown`]) stops the accept loop, drains the
-/// workers, and joins the model thread.
+/// [`ServerHandle::shutdown`]) stops the workers, and joins them and the
+/// model thread.
 pub struct ServerHandle {
     addr: SocketAddr,
-    shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
+    shutdown: Arc<AtomicBool>,
     workers: Vec<JoinHandle<()>>,
     batcher: Option<Batcher>,
 }
@@ -120,7 +115,9 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stops accepting, finishes queued connections, joins all threads.
+    /// Stops accepting and joins all threads. Each worker first finishes
+    /// the connection it is serving; connections still waiting in the
+    /// listen backlog are closed unanswered.
     pub fn shutdown(self) {
         drop(self);
     }
@@ -128,13 +125,12 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Wake the accept loop out of its blocking accept().
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
+        self.shutdown.store(true, Ordering::SeqCst);
+        // One wake-up connection per worker: each worker leaves at the
+        // first connection it accepts after the flag is set.
+        for _ in &self.workers {
+            let _ = TcpStream::connect(self.addr);
         }
-        self.shared.ready.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -146,8 +142,8 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Builds the full stack — model thread, listener, accept loop, worker
-/// pool — and returns once the socket is bound and serving.
+/// Builds the full stack — model thread, listener, worker pool — and
+/// returns once the socket is bound and serving.
 ///
 /// # Errors
 /// [`ServeError::Snapshot`] for an unusable snapshot,
@@ -166,29 +162,8 @@ pub fn serve<T: GraphScalar>(
         config.max_batch,
     )?;
     let stats = batcher.stats();
-    let shared = Arc::new(Shared {
-        queue: Mutex::new(VecDeque::new()),
-        ready: Condvar::new(),
-        shutdown: AtomicBool::new(false),
-    });
-
-    let accept = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("hap-serve-accept".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Ok(stream) = conn {
-                        shared.queue.lock().expect("queue lock").push_back(stream);
-                        shared.ready.notify_one();
-                    }
-                }
-            })
-            .expect("spawn accept thread")
-    };
+    let listener = Arc::new(listener);
+    let shutdown = Arc::new(AtomicBool::new(false));
 
     let worker_count = if config.workers == 0 {
         hap_par::threads().max(1)
@@ -198,22 +173,31 @@ pub fn serve<T: GraphScalar>(
     let search_enabled = config.service.search_corpus > 0;
     let mut workers = Vec::with_capacity(worker_count);
     for w in 0..worker_count {
-        let shared = Arc::clone(&shared);
+        let listener = Arc::clone(&listener);
+        let shutdown = Arc::clone(&shutdown);
         let client = batcher.client();
         let stats = Arc::clone(&stats);
         let max_body = config.max_body;
         workers.push(
             std::thread::Builder::new()
                 .name(format!("hap-serve-worker-{w}"))
-                .spawn(move || worker_loop(&shared, &client, &stats, max_body, search_enabled))
+                .spawn(move || {
+                    worker_loop(
+                        &listener,
+                        &shutdown,
+                        &client,
+                        &stats,
+                        max_body,
+                        search_enabled,
+                    )
+                })
                 .expect("spawn worker thread"),
         );
     }
 
     Ok(ServerHandle {
         addr,
-        shared,
-        accept: Some(accept),
+        shutdown,
         workers,
         batcher: Some(batcher),
     })
@@ -258,26 +242,21 @@ pub fn serve_snapshot_file(
 }
 
 fn worker_loop(
-    shared: &Shared,
+    listener: &TcpListener,
+    shutdown: &AtomicBool,
     client: &BatcherClient,
     stats: &CacheStats,
     max_body: usize,
     search_enabled: bool,
 ) {
     loop {
-        let stream = {
-            let mut q = shared.queue.lock().expect("queue lock");
-            loop {
-                if let Some(s) = q.pop_front() {
-                    break s;
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                q = shared.ready.wait(q).expect("queue lock");
-            }
+        let accepted = listener.accept();
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok((mut stream, _)) = accepted else {
+            continue;
         };
-        let mut stream = stream;
         // A panic inside request handling answers 500 and keeps the
         // worker alive; the connection state is unwind-safe because it
         // is dropped right after either way.

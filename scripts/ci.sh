@@ -107,6 +107,13 @@ hash_d=$(grep -o '"response_hash": "[0-9a-f]*"' "$SERVE_TMP/d.json" | head -1)
   echo "serve responses are not deterministic: $hash_a / $hash_b / $hash_c / $hash_d" >&2
   exit 1
 }
+# Run-to-run equality is not enough: the replay must also reproduce the
+# pinned golden, so a change that shifts every run alike (e.g. a WL cache
+# key that merges or splits colour classes) still fails.
+[ "$hash_a" = '"response_hash": "3bc2b0daadab4e83"' ] || {
+  echo "loadgen response_hash $hash_a differs from the pinned 3bc2b0daadab4e83" >&2
+  exit 1
+}
 grep -q '"errors": 0,' "$SERVE_TMP/a.json" || {
   echo "serve smoke run had request errors" >&2
   exit 1
@@ -168,6 +175,12 @@ rhash_b=$(grep -o '"results_hash": "[0-9a-f]*"' "$RETRIEVAL_TMP/b.json")
 rhash_c=$(grep -o '"results_hash": "[0-9a-f]*"' "$RETRIEVAL_TMP/c.json")
 [ -n "$rhash_a" ] && [ "$rhash_a" = "$rhash_b" ] && [ "$rhash_a" = "$rhash_c" ] || {
   echo "retrieval results are not deterministic: $rhash_a / $rhash_b / $rhash_c" >&2
+  exit 1
+}
+# Pinned like the stream golden: the WL-L1 filter's prune decisions feed
+# every cascade answer, so WL colour classes are checked here too.
+[ "$rhash_a" = '"results_hash": "d8c02164afb49db5"' ] || {
+  echo "retrieval results_hash $rhash_a differs from the pinned d8c02164afb49db5" >&2
   exit 1
 }
 rm -rf "$RETRIEVAL_TMP"
