@@ -4,18 +4,9 @@
 //! training stack is single-threaded by design), so the model cannot move
 //! across threads. The serving layer therefore runs **one** model thread
 //! that owns the classifier and its embedding cache, and the HTTP workers
-//! hand it jobs over an mpsc channel.
-//!
-//! Batches **close on idle**: the model thread blocks for a batch's first
-//! job, then takes only jobs that are already queued — until the channel
-//! is empty, `max_batch` is reached, or `window` (default 1 ms) has passed
-//! since the first job. It never sleeps waiting for jobs that have not
-//! arrived, so a lone request pays no window and `window` is only an
-//! upper bound on how long a burst keeps a batch open; `Duration::ZERO`
-//! means batches of one. Jobs that arrive while a batch computes queue up
-//! and form the next batch.
-//!
-//! The `Classify` jobs of a batch are embedded together in **one**
+//! hand it jobs over an mpsc channel. The model thread collects jobs for a
+//! short window (default 1 ms) or until `max_batch`, then answers them:
+//! the `Classify` jobs of a batch are embedded together in **one**
 //! block-diagonal batched forward pass over the cache misses
 //! ([`ModelService::classify_batch`]; ARCHITECTURE.md "Sparse & batched
 //! execution"), so batching amortises the model compute itself — not just
@@ -34,7 +25,7 @@ use hap_graph::{EdgeDelta, Graph, GraphScalar};
 use hap_snapshot::ModelSnapshot;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -226,13 +217,16 @@ fn run_loop<T: GraphScalar>(
             Err(_) => return, // all senders gone — clean shutdown
         };
         let mut batch = vec![first];
-        // Then take only what is already queued: close on an empty
-        // channel, a full batch or an expired window.
         let deadline = Instant::now() + window;
-        while batch.len() < max_batch && Instant::now() < deadline {
-            match rx.try_recv() {
+        while batch.len() < max_batch {
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            match rx.recv_timeout(deadline - now) {
                 Ok(s) => batch.push(s),
-                Err(_) => break,
+                Err(RecvTimeoutError::Timeout) => break,
+                Err(RecvTimeoutError::Disconnected) => break,
             }
         }
         hap_obs::record("serve.batch_size", batch.len() as f64);
@@ -429,33 +423,6 @@ mod tests {
         assert!(body.starts_with("{\"label\":"), "{body}");
         let again = client.submit(Job::Classify(g)).unwrap().unwrap();
         assert_eq!(body, again, "f32 replies must be deterministic");
-        drop(client);
-        b.shutdown();
-    }
-
-    #[test]
-    fn a_lone_job_does_not_wait_for_the_window() {
-        // Batches close on idle: with nothing else queued, the first job
-        // ships at once, however long the window cap is.
-        let b = Batcher::spawn(
-            tiny_snapshot(),
-            ServiceConfig::default(),
-            Duration::from_secs(10),
-            64,
-        )
-        .expect("spawn");
-        let client = b.client();
-        let t0 = Instant::now();
-        let body = client
-            .submit(Job::Classify(Graph::from_edges(3, &[(0, 1), (1, 2)])))
-            .unwrap()
-            .unwrap();
-        let elapsed = t0.elapsed();
-        assert!(body.starts_with("{\"label\":"), "{body}");
-        assert!(
-            elapsed < Duration::from_secs(1),
-            "lone job took {elapsed:?}"
-        );
         drop(client);
         b.shutdown();
     }

@@ -6,10 +6,6 @@
 //!           [--dtype f32|f64]
 //! ```
 //!
-//! `--window-us` caps how long a burst of queued requests keeps a
-//! micro-batch open; a batch closes as soon as the queue is empty, so a
-//! lone request never waits for it.
-//!
 //! The model thread runs at the snapshot's recorded element type;
 //! `--dtype` *pins* it — a snapshot of any other dtype is refused at
 //! startup instead of being served at the wrong precision.
@@ -24,9 +20,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: hap-serve --snapshot <path> [--addr HOST:PORT] [--workers N] \
-         [--window-us MICROS] [--cache-cap N] [--dtype f32|f64]\n  \
-         --window-us  upper bound on a micro-batch's collection time; a batch \
-         closes as soon as the queue is empty (default 1000)"
+         [--window-us MICROS] [--cache-cap N] [--dtype f32|f64]"
     );
     std::process::exit(2);
 }

@@ -13,12 +13,11 @@
 //!   `std::net`, with typed errors for malformed and oversized input;
 //! * [`service`] — wire schema → [`hap_graph::Graph`], the embedding
 //!   cache, and the `classify`/`similarity` operations;
-//! * [`batch`] — the close-on-idle micro-batching bridge between the
-//!   multi-threaded HTTP layer and the single model thread
-//!   (`HapClassifier` parameters are `Rc`-shared and cannot cross
-//!   threads); the model thread is the only dtype-generic piece — it runs
-//!   at the snapshot's recorded element type (`f64` or `f32`), everything
-//!   above it is dtype-erased;
+//! * [`batch`] — the micro-batching bridge between the multi-threaded
+//!   HTTP layer and the single model thread (`HapClassifier` parameters
+//!   are `Rc`-shared and cannot cross threads); the model thread is the
+//!   only dtype-generic piece — it runs at the snapshot's recorded
+//!   element type (`f64` or `f32`), everything above it is dtype-erased;
 //! * [`server`] — workers accepting on one shared listener, routing,
 //!   `/healthz`, `/metrics`, and clean shutdown.
 //!

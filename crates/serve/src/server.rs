@@ -23,7 +23,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Server tunables. `Default` is suitable for tests and local use:
-/// ephemeral loopback port, auto-sized workers, 1 ms batch window cap,
+/// ephemeral loopback port, auto-sized workers, 1 ms batch window,
 /// 1 MiB body cap.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -31,11 +31,7 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker thread count; `0` means `hap_par::threads()`.
     pub workers: usize,
-    /// Upper bound on a micro-batch's collection time, counted from its
-    /// first job. Batches close on idle: the model thread takes only jobs
-    /// already queued and ships the batch once the queue is empty, so a
-    /// lone job never waits for the window. `Duration::ZERO` means
-    /// batches of one.
+    /// Micro-batch collection window.
     pub window: Duration,
     /// Maximum jobs per micro-batch.
     pub max_batch: usize,
