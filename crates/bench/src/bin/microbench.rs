@@ -25,15 +25,6 @@
 //!   `try_segment_softmax`) over a block-diagonal batch layout: one
 //!   graph-sized segment per batch member of an `N × F` node tensor,
 //!   the readout/attention companions to the batched SpMM.
-//! * `stream/update/*` — the streaming-update maintenance cost
-//!   ([`Graph::apply`]): one edge flip (remove + re-insert) on a graph
-//!   whose CSR Â and WL caches are warm, against rebuilding the graph from
-//!   its adjacency and recomputing both structures from scratch —
-//!   the exact pair of code paths `POST /update` chooses between. Swept
-//!   over `n` × edge density; both sides produce bitwise-identical
-//!   caches (crates/integration/tests/stream_determinism.rs), so the
-//!   medians isolate maintenance cost. `scripts/bench_check.sh` gates
-//!   the largest swept size at ≥3× incremental over full.
 //! * `embed/*` — eval-mode hierarchy embeddings for a batch of graphs:
 //!   the graph-at-a-time loop vs one block-diagonal batched forward
 //!   (`HapClassifier::try_embeddings`), the hap-serve cache-miss path.
@@ -69,7 +60,7 @@ use hap_ged::{
     batch_ged, beam_ged, bipartite_ged, exact_ged, BipartiteSolver, EditCosts, GedMethod,
 };
 use hap_gnn::{AdjacencyRef, GatLayer};
-use hap_graph::{degree_one_hot, generators, wl_signature, EdgeDelta, Graph, GraphScalar};
+use hap_graph::{degree_one_hot, generators, Graph, GraphScalar};
 use hap_nn::{Adam, Optimizer};
 use hap_pooling::{
     CoarsenModule, DiffPool, GPool, MeanAttReadout, MeanReadout, PoolCtx, Readout, SagPool,
@@ -373,66 +364,6 @@ fn sparse_spmm(bench: &mut Bench, sizes: &[usize], seed: u64) {
     }
 }
 
-/// Incremental cache maintenance vs from-scratch recompute under a
-/// streaming edge flip. Each incremental iteration removes one existing
-/// edge and re-inserts it through [`Graph::apply`] with every cache
-/// warm (the f64 CSR Â and the 1-WL state), reading both back after each
-/// delta; the paired full iteration performs the identical two flips on
-/// a dense adjacency, rebuilds the `Graph` from scratch each time, and
-/// recomputes the same two structures. Interleaved
-/// ([`Bench::run_pair`]) so host drift cannot bias the ratio — the
-/// number behind ROADMAP item "streaming updates" and the ≥3× gate in
-/// `scripts/bench_check.sh`.
-fn stream_updates(bench: &mut Bench, sizes: &[usize], seed: u64) {
-    let wl_iterations = 3; // the serve default (ServiceConfig::wl_iterations)
-    for &n in sizes {
-        // p=0.02 keeps the radius-2 recolour ball under the half-graph
-        // fallback cutoff at every swept n (the regime the ≥3× gate
-        // measures); p=0.1 pushes the larger sizes past the cutoff, so
-        // those rows document the full-refinement fallback instead.
-        for p in [0.02, 0.1] {
-            let mut rng = Rng::from_seed(seed);
-            let g = generators::erdos_renyi_connected(n, p, &mut rng);
-            let &(u, v) = g.edges().first().expect("connected graph has edges");
-            let w = g.weight(u, v);
-
-            // Incremental side: one long-lived graph, caches warmed once.
-            let mut gi = g.clone();
-            let _ = gi.csr_adjacency_cached();
-            let _ = gi.wl_signature_cached(wl_iterations);
-
-            // Full side: the same flips on a raw adjacency, rebuilt.
-            let mut adj = g.adjacency().clone();
-
-            bench.run_pair(
-                &format!("stream/update/n={n}/p={p}/incremental"),
-                move || {
-                    gi.apply(EdgeDelta::Remove { u, v });
-                    black_box(gi.csr_adjacency_cached());
-                    black_box(gi.wl_signature_cached(wl_iterations));
-                    gi.apply(EdgeDelta::Upsert { u, v, w });
-                    black_box(gi.csr_adjacency_cached());
-                    black_box(gi.wl_signature_cached(wl_iterations));
-                    gi.num_edges()
-                },
-                &format!("stream/update/n={n}/p={p}/full"),
-                move || {
-                    let mut edges = 0;
-                    for weight in [0.0, w] {
-                        adj[(u, v)] = weight;
-                        adj[(v, u)] = weight;
-                        let gf = Graph::from_adjacency(adj.clone());
-                        black_box(gf.csr_adjacency_cached());
-                        black_box(wl_signature(&gf, wl_iterations));
-                        edges = gf.num_edges();
-                    }
-                    edges
-                },
-            );
-        }
-    }
-}
-
 /// The batched segment reductions from `hap_tensor::segment` over a
 /// block-diagonal batch layout: one graph-sized segment (6–24 rows) per
 /// batch member of an `N × 16` node tensor. `segment_sums` is the
@@ -724,7 +655,6 @@ fn main() {
     ged(&mut bench, seed);
     parallelism(&mut bench, seed);
     sparse_spmm(&mut bench, coarsen_sizes, seed);
-    stream_updates(&mut bench, coarsen_sizes, seed);
     segment_reductions(&mut bench, seed);
     embed_batch(&mut bench, seed);
     train_step(&mut bench, seed);

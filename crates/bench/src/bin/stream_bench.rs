@@ -1,31 +1,16 @@
 //! Streaming-update benchmark for `hap-serve`'s `POST /update` path.
 //!
-//! Two measurements in one artefact (default `results/stream.json`):
-//!
-//! 1. **End-to-end replay** — starts the server in-process on an
-//!    ephemeral loopback port (committed snapshot, search enabled) and
-//!    replays a seeded, deterministic stream of interleaved `/update`
-//!    and `/search` requests over real TCP. Every update batch mutates
-//!    a corpus graph in place through the incremental maintenance path
-//!    (`Graph::apply` → index-slot rewrite); every search immediately
-//!    reads the mutated index back. `results_hash` is an FNV-1a over
-//!    all response bodies in request order — the same construction as
-//!    loadgen's `response_hash` — and must be byte-stable across runs,
-//!    client counts and `HAP_THREADS` settings (`scripts/ci.sh` replays
-//!    it under both threading modes and compares).
-//!
-//! 2. **Re-embed latency pairs** — in-process (no HTTP), the cost of
-//!    re-embedding a graph after an edit batch of `B` deltas, for
-//!    `B ∈ {1, 4, 16, 64}`: the incremental side applies the deltas
-//!    through `Graph::apply` on a warm-cached graph, the full side
-//!    performs the same edits on a raw adjacency and rebuilds the
-//!    `Graph` from scratch, recomputing the CSR Â and WL before the forward
-//!    pass. Both sides then embed through the identical eval-mode
-//!    hierarchy forward, so the gap isolates cache maintenance. Pairs
-//!    run interleaved ([`Bench::run_pair`]) so host drift cannot bias
-//!    the ratio. The numbers feed the EXPERIMENTS.md "Streaming
-//!    updates" table; the microbench `stream/update/*` cases gate the
-//!    structure-maintenance ratio in `scripts/bench_check.sh`.
+//! Starts the server in-process on an ephemeral loopback port (committed
+//! snapshot, search enabled) and replays a seeded, deterministic stream
+//! of interleaved `/update` and `/search` requests over real TCP. Every
+//! update batch mutates a corpus graph in place (`Graph::apply` →
+//! index-slot rewrite); every search immediately reads the mutated index
+//! back. `results_hash` is an FNV-1a over all response bodies in request
+//! order — the same construction as loadgen's `response_hash` — and must
+//! be byte-stable across runs, client counts and `HAP_THREADS` settings
+//! (`scripts/ci.sh` replays it under both threading modes and compares).
+//! The artefact (default `results/stream.json`) also records the
+//! `/update` round-trip p50 and p99.
 //!
 //! ```text
 //! cargo run --release -p hap-bench --bin stream_bench -- \
@@ -33,14 +18,9 @@
 //!     [--out results/stream.json]
 //! ```
 
-use hap_autograd::ParamStore;
-use hap_bench::harness::Bench;
-use hap_core::{HapClassifier, HapConfig, HapModel};
-use hap_graph::{degree_one_hot, generators, EdgeDelta, Graph};
-use hap_pooling::PoolCtx;
+use hap_graph::{generators, Graph};
 use hap_rand::Rng;
 use hap_serve::{serve_snapshot_file, ServeConfig, ServiceConfig};
-use hap_tensor::Tensor;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -248,93 +228,6 @@ fn replay(args: &Args) -> (u64, usize, Vec<u64>) {
     (results_hash(&bodies), errors, latencies)
 }
 
-/// One re-embed latency pair at edit-batch size `batch`: toggle `batch`
-/// edges, then run the eval-mode hierarchy forward. The incremental
-/// side keeps one long-lived graph with warm caches; the full side
-/// re-toggles a raw adjacency and rebuilds the `Graph` from scratch
-/// every iteration. Features are degree one-hots recomputed from the
-/// current graph on both sides (degrees change under edits), exactly as
-/// the serve embedding path does.
-fn reembed_pair(bench: &mut Bench, batch: usize, seed: u64) {
-    let dim = 16;
-    let n = 100;
-    let mut rng = Rng::from_seed(seed);
-    // Low density keeps the WL recolour ball under the fallback cutoff —
-    // the regime the microbench gate pins (see bench_check.sh).
-    let g = generators::erdos_renyi_connected(n, 0.02, &mut rng);
-    let mut store = ParamStore::new();
-    let cfg = HapConfig::new(dim, 8).with_clusters(&[4, 2]);
-    let model = HapModel::new(&mut store, &cfg, &mut rng);
-    let clf = HapClassifier::new(&mut store, model, 2, &mut rng);
-    let clf = std::rc::Rc::new(clf);
-
-    let flips: Vec<(usize, usize, f64)> = {
-        let edges = g.edges();
-        (0..batch)
-            .map(|j| {
-                let (u, v) = edges[j % edges.len()];
-                (u, v, g.weight(u, v))
-            })
-            .collect()
-    };
-
-    let embed = {
-        let clf = std::rc::Rc::clone(&clf);
-        move |graph: &Graph| -> Tensor<f64> {
-            let features = degree_one_hot(graph, dim);
-            let mut rng = Rng::from_seed(0);
-            let mut ctx = PoolCtx {
-                training: false,
-                rng: &mut rng,
-            };
-            clf.try_embedding(graph, &features, &mut ctx)
-                .expect("embedding")
-        }
-    };
-
-    // Incremental: one long-lived graph, caches warmed once; each
-    // iteration toggles the flip set through `Graph::apply` (edges come
-    // back two iterations later, so the workload is periodic).
-    let mut gi = g.clone();
-    let _ = gi.csr_adjacency_cached();
-    let _ = gi.wl_signature_cached(3);
-    let mut present_inc = vec![true; flips.len()];
-    let embed_inc = embed.clone();
-    let flips_inc = flips.clone();
-
-    // Full: the same toggles on a raw adjacency, graph rebuilt per
-    // iteration.
-    let mut adj = g.adjacency().clone();
-    let mut present_full = vec![true; flips.len()];
-
-    bench.run_pair(
-        &format!("stream/reembed/batch={batch}/incremental"),
-        move || {
-            for (j, &(u, v, w)) in flips_inc.iter().enumerate() {
-                if present_inc[j] {
-                    gi.apply(EdgeDelta::Remove { u, v });
-                } else {
-                    gi.apply(EdgeDelta::Upsert { u, v, w });
-                }
-                present_inc[j] = !present_inc[j];
-            }
-            embed_inc(&gi)
-        },
-        &format!("stream/reembed/batch={batch}/full"),
-        move || {
-            for (j, &(u, v, w)) in flips.iter().enumerate() {
-                let weight = if present_full[j] { 0.0 } else { w };
-                adj[(u, v)] = weight;
-                adj[(v, u)] = weight;
-                present_full[j] = !present_full[j];
-            }
-            let gf = Graph::from_adjacency(adj.clone());
-            let _ = gf.wl_signature_cached(3);
-            embed(&gf)
-        },
-    );
-}
-
 fn main() {
     let args = parse_args();
 
@@ -349,48 +242,14 @@ fn main() {
         p99 as f64 / 1e6
     );
 
-    let mut bench = Bench::with_iters(3, 20);
-    for batch in [1usize, 4, 16, 64] {
-        reembed_pair(&mut bench, batch, args.seed);
-    }
-    let medians: Vec<(usize, f64, f64)> = [1usize, 4, 16, 64]
-        .iter()
-        .map(|&batch| {
-            let median = |suffix: &str| {
-                bench
-                    .results()
-                    .iter()
-                    .find(|r| r.name == format!("stream/reembed/batch={batch}/{suffix}"))
-                    .expect("bench case ran")
-                    .median_ns
-            };
-            (batch, median("incremental"), median("full"))
-        })
-        .collect();
-
-    let mut rows = Vec::new();
-    for &(batch, inc, full) in &medians {
-        eprintln!(
-            "reembed batch={batch}: incremental {:.0}µs vs full {:.0}µs ({:.2}x)",
-            inc / 1e3,
-            full / 1e3,
-            full / inc
-        );
-        rows.push(format!(
-            "    {{\"batch\": {batch}, \"incremental_ns\": {inc:.0}, \"full_ns\": {full:.0}, \"speedup\": {:.3}}}",
-            full / inc
-        ));
-    }
-
     let json = format!(
-        "{{\n  \"updates\": {},\n  \"seed\": {},\n  \"errors\": {},\n  \"results_hash\": \"{:016x}\",\n  \"update_latency_ns\": {{\"p50\": {}, \"p99\": {}}},\n  \"reembed\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"updates\": {},\n  \"seed\": {},\n  \"errors\": {},\n  \"results_hash\": \"{:016x}\",\n  \"update_latency_ns\": {{\"p50\": {}, \"p99\": {}}}\n}}\n",
         args.updates,
         args.seed,
         errors,
         hash,
         p50,
-        p99,
-        rows.join(",\n")
+        p99
     );
     if let Some(dir) = args.out.parent() {
         std::fs::create_dir_all(dir).expect("create results dir");

@@ -314,7 +314,7 @@ impl<T: GraphScalar> HapModel<T> {
         for (b, &(g, _)) in graphs.iter().enumerate() {
             let rows: Vec<usize> = batch.node_range(b).collect();
             let mut h = tape.gather_rows(enc0, &rows);
-            let mut a = tape.constant(T::adjacency_of(g).clone());
+            let mut a = tape.constant(T::adjacency_of(g));
             let mut embeddings = Vec::with_capacity(self.coarseners.len());
             for (k, coarsen) in self.coarseners.iter().enumerate() {
                 let _p = hap_obs::phase(level_label(k));

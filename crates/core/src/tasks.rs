@@ -265,10 +265,11 @@ impl<T: GraphScalar> HapClassifier<T> {
         tape.value(logits)
     }
 
-    /// Predicted class from an already-materialised hierarchical
-    /// embedding (see [`HapClassifier::logits_from_embedding`]).
-    pub fn predict_from_embedding(&self, embedding: &Tensor<T>) -> usize {
-        argmax_logits(&self.logits_from_embedding(embedding), self.classes)
+    /// Predicted class from the logits
+    /// [`HapClassifier::logits_from_embedding`] returned, so a caller that
+    /// needs both runs the head once.
+    pub fn predict_from_logits(&self, logits: &Tensor<T>) -> usize {
+        argmax_logits(logits, self.classes)
     }
 }
 
@@ -508,11 +509,11 @@ mod tests {
         };
         let emb = clf.try_embedding(&g, &x, &mut ctx).expect("valid graph");
         assert_eq!(emb.shape(), (1, 2 * 6));
-        let from_cache = clf.predict_from_embedding(&emb);
-        let direct = clf.predict(&g, &x, &mut ctx);
-        assert_eq!(from_cache, direct);
         let logits = clf.logits_from_embedding(&emb);
         assert_eq!(logits.shape(), (1, 3));
+        let from_cache = clf.predict_from_logits(&logits);
+        let direct = clf.predict(&g, &x, &mut ctx);
+        assert_eq!(from_cache, direct);
 
         // the typed-error path the HTTP layer depends on
         let empty = hap_graph::Graph::empty(0);

@@ -228,7 +228,7 @@ mod tests {
         let layer = GcnLayer::with_activation(&mut store, "gcn", 3, 2, Activation::Tanh, &mut rng);
         let g = generators::erdos_renyi_connected(5, 0.5, &mut rng);
         let x = Tensor::<f32>::rand_uniform(5, 3, -1.0, 1.0, &mut rng);
-        let adj = g.adjacency_f32().clone();
+        let adj: Tensor<f32> = g.adjacency().cast();
 
         let params: Vec<_> = store.iter().cloned().collect();
         for p in &params {

@@ -47,7 +47,7 @@ use hap_graph::{Graph, GraphScalar};
 ///
 /// The enum itself is dtype-agnostic: a `Fixed` graph serves its cached
 /// CSR `Â` in whichever element type the calling tape requires (`f64`
-/// canonical or the `f32` mirror, via [`GraphScalar`]).
+/// canonical or its cached `f32` cast, via [`GraphScalar`]).
 #[derive(Clone, Copy)]
 pub enum AdjacencyRef<'a> {
     /// A fixed input graph: layers propagate over its cached CSR `Â`,

@@ -13,7 +13,7 @@
 #![deny(missing_docs)]
 
 use crate::Graph;
-use hap_tensor::{CsrMatrix, Tensor};
+use hap_tensor::CsrMatrix;
 use std::sync::Arc;
 
 /// A graph's symmetric normalised adjacency in CSR form, shareable across
@@ -25,9 +25,6 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub struct CsrAdjacency {
     csr: Arc<CsrMatrix>,
-    /// The `D̃^{-1/2}` factors `csr` was assembled from, kept so an edge
-    /// flip re-derives only the two touched factors.
-    inv_sqrt: Vec<f64>,
 }
 
 impl CsrAdjacency {
@@ -48,32 +45,28 @@ impl CsrAdjacency {
     pub fn from_graph(g: &Graph) -> Self {
         let adj = g.adjacency();
         let n = adj.rows();
-        let inv_sqrt: Vec<f64> = (0..n).map(|r| inv_sqrt_degree(adj, r)).collect();
-        let csr = CsrMatrix::from_fn(n, n, |r, c| sym_norm_entry(adj, &inv_sqrt, r, c));
-        Self {
-            csr: Arc::new(csr),
-            inv_sqrt,
-        }
-    }
-
-    /// Re-establishes the matrix after the edge between the `touched` nodes
-    /// changed in `adj`: re-derives their `D̃^{-1/2}` factors, then splices
-    /// the touched rows and columns into a fresh `Arc`
-    /// ([`CsrMatrix::splice_rows`], O(n + nnz)). Holders of the old `Arc`
-    /// keep the old matrix. Bitwise equal to [`CsrAdjacency::from_graph`]
-    /// on the mutated graph.
-    pub(crate) fn refresh(&mut self, adj: &Tensor, touched: &[usize]) {
-        for &t in touched {
-            self.inv_sqrt[t] = inv_sqrt_degree(adj, t);
-        }
-        let inv_sqrt = &self.inv_sqrt;
-        let entry = |r: usize, c: usize| sym_norm_entry(adj, inv_sqrt, r, c);
-        let n = adj.rows();
-        let spliced = self
-            .csr
-            .splice_rows(touched, entry)
-            .unwrap_or_else(|| CsrMatrix::from_fn(n, n, entry));
-        self.csr = Arc::new(spliced);
+        // `D̃_rr^{-1/2}`, with the degree summed over row `r` of `Ã = A + I`
+        // in column order — the summation `Graph::sym_norm_adjacency`
+        // performs.
+        let inv_sqrt: Vec<f64> = (0..n)
+            .map(|r| {
+                let d: f64 = adj
+                    .row(r)
+                    .iter()
+                    .enumerate()
+                    .map(|(c, &a)| if c == r { a + 1.0 } else { a })
+                    .sum();
+                1.0 / d.sqrt()
+            })
+            .collect();
+        let csr = CsrMatrix::from_fn(n, n, |r, c| {
+            // `Ã_rc · (D̃_rr^{-1/2} · D̃_cc^{-1/2})`, in the factor order of
+            // `Graph::sym_norm_adjacency`.
+            let a = adj[(r, c)];
+            let a_tilde = if r == c { a + 1.0 } else { a };
+            a_tilde * (inv_sqrt[r] * inv_sqrt[c])
+        });
+        Self { csr: Arc::new(csr) }
     }
 
     /// The shared CSR matrix, cloneable into tape ops without copying.
@@ -83,29 +76,10 @@ impl CsrAdjacency {
     }
 }
 
-/// `D̃_rr^{-1/2}`, with the degree summed over row `r` of `Ã = A + I` in
-/// column order — the summation [`Graph::sym_norm_adjacency`] performs.
-fn inv_sqrt_degree(adj: &Tensor, r: usize) -> f64 {
-    let d: f64 = adj
-        .row(r)
-        .iter()
-        .enumerate()
-        .map(|(c, &a)| if c == r { a + 1.0 } else { a })
-        .sum();
-    1.0 / d.sqrt()
-}
-
-/// Entry `(r, c)` of `D̃^{-1/2}ÃD̃^{-1/2}`, in the factor order of
-/// [`Graph::sym_norm_adjacency`]: `Ã_rc · (D̃_rr^{-1/2} · D̃_cc^{-1/2})`.
-fn sym_norm_entry(adj: &Tensor, inv_sqrt: &[f64], r: usize, c: usize) -> f64 {
-    let a = adj[(r, c)];
-    let a_tilde = if r == c { a + 1.0 } else { a };
-    a_tilde * (inv_sqrt[r] * inv_sqrt[c])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hap_tensor::Tensor;
 
     #[test]
     fn csr_values_match_dense_normalised_adjacency_bitwise() {
@@ -151,7 +125,7 @@ mod tests {
         assert_eq!(
             after.matrix().to_dense(),
             g.sym_norm_adjacency(),
-            "spliced CSR must match the new from-scratch matrix"
+            "rebuilt CSR must match the new from-scratch matrix"
         );
 
         let before_remove = Arc::clone(after.matrix());

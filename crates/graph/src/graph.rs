@@ -1,20 +1,8 @@
 //! The core undirected graph type.
 
+use crate::wl::{wl_signature, WlSignature};
 use hap_tensor::{CsrMatrix, Scalar, Tensor};
 use std::sync::{Arc, OnceLock};
-
-/// Lazily cast `f32` mirrors of the propagation caches.
-///
-/// The graph's canonical storage stays `f64`; an `f32` forward pass needs
-/// the same derived matrices in its own dtype, and casting them per forward
-/// would undo the point of caching. Each mirror is the [`Tensor::cast`] /
-/// [`CsrMatrix::cast`] of the corresponding `f64` structure, built on first
-/// use and refreshed by the edge mutators.
-#[derive(Clone, Debug, Default)]
-struct F32Caches {
-    csr: OnceLock<Arc<CsrMatrix<f32>>>,
-    adj: OnceLock<Tensor<f32>>,
-}
 
 /// A single edge mutation for [`Graph::apply`].
 ///
@@ -50,15 +38,13 @@ pub enum EdgeDelta {
 /// own self-connections via [`Graph::csr_adjacency_cached`] (Eq. 12's
 /// `Ã = A + I`).
 ///
-/// # Streaming mutation
+/// # Cache invalidation
+/// The derived caches (the CSR Â, its `f32` cast and the WL signature)
+/// are built lazily by their readers. A real edit through
 /// [`Graph::apply`] (which `add_weighted_edge`/`remove_edge` delegate to)
-/// *maintains* every derived cache incrementally instead of dropping it:
-/// the CSR Â re-derives the two touched `D̃^{-1/2}` factors and splices the
-/// touched rows and columns into a fresh copy (O(n + nnz): every row is
-/// copied), and the cached WL refinement recolours a ball
-/// around the edge — each bitwise identical to a from-scratch recompute
-/// (the repo's standing determinism contract). No-op mutations (same
-/// stored bits) leave every cache untouched.
+/// drops all three, and the next reader rebuilds them from scratch, so
+/// every cache is always exactly what a fresh build produces. No-op
+/// mutations (same stored bits) leave every cache untouched.
 #[derive(Clone, Debug)]
 pub struct Graph {
     adj: Tensor,
@@ -70,17 +56,15 @@ pub struct Graph {
     /// Maintained per-node incident-edge counts (the unweighted degrees),
     /// same lockstep contract.
     degree_table: Vec<usize>,
-    /// Lazily built CSR form of `D̃^{-1/2} Ã D̃^{-1/2}` (Eq. 12) plus its
-    /// `D̃^{-1/2}` factors (see [`crate::csr::CsrAdjacency`]), shared by
+    /// Lazily built CSR form of `D̃^{-1/2} Ã D̃^{-1/2}` (Eq. 12), shared by
     /// every GNN layer and epoch that propagates over this graph.
-    /// Row-spliced by the edge mutators.
     csr_cache: OnceLock<crate::csr::CsrAdjacency>,
-    /// `f32` mirrors of the CSR and the raw adjacency, serving
-    /// [`GraphScalar`] dispatch for single-precision forwards.
-    f32_caches: F32Caches,
-    /// Lazily built 1-WL refinement state ([`crate::wl::WlState`]),
-    /// ball-locally recoloured by the mutators.
-    wl_cache: OnceLock<crate::wl::WlState>,
+    /// The `f32` cast of `csr_cache`'s matrix, serving [`GraphScalar`]
+    /// dispatch for single-precision forwards.
+    csr_f32_cache: OnceLock<Arc<CsrMatrix<f32>>>,
+    /// Lazily computed 1-WL signature, with the iteration count it was
+    /// refined to.
+    wl_cache: OnceLock<(usize, Arc<WlSignature>)>,
 }
 
 /// Equality is structural: the cache is derived state and never compared.
@@ -113,7 +97,7 @@ impl Graph {
             edge_count,
             degree_table,
             csr_cache: OnceLock::new(),
-            f32_caches: F32Caches::default(),
+            csr_f32_cache: OnceLock::new(),
             wl_cache: OnceLock::new(),
         }
     }
@@ -126,7 +110,7 @@ impl Graph {
             edge_count: 0,
             degree_table: vec![0; n],
             csr_cache: OnceLock::new(),
-            f32_caches: F32Caches::default(),
+            csr_f32_cache: OnceLock::new(),
             wl_cache: OnceLock::new(),
         }
     }
@@ -162,14 +146,14 @@ impl Graph {
     }
 
     /// Attaches discrete node labels (consumed builder style). Labels seed
-    /// WL round 0, so any cached refinement state is dropped.
+    /// WL round 0, so any cached WL signature is dropped.
     ///
     /// # Panics
     /// Panics when `labels.len() != n`.
     pub fn with_node_labels(mut self, labels: Vec<usize>) -> Self {
         assert_eq!(labels.len(), self.n(), "one label per node required");
         self.node_labels = Some(labels);
-        self.wl_cache = OnceLock::new();
+        self.wl_cache.take();
         self
     }
 
@@ -215,21 +199,16 @@ impl Graph {
         self.apply(EdgeDelta::Remove { u, v });
     }
 
-    /// Applies one edge mutation, incrementally maintaining every cached
-    /// derived structure (the CSR Â with its `D̃^{-1/2}` factors, the `f32`
-    /// mirrors, the WL refinement state) and the edge/degree stats.
-    /// Returns `true` when the graph changed.
+    /// Applies one edge mutation, keeping the edge/degree stats in step
+    /// and dropping every cached derived structure (the CSR Â, its `f32`
+    /// cast, the WL signature) for its next reader to rebuild. Returns
+    /// `true` when the graph changed.
     ///
     /// No-op detection is bit-level: writing the weight a slot already
     /// holds (including removing an absent edge) returns `false` without
     /// touching any cache — while `0.0 → -0.0`, which compares equal but
     /// changes stored bits (and therefore every derived structure's
     /// bytes), counts as a change.
-    ///
-    /// Every maintained cache is **bitwise identical** to what a
-    /// from-scratch recompute on the mutated graph would produce, at any
-    /// `HAP_THREADS` setting — the incremental paths replay the exact
-    /// operation order of the full builds.
     ///
     /// # Panics
     /// Panics when an endpoint is out of range
@@ -263,35 +242,10 @@ impl Graph {
                 }
             }
         }
-        self.refresh_caches(u, v);
+        self.csr_cache.take();
+        self.csr_f32_cache.take();
+        self.wl_cache.take();
         true
-    }
-
-    /// Re-establishes every populated cache after the edge `(u,v)` changed
-    /// in `adj`. Absent caches stay absent (still lazy).
-    fn refresh_caches(&mut self, u: usize, v: usize) {
-        let pair = [u.min(v), u.max(v)];
-        let touched: &[usize] = if u == v { &pair[..1] } else { &pair };
-        if let Some(csr) = self.csr_cache.get_mut() {
-            csr.refresh(&self.adj, touched);
-        }
-
-        // f32 CSR mirror: dropping it is already incremental — the lazy
-        // rebuild is an O(nnz) cast of the maintained f64 CSR, not a dense
-        // rescan.
-        self.f32_caches.csr = OnceLock::new();
-
-        // f32 adjacency mirror: two entries.
-        if let Some(a32) = self.f32_caches.adj.get_mut() {
-            a32[(u, v)] = <f32 as Scalar>::from_f64(self.adj[(u, v)]);
-            a32[(v, u)] = <f32 as Scalar>::from_f64(self.adj[(v, u)]);
-        }
-
-        // WL refinement state: recolour the ball around the flip.
-        if let Some(mut state) = self.wl_cache.take() {
-            state.refresh(self, u, v);
-            let _ = self.wl_cache.set(state);
-        }
     }
 
     /// Whether `(u, v)` is an edge.
@@ -399,45 +353,36 @@ impl Graph {
 
     /// Cached CSR form of [`Graph::sym_norm_adjacency`] — the only cached
     /// form of `Â`, built once per graph and shared across layers and
-    /// tapes via its inner `Arc`. Edge mutations splice the touched rows
-    /// and columns into a fresh `Arc`, so existing holders never observe
-    /// mutation.
+    /// tapes via its inner `Arc`. An edit drops the graph's handle, so
+    /// existing holders keep the matrix they were given.
     pub fn csr_adjacency_cached(&self) -> &crate::csr::CsrAdjacency {
         self.csr_cache
             .get_or_init(|| crate::csr::CsrAdjacency::from_graph(self))
     }
 
-    /// `f32` mirror of [`Graph::csr_adjacency_cached`]'s matrix. The cast
+    /// `f32` cast of [`Graph::csr_adjacency_cached`]'s matrix. The cast
     /// recompresses entries that round to `0.0f32`, preserving the CSR
     /// no-stored-zero invariant — and the dense `f32` kernel skips exactly
     /// those zeros, so `f32` SpMM stays byte-identical to a dense `f32`
     /// product just like the `f64` pair.
     pub fn csr_adjacency_cached_f32(&self) -> &Arc<CsrMatrix<f32>> {
-        self.f32_caches
-            .csr
+        self.csr_f32_cache
             .get_or_init(|| Arc::new(self.csr_adjacency_cached().matrix().cast()))
     }
 
-    /// `f32` mirror of [`Graph::adjacency`], cached on first use.
-    pub fn adjacency_f32(&self) -> &Tensor<f32> {
-        self.f32_caches.adj.get_or_init(|| self.adj.cast())
-    }
-
     /// Cached 1-WL histogram at `iterations` rounds (see
-    /// [`crate::wl::wl_signature`]), backed by the incrementally
-    /// maintained [`crate::wl::WlState`]. The first call at a given
-    /// iteration count builds the state; edge mutations keep it fresh by
-    /// ball-local recolouring. A call at a *different* iteration count
-    /// than the cached one computes a fresh signature without disturbing
-    /// the cache (one fixed count per deployment is the expected shape).
-    pub fn wl_signature_cached(&self, iterations: usize) -> Arc<crate::wl::WlSignature> {
-        let state = self
+    /// [`wl_signature`]). The first call computes and caches it; a call at
+    /// a *different* iteration count than the cached one computes a fresh
+    /// signature without disturbing the cache (one fixed count per
+    /// deployment is the expected shape).
+    pub fn wl_signature_cached(&self, iterations: usize) -> Arc<WlSignature> {
+        let (cached_iterations, sig) = self
             .wl_cache
-            .get_or_init(|| crate::wl::WlState::build(self, iterations));
-        if state.iterations() == iterations {
-            state.signature()
+            .get_or_init(|| (iterations, Arc::new(wl_signature(self, iterations))));
+        if *cached_iterations == iterations {
+            Arc::clone(sig)
         } else {
-            Arc::new(crate::wl::wl_signature(self, iterations))
+            Arc::new(wl_signature(self, iterations))
         }
     }
 
@@ -515,24 +460,24 @@ impl Graph {
 /// Scalar types a GNN layer can propagate a fixed [`Graph`] in.
 ///
 /// A `Graph` stores its adjacency (and derived propagation caches) in
-/// `f64`; generic layers need the same matrices in *their* element type
-/// without a per-forward cast. This trait is the dtype dispatch point:
-/// `f64` serves the canonical caches, `f32` serves the lazily cast mirrors
-/// cached on the same graph. It is implemented for exactly the two
-/// [`Scalar`] types and is not meant to be implemented downstream.
+/// `f64`; generic layers need the same matrices in *their* element type.
+/// This trait is the dtype dispatch point: `f64` serves the canonical
+/// structures, `f32` their casts (the CSR cast is cached on the graph).
+/// It is implemented for exactly the two [`Scalar`] types and is not
+/// meant to be implemented downstream.
 pub trait GraphScalar: Scalar {
     /// The cached CSR propagation matrix `D̃^{-1/2}ÃD̃^{-1/2}` in `Self`.
     fn csr_of(g: &Graph) -> &Arc<CsrMatrix<Self>>;
-    /// The raw adjacency `A` (no self-loops) in `Self`.
-    fn adjacency_of(g: &Graph) -> &Tensor<Self>;
+    /// An owned copy of the raw adjacency `A` (no self-loops) in `Self`.
+    fn adjacency_of(g: &Graph) -> Tensor<Self>;
 }
 
 impl GraphScalar for f64 {
     fn csr_of(g: &Graph) -> &Arc<CsrMatrix<f64>> {
         g.csr_adjacency_cached().matrix()
     }
-    fn adjacency_of(g: &Graph) -> &Tensor<f64> {
-        g.adjacency()
+    fn adjacency_of(g: &Graph) -> Tensor<f64> {
+        g.adjacency().clone()
     }
 }
 
@@ -540,8 +485,8 @@ impl GraphScalar for f32 {
     fn csr_of(g: &Graph) -> &Arc<CsrMatrix<f32>> {
         g.csr_adjacency_cached_f32()
     }
-    fn adjacency_of(g: &Graph) -> &Tensor<f32> {
-        g.adjacency_f32()
+    fn adjacency_of(g: &Graph) -> Tensor<f32> {
+        g.adjacency().cast()
     }
 }
 
@@ -652,12 +597,11 @@ mod tests {
     #[test]
     fn f32_caches_are_casts_and_are_not_stale_after_mutation() {
         let mut g = triangle();
-        // Every f32 mirror is the entrywise cast of its f64 counterpart.
+        // The f32 CSR is the entrywise cast of its f64 counterpart.
         assert_eq!(
             **g.csr_adjacency_cached_f32(),
             g.csr_adjacency_cached().matrix().cast()
         );
-        assert_eq!(*g.adjacency_f32(), g.adjacency().cast());
 
         // GraphScalar dispatch serves the same cached references.
         assert!(Arc::ptr_eq(
@@ -669,14 +613,12 @@ mod tests {
             g.csr_adjacency_cached().matrix()
         ));
 
-        // Edge mutation must refresh the f32 mirrors along with the f64
-        // caches.
+        // Edge mutation must drop the f32 CSR along with the f64 caches.
         g.remove_edge(0, 1);
         assert_eq!(
             g.csr_adjacency_cached_f32().to_dense(),
             g.sym_norm_adjacency().cast()
         );
-        assert_eq!(*g.adjacency_f32(), g.adjacency().cast());
     }
 
     #[test]
@@ -684,7 +626,6 @@ mod tests {
         let mut g = triangle();
         let csr_arc = Arc::clone(g.csr_adjacency_cached().matrix());
         let csr32_arc = Arc::clone(g.csr_adjacency_cached_f32());
-        let adj32_ptr = g.adjacency_f32().as_slice().as_ptr();
         let wl = g.wl_signature_cached(3);
 
         // Re-adding an existing unit edge and removing an absent edge
@@ -701,10 +642,9 @@ mod tests {
 
         assert!(Arc::ptr_eq(&csr_arc, g.csr_adjacency_cached().matrix()));
         assert!(Arc::ptr_eq(&csr32_arc, g.csr_adjacency_cached_f32()));
-        assert_eq!(g.adjacency_f32().as_slice().as_ptr(), adj32_ptr);
         assert!(Arc::ptr_eq(&wl, &g.wl_signature_cached(3)));
 
-        // ...while a real change swaps the CSR Arc and rewrites values.
+        // ...while a real change drops every cache for a rebuild.
         assert!(g.apply(EdgeDelta::Remove { u: 0, v: 1 }));
         assert!(!Arc::ptr_eq(&csr_arc, g.csr_adjacency_cached().matrix()));
         assert!(!Arc::ptr_eq(&wl, &g.wl_signature_cached(3)));
@@ -791,12 +731,12 @@ mod tests {
         let mut rng = Rng::from_seed(96);
         let n = 10;
         let mut g = Graph::empty(n);
-        // Warm every cache so mutations exercise the maintenance paths.
+        // Warm every cache before each mutation, so every step drops
+        // caches that were in use and rebuilds them.
         g.add_edge(0, 1);
         for step in 0..120 {
             let _ = g.csr_adjacency_cached();
             let _ = g.csr_adjacency_cached_f32();
-            let _ = g.adjacency_f32();
             let _ = g.wl_signature_cached(3);
             let u = rng.gen_range(0..n);
             let v = rng.gen_range(0..n);
@@ -810,14 +750,14 @@ mod tests {
             // A fresh graph with the same adjacency is the from-scratch
             // oracle for every cache; the dense Â oracle pins the values.
             let fresh = Graph::from_adjacency(g.adjacency().clone());
-            let spliced = g.csr_adjacency_cached().matrix();
+            let rebuilt = g.csr_adjacency_cached().matrix();
             assert_eq!(
-                **spliced,
+                **rebuilt,
                 **fresh.csr_adjacency_cached().matrix(),
                 "CSR diverged at step {step}"
             );
             let dense = fresh.sym_norm_adjacency();
-            for (x, y) in spliced.to_dense().as_slice().iter().zip(dense.as_slice()) {
+            for (x, y) in rebuilt.to_dense().as_slice().iter().zip(dense.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "Â diverged at step {step}");
             }
             assert_eq!(

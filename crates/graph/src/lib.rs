@@ -39,5 +39,5 @@ pub use graph::{EdgeDelta, Graph, GraphScalar};
 pub use permutation::Permutation;
 pub use wl::{
     wl_cache_key, wl_cache_key_from_signature, wl_colors, wl_maybe_isomorphic, wl_signature,
-    WlSignature, WlState,
+    WlSignature,
 };

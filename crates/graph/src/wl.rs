@@ -17,8 +17,7 @@
 //! the same collision class the cache key has always accepted.
 
 use crate::Graph;
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::HashMap;
 
 /// The splitmix64 finaliser: a fixed bijective 64-bit mixer.
 #[inline]
@@ -44,8 +43,6 @@ fn fold(h: u64, x: u64) -> u64 {
 pub fn wl_colors(g: &Graph, iterations: usize) -> Vec<usize> {
     let mut ids: HashMap<u64, usize> = HashMap::new();
     refine(g, iterations)
-        .pop()
-        .expect("round 0 always exists")
         .into_iter()
         .map(|c| {
             let fresh = ids.len();
@@ -117,7 +114,7 @@ impl WlSignature {
 /// colour histogram — the one shared computation behind [`wl_cache_key`]
 /// and the retrieval filters.
 pub fn wl_signature(g: &Graph, iterations: usize) -> WlSignature {
-    histogram(&refine(g, iterations)[iterations])
+    histogram(refine(g, iterations))
 }
 
 /// Every node's neighbour list (ascending, self-loops excluded), gathered
@@ -138,171 +135,49 @@ fn neighbour_lists(g: &Graph) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// All refinement rounds: `rounds[r]` holds every node's colour after `r`
-/// rounds, `rounds[0]` the hashed labels. Length `iterations + 1`.
-fn refine(g: &Graph, iterations: usize) -> Vec<Vec<u64>> {
-    let seeds: Vec<u64> = match g.node_labels() {
+/// Every node's colour after `iterations` rounds of refinement; round 0
+/// hashes the node labels. A round's colour is the hash of the node's own
+/// colour, its neighbour count and its neighbours' colours sorted
+/// ascending — it depends only on the previous round, so only that round
+/// is kept.
+fn refine(g: &Graph, iterations: usize) -> Vec<u64> {
+    let mut colours: Vec<u64> = match g.node_labels() {
         Some(l) => l.iter().map(|&x| fold(0, x as u64)).collect(),
         None => vec![fold(0, 0); g.n()],
     };
-    let mut rounds = Vec::with_capacity(iterations + 1);
-    rounds.push(seeds);
     if iterations > 0 {
         let nbrs = neighbour_lists(g);
         let mut scratch = Vec::new();
-        for r in 0..iterations {
-            let prev = &rounds[r];
-            let next: Vec<u64> = (0..g.n())
-                .map(|u| refine_one(prev, u, &nbrs[u], &mut scratch))
+        for _ in 0..iterations {
+            colours = nbrs
+                .iter()
+                .enumerate()
+                .map(|(u, nb)| {
+                    scratch.clear();
+                    scratch.extend(nb.iter().map(|&v| colours[v]));
+                    scratch.sort_unstable();
+                    scratch
+                        .iter()
+                        .fold(fold(colours[u], nb.len() as u64), |h, &c| fold(h, c))
+                })
                 .collect();
-            rounds.push(next);
         }
     }
-    rounds
-}
-
-/// One node's next-round colour from the previous round: the hash of its
-/// own colour, its neighbour count and its neighbours' colours sorted
-/// ascending. The single refinement step shared by full passes and
-/// [`WlState::refresh`]'s ball-local recolouring, so both produce
-/// identical colours.
-fn refine_one(prev: &[u64], u: usize, nbrs: &[usize], scratch: &mut Vec<u64>) -> u64 {
-    scratch.clear();
-    scratch.extend(nbrs.iter().map(|&v| prev[v]));
-    scratch.sort_unstable();
-    scratch
-        .iter()
-        .fold(fold(prev[u], nbrs.len() as u64), |h, &c| fold(h, c))
+    colours
 }
 
 /// Sorts per-node colours and run-length-encodes them into the canonical
 /// histogram.
-fn histogram(colors: &[u64]) -> WlSignature {
-    let mut sorted = colors.to_vec();
-    sorted.sort_unstable();
+fn histogram(mut colours: Vec<u64>) -> WlSignature {
+    colours.sort_unstable();
     let mut entries: Vec<(u64, u32)> = Vec::new();
-    for c in sorted {
+    for c in colours {
         match entries.last_mut() {
             Some((last, count)) if *last == c => *count += 1,
             _ => entries.push((c, 1)),
         }
     }
     WlSignature { entries }
-}
-
-/// Incrementally-maintained 1-WL refinement state: every round's per-node
-/// colours plus the final histogram, kept consistent with a mutating
-/// [`Graph`] by recolouring only the ball an edge flip can influence.
-///
-/// The locality argument: a node's round-`r` colour depends only on its
-/// radius-`r` ball, so flipping edge `(u,v)` changes round-`r` colours
-/// only for nodes within distance `r-1` of `{u,v}`. Distances *to the
-/// set* `{u,v}` are the same with or without the edge `(u,v)` itself (a
-/// shortest path to the set never needs to cross between the two
-/// sources), so a BFS on the post-mutation graph identifies exactly the
-/// affected nodes for both inserts and deletes. When the ball covers more
-/// than half the graph, [`WlState::refresh`] falls back to a full
-/// rebuild — same result, no wasted bookkeeping.
-///
-/// Colours are exact integers (no floating point), so "bitwise identical
-/// to a from-scratch refinement" here is plain equality — pinned by the
-/// differential tests.
-#[derive(Clone, Debug)]
-pub struct WlState {
-    iterations: usize,
-    /// `rounds[r]` = per-node colours after `r` refinement rounds;
-    /// `rounds[0]` are the hashed labels. Length `iterations + 1`.
-    rounds: Vec<Vec<u64>>,
-    signature: Arc<WlSignature>,
-}
-
-impl WlState {
-    /// Runs the full refinement, keeping every intermediate round.
-    pub fn build(g: &Graph, iterations: usize) -> WlState {
-        let rounds = refine(g, iterations);
-        let signature = Arc::new(histogram(&rounds[iterations]));
-        WlState {
-            iterations,
-            rounds,
-            signature,
-        }
-    }
-
-    /// The iteration count this state was refined to.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// The current canonical histogram (cheaply cloneable).
-    pub fn signature(&self) -> Arc<WlSignature> {
-        Arc::clone(&self.signature)
-    }
-
-    /// Re-establishes consistency after the edge `(u,v)` flipped in `g`
-    /// (inserted, deleted, or reweighted — WL sees only the unweighted
-    /// neighbour structure, so reweights are no-ops here but harmless).
-    /// Recolours only the radius-`iterations-1` ball around `{u,v}`;
-    /// returns `false` when the ball exceeded half the graph and a full
-    /// rebuild ran instead (the result is identical either way).
-    ///
-    /// `g` must be the post-mutation graph, with the same node count and
-    /// labels this state was built from.
-    pub fn refresh(&mut self, g: &Graph, u: usize, v: usize) -> bool {
-        let n = g.n();
-        assert_eq!(
-            self.rounds[0].len(),
-            n,
-            "WlState::refresh: node count changed"
-        );
-        if self.iterations == 0 {
-            return true; // round-0 colours ignore edges entirely
-        }
-        let radius = self.iterations - 1;
-        let mut dist = vec![usize::MAX; n];
-        // Each ball member's neighbour list, gathered once by the BFS and
-        // reused by every round's recolour.
-        let mut nbrs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut queue = VecDeque::new();
-        dist[u] = 0;
-        queue.push_back(u);
-        if v != u {
-            dist[v] = 0;
-            queue.push_back(v);
-        }
-        let mut ball = Vec::new();
-        while let Some(x) = queue.pop_front() {
-            ball.push(x);
-            nbrs[x] = g.neighbors(x);
-            if dist[x] == radius {
-                continue;
-            }
-            for &w in &nbrs[x] {
-                if dist[w] == usize::MAX {
-                    dist[w] = dist[x] + 1;
-                    queue.push_back(w);
-                }
-            }
-        }
-        if ball.len() * 2 > n {
-            *self = WlState::build(g, self.iterations);
-            return false;
-        }
-        let mut scratch = Vec::new();
-        for r in 1..=self.iterations {
-            let (done, rest) = self.rounds.split_at_mut(r);
-            let prev = &done[r - 1];
-            let cur = &mut rest[0];
-            for &x in &ball {
-                // Round-r colours change only within distance r-1 of the
-                // flip; farther ball members wait for later rounds.
-                if dist[x] < r {
-                    cur[x] = refine_one(prev, x, &nbrs[x], &mut scratch);
-                }
-            }
-        }
-        self.signature = Arc::new(histogram(&self.rounds[self.iterations]));
-        true
-    }
 }
 
 /// A compact canonical cache key for a graph: the hash of the node count,
@@ -718,10 +593,12 @@ mod tests {
 
     #[test]
     fn wl_state_refresh_matches_full_rebuild_over_random_flips() {
+        // An edit drops the graph's cached signature: after every flip on
+        // a warm graph, the cached signature is a fresh refinement.
         let mut rng = Rng::from_seed(77);
         for iterations in [0usize, 1, 2, 3, 4] {
             let mut g = generators::erdos_renyi_connected(14, 0.25, &mut rng);
-            let mut state = WlState::build(&g, iterations);
+            let _ = g.wl_signature_cached(iterations);
             for step in 0..40 {
                 let u = rng.gen_range(0..14usize);
                 let v = rng.gen_range(0..14usize);
@@ -733,16 +610,10 @@ mod tests {
                 } else {
                     g.add_edge(u, v);
                 }
-                state.refresh(&g, u, v);
-                let fresh = WlState::build(&g, iterations);
                 assert_eq!(
-                    state.signature().entries(),
-                    fresh.signature().entries(),
-                    "it={iterations} step={step}: incremental signature diverged"
-                );
-                assert_eq!(
-                    state.rounds, fresh.rounds,
-                    "it={iterations} step={step}: a round's colours diverged"
+                    *g.wl_signature_cached(iterations),
+                    wl_signature(&g, iterations),
+                    "it={iterations} step={step}: cached signature is stale"
                 );
             }
         }
@@ -750,20 +621,18 @@ mod tests {
 
     #[test]
     fn wl_state_takes_both_incremental_and_fallback_paths() {
-        // A long path: flipping an end edge at few iterations keeps the
-        // ball tiny (incremental); a hub flip on a star reaches every
-        // node (fallback). Both must agree with wl_signature.
+        // A flip at the end of a long path changes few colours; a hub
+        // flip on a star changes every node's. Either way the cached
+        // signature after the edit equals a fresh one.
         let mut p = generators::path(30);
-        let mut state = WlState::build(&p, 3);
+        let _ = p.wl_signature_cached(3);
         p.remove_edge(0, 1);
-        assert!(state.refresh(&p, 0, 1), "end-of-path ball must stay local");
-        assert_eq!(*state.signature(), wl_signature(&p, 3));
+        assert_eq!(*p.wl_signature_cached(3), wl_signature(&p, 3));
 
         let mut s = generators::star(12);
-        let mut st = WlState::build(&s, 3);
+        let _ = s.wl_signature_cached(3);
         s.remove_edge(0, 5);
-        assert!(!st.refresh(&s, 0, 5), "star hub ball must trigger rebuild");
-        assert_eq!(*st.signature(), wl_signature(&s, 3));
+        assert_eq!(*s.wl_signature_cached(3), wl_signature(&s, 3));
     }
 
     #[test]

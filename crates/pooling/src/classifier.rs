@@ -234,7 +234,7 @@ impl<T: GraphScalar> PoolingClassifier<T> {
         ctx: &mut PoolCtx<'_>,
     ) -> Var {
         let x = tape.constant(features.clone());
-        let a = tape.constant(T::adjacency_of(graph).clone());
+        let a = tape.constant(T::adjacency_of(graph));
         let h = self.encoder.forward(tape, AdjacencyRef::Fixed(graph), x);
         match &self.pooler {
             Pooler::Flat(r) => r.forward(tape, a, h, ctx),

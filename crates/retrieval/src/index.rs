@@ -125,10 +125,8 @@ impl QueryEmbedding {
         }
         Ok(Self {
             stats: GraphStats::of(g),
-            // Served from the graph's incrementally-maintained WL state
-            // when warm (the streaming update path mutates and re-embeds
-            // the same Graph value); cold graphs pay one refinement, same
-            // as before.
+            // Served from the graph's cached WL signature, which the
+            // serve path has already computed for the cache key.
             wl: g.wl_signature_cached(wl_iterations).entries().to_vec(),
             levels: concat.chunks(hidden).map(<[f64]>::to_vec).collect(),
         })

@@ -259,11 +259,7 @@ fn run_loop<T: GraphScalar>(
             match catch_unwind(AssertUnwindSafe(|| svc.classify_batch(&classify_graphs))) {
                 Ok(results) => {
                     for (result, reply) in results.into_iter().zip(classify_replies) {
-                        let body = result
-                            .map(|Classification { label, logits }| {
-                                format!("{{\"label\":{label},\"logits\":{}}}", num_array(&logits))
-                            })
-                            .map_err(|e| e.to_string());
+                        let body = result.map(classification_body).map_err(|e| e.to_string());
                         // A dead receiver just means the worker gave up; ignore.
                         let _ = reply.send(body);
                     }
@@ -285,15 +281,18 @@ fn run_loop<T: GraphScalar>(
     }
 }
 
+/// The `/classify` response body.
+fn classification_body(Classification { label, logits }: Classification) -> String {
+    format!("{{\"label\":{label},\"logits\":{}}}", num_array(&logits))
+}
+
 fn handle_job<T: GraphScalar>(svc: &mut ModelService<T>, job: Job) -> Result<String, String> {
     match job {
         Job::Classify(mut g) => {
             clamp_labels(&mut g, svc.in_dim());
-            let Classification { label, logits } = svc.classify(&g).map_err(|e| e.to_string())?;
-            Ok(format!(
-                "{{\"label\":{label},\"logits\":{}}}",
-                num_array(&logits)
-            ))
+            svc.classify(&g)
+                .map(classification_body)
+                .map_err(|e| e.to_string())
         }
         Job::Similarity(mut a, mut b) => {
             clamp_labels(&mut a, svc.in_dim());

@@ -12,7 +12,9 @@
 //! * [`http`] — an HTTP/1.1 request parser and response writer over
 //!   `std::net`, with typed errors for malformed and oversized input;
 //! * [`service`] — wire schema → [`hap_graph::Graph`], the embedding
-//!   cache, and the `classify`/`similarity` operations;
+//!   cache, and the four operations: `classify`, `similarity`, `search`
+//!   (top-k retrieval over a seeded corpus) and `update` (edge edits to a
+//!   corpus graph, rewriting its index slot in place);
 //! * [`batch`] — the micro-batching bridge between the multi-threaded
 //!   HTTP layer and the single model thread (`HapClassifier` parameters
 //!   are `Rc`-shared and cannot cross threads); the model thread is the

@@ -1,6 +1,6 @@
 //! The model-facing half of the server: request schema → [`Graph`],
-//! embedding with the WL-keyed LRU cache in front, and the two
-//! inference operations (`classify`, `similarity`).
+//! embedding with the WL-keyed LRU cache in front, and the four
+//! operations (`classify`, `similarity`, `search`, `update`).
 //!
 //! ## Why caching embeddings is sound
 //!
@@ -19,8 +19,7 @@ use crate::cache::LruCache;
 use crate::json::Json;
 use hap_core::{HapClassifier, HapError};
 use hap_graph::{
-    degree_one_hot, label_one_hot, wl_cache_key, wl_cache_key_from_signature, EdgeDelta, Graph,
-    GraphScalar,
+    degree_one_hot, label_one_hot, wl_cache_key_from_signature, EdgeDelta, Graph, GraphScalar,
 };
 use hap_pooling::PoolCtx;
 use hap_rand::Rng;
@@ -107,9 +106,7 @@ pub struct SearchState {
     /// Graphs mutated by `POST /update`, keyed by corpus id. Graph
     /// lookups (further updates, the GED rerank stage) consult this
     /// overlay before falling back to seed-corpus regeneration; slots
-    /// never touched by an update stay out of it. Keeping the mutated
-    /// `Graph` values alive also keeps their incremental caches (Â,
-    /// CSR, WL state) warm across a stream of updates.
+    /// never touched by an update stay out of it.
     pub overlay: HashMap<usize, Graph>,
 }
 
@@ -232,9 +229,8 @@ impl<T: GraphScalar> ModelService<T> {
     }
 
     /// The WL cache key for `g` at this service's configured refinement
-    /// depth, served from the graph's own cached WL state — on the
-    /// streaming path the state was refreshed incrementally by
-    /// `Graph::apply`, so this recolours nothing.
+    /// depth, derived from the graph's cached WL signature — the one place
+    /// this service keys a graph.
     fn cache_key(&self, g: &Graph) -> u64 {
         let sig = g.wl_signature_cached(self.cfg.wl_iterations);
         wl_cache_key_from_signature(&sig, g.n(), g.num_edges())
@@ -279,7 +275,7 @@ impl<T: GraphScalar> ModelService<T> {
         // For every missing job, the slot in `miss_*` that serves it.
         let mut job_slot: Vec<(usize, usize)> = Vec::new();
         for (i, g) in graphs.iter().enumerate() {
-            let key = wl_cache_key(g, self.cfg.wl_iterations);
+            let key = self.cache_key(g);
             if let Some(e) = self.cache.get(key) {
                 hap_obs::inc("serve.cache.hit");
                 out[i] = Some(Ok(e.clone()));
@@ -362,9 +358,8 @@ impl<T: GraphScalar> ModelService<T> {
 
     fn classification_from(&self, e: &Tensor<T>) -> Classification {
         let logits = self.clf.logits_from_embedding(e);
-        let label = self.clf.predict_from_embedding(e);
         Classification {
-            label,
+            label: self.clf.predict_from_logits(&logits),
             logits: logits.as_slice().iter().map(|v| (*v).to_f64()).collect(),
         }
     }
@@ -478,11 +473,10 @@ impl<T: GraphScalar> ModelService<T> {
     /// if anything actually changed — re-embeds the mutated graph and
     /// rewrites its index slot in place ([`GraphIndex::update_entry`];
     /// no index rebuild), evicting the now-stale WL-keyed cache entry.
-    /// Every structural cache (Â, CSR, WL colouring) is maintained
-    /// incrementally by [`Graph::apply`], so the re-embed pays only for
-    /// the forward pass, not for recomputing graph structure. A batch
-    /// in which every op is a bit-level no-op returns with
-    /// `reembedded: false` and touches neither the cache nor the index.
+    /// [`Graph::apply`] drops the graph's derived caches, so the re-embed
+    /// rebuilds its CSR Â and WL signature from scratch. A batch in which
+    /// every op is a bit-level no-op returns with `reembedded: false` and
+    /// touches neither the cache nor the index.
     ///
     /// Validation happens before any mutation: a rejected request
     /// leaves the service state exactly as it was.
@@ -513,84 +507,66 @@ impl<T: GraphScalar> ModelService<T> {
                 ops.len()
             ));
         }
-        let wl_it = self.cfg.wl_iterations;
-        let state = self.search.as_mut().expect("checked above");
         // Take the graph out of the overlay (or regenerate the seed
-        // graph); every return path below puts it back, preserving the
-        // warm incremental caches for the next update in the stream.
+        // graph), and put it back whatever the outcome.
+        let state = self.search.as_mut().expect("checked above");
         let mut g = state
             .overlay
             .remove(&id)
             .unwrap_or_else(|| corpus.graph(id));
-        if let Err(msg) = validate_ops(ops, g.n()) {
-            state.overlay.insert(id, g);
-            return Err(msg);
-        }
-        // The old cache key comes from the graph's (warm) WL state,
-        // captured before the mutation invalidates it.
-        let old_key =
-            wl_cache_key_from_signature(&g.wl_signature_cached(wl_it), g.n(), g.num_edges());
-        let mut applied = 0usize;
-        for op in ops {
-            if g.apply(*op) {
-                applied += 1;
-            }
-        }
-        let noops = ops.len() - applied;
-        let (n, edges, max_degree) = (g.n(), g.num_edges(), g.max_degree());
+        let result = self.update_graph(id, &mut g, ops);
+        let state = self.search.as_mut().expect("checked above");
+        state.overlay.insert(id, g);
+        result
+    }
+
+    /// [`ModelService::update`] on the graph of slot `id`, taken out of
+    /// the overlay.
+    fn update_graph(
+        &mut self,
+        id: usize,
+        g: &mut Graph,
+        ops: &[EdgeDelta],
+    ) -> Result<UpdateResult, String> {
+        validate_ops(ops, g.n())?;
+        // The old cache key is derived before the mutation drops the
+        // graph's WL signature.
+        let old_key = self.cache_key(g);
+        let applied = ops.iter().filter(|&&op| g.apply(op)).count();
+        let mut r = UpdateResult {
+            id,
+            applied,
+            noops: ops.len() - applied,
+            n: g.n(),
+            edges: g.num_edges(),
+            max_degree: g.max_degree(),
+            reembedded: false,
+            evicted: false,
+        };
         if applied == 0 {
-            state.overlay.insert(id, g);
-            return Ok(UpdateResult {
-                id,
-                applied,
-                noops,
-                n,
-                edges,
-                max_degree,
-                reembedded: false,
-                evicted: false,
-            });
+            return Ok(r);
         }
         // Evict before re-embedding: if the mutation happens to land on
         // the same WL key (hash collision or balanced edits), removing
         // after the insert would throw the fresh entry away.
-        let new_key = wl_cache_key_from_signature(&g.wl_signature_cached(wl_it), n, edges);
-        let evicted = self.cache.remove(old_key);
-        let embedded = self.embedding_keyed(&g, new_key);
-        let state = self.search.as_mut().expect("checked above");
-        let e = match embedded {
-            Ok(e) => e,
-            Err(e) => {
-                state.overlay.insert(id, g);
-                return Err(e.to_string());
-            }
-        };
+        let new_key = self.cache_key(g);
+        r.evicted = self.cache.remove(old_key);
+        let e = self
+            .embedding_keyed(g, new_key)
+            .map_err(|e| e.to_string())?;
         let concat: Vec<f64> = e.cast::<f64>().row(0).to_vec();
-        let q = match hap_retrieval::QueryEmbedding::from_concat(
-            &g,
+        let index = &mut self.search.as_mut().expect("checked by update").index;
+        let q = hap_retrieval::QueryEmbedding::from_concat(
+            g,
             &concat,
-            state.index.hidden(),
-            state.index.levels(),
-            state.index.config().wl_iterations,
-        ) {
-            Ok(q) => q,
-            Err(e) => {
-                state.overlay.insert(id, g);
-                return Err(e.to_string());
-            }
-        };
-        state.index.update_entry(id, &q);
-        state.overlay.insert(id, g);
-        Ok(UpdateResult {
-            id,
-            applied,
-            noops,
-            n,
-            edges,
-            max_degree,
-            reembedded: true,
-            evicted,
-        })
+            index.hidden(),
+            index.levels(),
+            index.config().wl_iterations,
+        )
+        .map_err(|e| e.to_string())?;
+        index.update_entry(id, &q);
+        r.reembedded = true;
+        Ok(r)
     }
 }
 

@@ -68,7 +68,13 @@ impl<T: Scalar> CsrMatrix<T> {
         let mut values = Vec::new();
         indptr.push(0);
         for r in 0..rows {
-            push_row(r, cols, &mut entry, &mut indices, &mut values);
+            for c in 0..cols {
+                let v = entry(r, c);
+                if v != T::ZERO {
+                    indices.push(c);
+                    values.push(v);
+                }
+            }
             indptr.push(indices.len());
         }
         CsrMatrix {
@@ -78,64 +84,6 @@ impl<T: Scalar> CsrMatrix<T> {
             indices,
             values,
         }
-    }
-
-    /// Rebuilds the matrix after a localised edit, where `entry(r, c)`
-    /// gives the *new* value of every entry. The `touched` rows are
-    /// re-scanned in full by the [`CsrMatrix::from_fn`] loop; every other
-    /// row keeps its column structure and re-reads only its `touched`
-    /// columns. An edge flip of a symmetric matrix touches two rows plus
-    /// the two matching columns of every other row.
-    ///
-    /// Precondition: the new matrix differs from `self` only within the
-    /// `touched` rows and the `touched` columns. Under that contract the
-    /// result is **bitwise equal** to [`CsrMatrix::from_fn`] over the same
-    /// `entry`.
-    ///
-    /// Cost: `touched.len() · cols` entry calls for the touched rows, one
-    /// binary search per untouched row and touched column, and
-    /// O(rows + nnz) copying — every row moves into the fresh vectors, so
-    /// the splice saves the O(rows · cols) rescan, not the copy.
-    ///
-    /// Returns `None` (caller falls back to a full build) when the sparsity
-    /// *structure* changed outside a touched row: an entry appearing or
-    /// vanishing at a touched column of an untouched row (e.g. a product
-    /// underflowing to `0.0`), which a value patch cannot represent.
-    pub fn splice_rows(
-        &self,
-        touched: &[usize],
-        mut entry: impl FnMut(usize, usize) -> T,
-    ) -> Option<CsrMatrix<T>> {
-        let mut indptr = Vec::with_capacity(self.rows + 1);
-        let mut indices = Vec::with_capacity(self.indices.len());
-        let mut values = Vec::with_capacity(self.values.len());
-        indptr.push(0);
-        for r in 0..self.rows {
-            if touched.contains(&r) {
-                push_row(r, self.cols, &mut entry, &mut indices, &mut values);
-            } else {
-                let start = indices.len();
-                let (cols, vals) = self.row(r);
-                indices.extend_from_slice(cols);
-                values.extend_from_slice(vals);
-                for &c in touched {
-                    let v = entry(r, c);
-                    match cols.binary_search(&c) {
-                        Ok(pos) if v != T::ZERO => values[start + pos] = v,
-                        Err(_) if v == T::ZERO => {}
-                        _ => return None,
-                    }
-                }
-            }
-            indptr.push(indices.len());
-        }
-        Some(CsrMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            indptr,
-            indices,
-            values,
-        })
     }
 
     /// Expands back to a dense [`Tensor`].
@@ -352,24 +300,6 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 }
 
-/// Appends row `r`'s stored entries — the non-zero `entry(r, c)` for
-/// `c` in ascending order — to the column and value buffers.
-fn push_row<T: Scalar>(
-    r: usize,
-    cols: usize,
-    entry: &mut impl FnMut(usize, usize) -> T,
-    indices: &mut Vec<usize>,
-    values: &mut Vec<T>,
-) {
-    for c in 0..cols {
-        let v = entry(r, c);
-        if v != T::ZERO {
-            indices.push(c);
-            values.push(v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,11 +407,13 @@ mod tests {
 
     #[test]
     fn splice_from_dense_matches_from_dense_bitwise() {
+        // `from_fn` is the builder `CsrAdjacency` rebuilds Â with after an
+        // edit: over an edited matrix it must equal `from_dense` bit for
+        // bit, including entries that appear or vanish.
         let mut d = random_sparse(12, 12, 0.3, 41);
-        let old = CsrMatrix::from_dense(&d);
-        // Edit rows/columns 3 and 7: rewrite both full rows and the two
-        // matching columns of every other row (zero ↔ non-zero allowed
-        // inside the touched rows, value-only changes elsewhere).
+        // Edit rows/columns 3 and 7: rewrite both full rows (zero ↔
+        // non-zero) and rescale the two matching columns of every other
+        // row.
         let touched = [3usize, 7];
         for &t in &touched {
             for c in 0..12 {
@@ -502,30 +434,41 @@ mod tests {
                 }
             }
         }
-        let spliced = old
-            .splice_rows(&touched, |r, c| d[(r, c)])
-            .expect("structure splice");
+        let built = CsrMatrix::from_fn(12, 12, |r, c| d[(r, c)]);
         let fresh = CsrMatrix::from_dense(&d);
-        assert_eq!(spliced, fresh);
-        for (x, y) in spliced.values.iter().zip(&fresh.values) {
+        assert_eq!(built, fresh);
+        for (x, y) in built.values.iter().zip(&fresh.values) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 
     #[test]
     fn splice_from_dense_rejects_structure_change_outside_touched_rows() {
+        // Structure changes in rows an edit did not rewrite: `from_fn`
+        // stores exactly the entries `from_dense` does, bit for bit.
+        let bits = |m: &CsrMatrix| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let mut d = random_sparse(6, 6, 0.5, 42);
         d[(1, 4)] = 0.0; // ensure a hole at an untouched row / touched col
         d[(2, 4)] = 1.0; // ensure an entry at an untouched row / touched col
         let old = CsrMatrix::from_dense(&d);
-        // Entry appears at (1, 4): row 1 is untouched, col 4 is touched.
+        // Entry appears at (1, 4).
         let mut appear = d.clone();
         appear[(1, 4)] = 2.0;
-        assert!(old.splice_rows(&[4], |r, c| appear[(r, c)]).is_none());
+        let built = CsrMatrix::from_fn(6, 6, |r, c| appear[(r, c)]);
+        let fresh = CsrMatrix::from_dense(&appear);
+        assert_eq!(built, fresh);
+        assert_eq!(bits(&built), bits(&fresh));
+        assert_eq!(built.nnz(), old.nnz() + 1);
+        assert!(built.row(1).0.binary_search(&4).is_ok());
         // Entry vanishes at (2, 4).
         let mut vanish = d.clone();
         vanish[(2, 4)] = 0.0;
-        assert!(old.splice_rows(&[4], |r, c| vanish[(r, c)]).is_none());
+        let built = CsrMatrix::from_fn(6, 6, |r, c| vanish[(r, c)]);
+        let fresh = CsrMatrix::from_dense(&vanish);
+        assert_eq!(built, fresh);
+        assert_eq!(bits(&built), bits(&fresh));
+        assert_eq!(built.nnz(), old.nnz() - 1);
+        assert!(built.row(2).0.binary_search(&4).is_err());
     }
 
     #[test]

@@ -122,7 +122,7 @@ rm -rf "$SERVE_TMP"
 
 # Streaming updates (ARCHITECTURE.md "Streaming updates"): a graph
 # mutated through Graph::apply must hold bitwise the same cached
-# Â/CSR/WL structures as a from-scratch rebuild — the fuzz differential
+# CSR/WL structures as a from-scratch rebuild — the fuzz differential
 # suite pins that at both threading modes, and the serve smoke below
 # replays a deterministic /update + /search stream against the committed
 # snapshot: every update mutates a corpus graph in place (index-slot
@@ -187,9 +187,12 @@ rm -rf "$RETRIEVAL_TMP"
 HAP_THREADS=1 cargo test -q --offline -p hap-retrieval --test admissibility
 env -u HAP_THREADS cargo test -q --offline -p hap-retrieval --test admissibility
 
-# Committed benchmark goldens: every perfbench workload (serve-hot,
-# serve-cold, stream, train) must reproduce the result hashes pinned in
-# perfbench/tests/contract.rs, with HAP_THREADS=1 and unset. The test
-# runs both thread modes itself.
-cargo test --release --offline -q --manifest-path perfbench/Cargo.toml --test contract -- \
-  golden_hashes_do_not_depend_on_thread_count
+# The whole perfbench test suite. Its unit tests cover plan purity,
+# exact quantiles and the result-line keys. Its contract tests check the
+# committed benchmark goldens (every workload — serve-hot, serve-cold,
+# stream, train — must reproduce the result hashes pinned in
+# perfbench/tests/contract.rs, with HAP_THREADS=1 and unset; the test
+# runs both thread modes itself), body hashes over one and two
+# connections against the in-process reference, the declared metrics,
+# and bad arguments.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
