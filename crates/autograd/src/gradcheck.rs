@@ -113,8 +113,7 @@ pub fn check_param_grad<T: Scalar>(
         param.set_value(probe.clone());
         let mut t = Tape::new();
         let out = build(&mut t);
-        let v = t.scalar(out);
-        v
+        t.scalar(out)
     });
     param.set_value(base);
     param.zero_grad();

@@ -111,6 +111,12 @@ pub enum Op<T: Scalar = f64> {
     /// — byte-identical to the dense `matmul` path's `matmul_tn`
     /// backward, which skips the same zeros in the same order.
     Spmm(Arc<CsrMatrix<T>>),
+    /// Right product `C = X · S` by a **symmetric** CSR matrix held by
+    /// the op (HAP's level-0 `MᵀA`), computed with
+    /// `CsrMatrix::spmm_left`. Gradient: `dX = G·Sᵀ = G·S`, the same
+    /// kernel again; `S` gets none. Byte-identical to the dense `matmul`
+    /// path's value and `dA` for finite operands (see `Tape::matmul_csr`).
+    MatMulCsr(Arc<CsrMatrix<T>>),
     /// Per-segment column sums `N×F → B×F` over the contiguous row
     /// segments described by the offsets vector (see
     /// `hap_tensor::validate_segments`). Gradient: broadcast segment `b`'s
@@ -163,6 +169,7 @@ impl<T: Scalar> Op<T> {
             Op::ColMaxes(_) => "col_maxes",
             Op::RowSums => "row_sums",
             Op::Spmm(_) => "spmm",
+            Op::MatMulCsr(_) => "matmul_csr",
             Op::SegmentSums(_) => "segment_sums",
             Op::SegmentMeans(_) => "segment_means",
             Op::SegmentSoftmax(_) => "segment_softmax",

@@ -491,6 +491,29 @@ impl<T: Scalar> Tape<T> {
         self.push(v, Op::Spmm(Arc::clone(s)), &[h.0])
     }
 
+    /// Right product `x · S` by a **symmetric** CSR matrix — HAP's level-0
+    /// `MᵀA` (Eq. 18) over a fixed graph's raw adjacency, so no dense
+    /// `N×N` matrix is formed. Computed by [`CsrMatrix::spmm_left`], term
+    /// for term `(S·xᵀ)ᵀ`; the backward `dx = G·S` uses it again. Like
+    /// [`Tape::spmm`], `S` is held by the op and gets no gradient.
+    ///
+    /// Value and `dx` are byte-identical to `constant(S) → matmul(x, ·)`
+    /// whenever `x`, `S` and the incoming gradient are finite. The dense
+    /// kernel adds `x[i][k]·S[k][j]` in ascending `k` from `+0.0`; a term
+    /// it adds for a zero `S[k][j]`, or skips for a zero `x[i][k]`, is
+    /// `±0`, and a `±0` term cannot change a running sum that starts at
+    /// `+0.0` (ARCHITECTURE.md "CSR adjacency"). The SpMM walk adds the
+    /// remaining terms in the same ascending order, each the same product
+    /// since `S[j][k] = S[k][j]` bit for bit.
+    ///
+    /// # Panics
+    /// Panics when the shapes do not chain; debug builds also assert
+    /// symmetry.
+    pub fn matmul_csr(&mut self, x: Var, s: &Arc<CsrMatrix<T>>) -> Var {
+        let v = s.spmm_left(&self.nodes[x.0].value);
+        self.push(v, Op::MatMulCsr(Arc::clone(s)), &[x.0])
+    }
+
     /// Per-segment column sums `N×F → B×F` (the batched form of
     /// [`Tape::col_sums`]; segment `b` covers rows
     /// `offsets[b]..offsets[b+1]`).
@@ -825,6 +848,13 @@ impl<T: Scalar> Tape<T> {
                 let dh = s.spmm(g);
                 self.accumulate(p0, dh);
             }
+            Op::MatMulCsr(s) => {
+                // dX = G·Sᵀ = G·S by the symmetry contract; the dense
+                // path's `matmul_nt(G, S)` adds the same non-zero terms in
+                // the same ascending order.
+                let dx = s.spmm_left(g);
+                self.accumulate(p0, dx);
+            }
             Op::SegmentSums(offsets) => {
                 let (rows, cols) = self.parent_value(i, 0).shape();
                 let mut dx = self.pooled_zeros(rows, cols);
@@ -1155,6 +1185,45 @@ mod tests {
 
             assert_bits_equal("spmm value", &ts.value(ys), &td.value(yd));
             assert_bits_equal("spmm dH", &ts.grad(hs), &td.grad(hd));
+        }
+    }
+
+    #[test]
+    fn matmul_csr_forward_and_backward_are_bitwise_equal_to_dense_path() {
+        // x·S through the CSR op against constant(S) → matmul, with a
+        // zero row in x (the dense kernel skips it, the SpMM walk adds
+        // ±0 terms) and an edgeless S.
+        for (n, f, density, seed) in [
+            (1, 1, 1.0, 4),
+            (7, 3, 0.4, 5),
+            (30, 4, 0.1, 6),
+            (5, 2, 0.0, 7),
+        ] {
+            let (dense, csr) = random_symmetric_sparse(n, density, seed);
+            let mut rng = hap_rand::Rng::from_seed(seed ^ 0x5eed);
+            let mut xv = Tensor::rand_uniform(f, n, -1.0, 1.0, &mut rng);
+            xv.row_mut(0).fill(0.0);
+            let w = Tensor::rand_uniform(n, 2, -1.0, 1.0, &mut rng);
+
+            let mut ts = Tape::new();
+            let xs = ts.constant(xv.clone());
+            let ys = ts.matmul_csr(xs, &csr);
+            let ws = ts.constant(w.clone());
+            let zs = ts.matmul(ys, ws);
+            let ls = ts.sum_all(zs);
+            ts.backward(ls);
+
+            let mut td = Tape::new();
+            let xd = td.constant(xv.clone());
+            let sd = td.constant(dense.clone());
+            let yd = td.matmul(xd, sd);
+            let wd = td.constant(w.clone());
+            let zd = td.matmul(yd, wd);
+            let ld = td.sum_all(zd);
+            td.backward(ld);
+
+            assert_bits_equal("matmul_csr value", &ts.value(ys), &td.value(yd));
+            assert_bits_equal("matmul_csr dX", &ts.grad(xs), &td.grad(xd));
         }
     }
 

@@ -5,7 +5,10 @@
 //! Four suites:
 //! * `coarsen_forward` / `coarsen_forward_backward` — Claim 1: one HAP
 //!   coarsening pass scales as O(N²) in source nodes (doubling N should
-//!   roughly quadruple the time).
+//!   roughly quadruple the time). Level 0 takes the input graph as
+//!   `AdjacencyRef::Fixed`, the path every served and trained graph
+//!   takes. `coarsen/level0/n=200/{dense,sparse}` is the interleaved pair
+//!   of that level's dense `Mᵀ·A` oracle and the raw-`A` CSR product.
 //! * `attention/*` — MOA vs Sec. 3.4 attention mechanisms: GAT attention
 //!   over the 1-hop edge list (O(E)), SimGNN master attention (O(N)) and
 //!   MOA (O(N·N')).
@@ -88,13 +91,12 @@ fn coarsening(bench: &mut Bench, sizes: &[usize], seed: u64) {
         bench.run(&format!("coarsen_forward/n={n}"), || {
             let mut rng = Rng::from_seed(1);
             let mut tape = Tape::new();
-            let a = tape.constant(g.adjacency().clone());
             let h = tape.constant(x.clone());
             let mut ctx = PoolCtx {
                 training: false,
                 rng: &mut rng,
             };
-            let (a2, h2) = module.forward(&mut tape, a, h, &mut ctx);
+            let (a2, h2) = module.forward(&mut tape, AdjacencyRef::Fixed(&g), h, &mut ctx);
             (tape.value(a2), tape.value(h2))
         });
 
@@ -107,19 +109,55 @@ fn coarsening(bench: &mut Bench, sizes: &[usize], seed: u64) {
             store.zero_grads();
             let tape = &mut step_tape;
             tape.reset();
-            let a = tape.constant(g.adjacency().clone());
             let h = tape.constant(x.clone());
             let mut ctx = PoolCtx {
                 training: true,
                 rng: &mut rng,
             };
-            let (_a2, h2) = module.forward(tape, a, h, &mut ctx);
+            let (_a2, h2) = module.forward(tape, AdjacencyRef::Fixed(&g), h, &mut ctx);
             let sq = tape.hadamard(h2, h2);
             let loss = tape.sum_all(sq);
             tape.backward(loss);
             store.grad_norm()
         });
     }
+}
+
+/// Level-0 HAP coarsening of one `n = 200` graph, eval mode, both ways:
+/// `dense` puts the dense adjacency on the tape and multiplies `Mᵀ·A`
+/// densely (the `AdjacencyRef::Dynamic` oracle), `sparse` multiplies by
+/// the graph's raw-`A` CSR (`AdjacencyRef::Fixed`, the served path).
+/// Outputs are byte-identical; the pair runs interleaved
+/// ([`Bench::run_pair`]).
+fn coarsen_level0(bench: &mut Bench, seed: u64) {
+    let (n, dim) = (200, 16);
+    let mut rng = Rng::from_seed(seed);
+    let g = generators::erdos_renyi_connected(n, 0.1, &mut rng);
+    let x = degree_one_hot(&g, dim);
+    let mut store = ParamStore::new();
+    let module = HapCoarsen::new(&mut store, "hc", dim, 8, &mut rng);
+    let run = |sparse: bool| {
+        let mut rng = Rng::from_seed(1);
+        let mut tape = Tape::new();
+        let h = tape.constant(x.clone());
+        let a = if sparse {
+            AdjacencyRef::Fixed(&g)
+        } else {
+            AdjacencyRef::Dynamic(tape.constant(g.dense_adjacency()))
+        };
+        let mut ctx = PoolCtx {
+            training: false,
+            rng: &mut rng,
+        };
+        let (a2, h2) = module.forward(&mut tape, a, h, &mut ctx);
+        (tape.value(a2), tape.value(h2))
+    };
+    bench.run_pair(
+        &format!("coarsen/level0/n={n}/dense"),
+        || run(false),
+        &format!("coarsen/level0/n={n}/sparse"),
+        || run(true),
+    );
 }
 
 fn attention(bench: &mut Bench, sizes: &[usize], seed: u64) {
@@ -145,7 +183,7 @@ fn attention(bench: &mut Bench, sizes: &[usize], seed: u64) {
             let mut rng = Rng::from_seed(1);
             let mut tape = Tape::new();
             let h = tape.constant(x.clone());
-            let a = tape.constant(g.adjacency().clone());
+            let a = tape.constant(g.dense_adjacency());
             let mut ctx = PoolCtx {
                 training: false,
                 rng: &mut rng,
@@ -190,7 +228,7 @@ fn pooling(bench: &mut Bench, n: usize, seed: u64) {
             let mut rng = Rng::from_seed(1);
             let mut tape = Tape::new();
             let h = tape.constant(x.clone());
-            let a = tape.constant(g.adjacency().clone());
+            let a = tape.constant(g.dense_adjacency());
             let mut ctx = PoolCtx {
                 training: false,
                 rng: &mut rng,
@@ -231,12 +269,11 @@ fn pooling(bench: &mut Bench, n: usize, seed: u64) {
             let mut rng = Rng::from_seed(1);
             let mut tape = Tape::new();
             let h = tape.constant(x.clone());
-            let a = tape.constant(g.adjacency().clone());
             let mut ctx = PoolCtx {
                 training: false,
                 rng: &mut rng,
             };
-            let (a2, h2) = m.forward(&mut tape, a, h, &mut ctx);
+            let (a2, h2) = m.forward(&mut tape, AdjacencyRef::Fixed(&g), h, &mut ctx);
             (tape.value(a2), tape.value(h2))
         });
     }
@@ -650,6 +687,7 @@ fn main() {
 
     eprintln!("== HAP micro-benchmarks ({scale:?}, seed {seed}) ==");
     coarsening(&mut bench, coarsen_sizes, seed);
+    coarsen_level0(&mut bench, seed);
     attention(&mut bench, attn_sizes, seed);
     pooling(&mut bench, 100, seed);
     ged(&mut bench, seed);

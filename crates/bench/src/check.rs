@@ -42,7 +42,7 @@ fn field_str(line: &str, key: &str) -> Option<String> {
 fn field_f64(line: &str, key: &str) -> Option<f64> {
     let start = line.find(key)? + key.len();
     let rest = &line[start..];
-    let end = rest.find(|c| c == ',' || c == '}').unwrap_or(rest.len());
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
     rest[..end].trim().parse().ok()
 }
 

@@ -2,9 +2,12 @@
 
 use crate::{GCont, Moa};
 use hap_autograd::{ParamStore, Tape, Var};
+use hap_gnn::AdjacencyRef;
+use hap_graph::GraphScalar;
 use hap_pooling::{CoarsenModule, PoolCtx};
 use hap_rand::Rng;
 use hap_tensor::{Scalar, Tensor};
+use std::sync::Arc;
 
 /// Numerical floor added to `A'` before the `log` in Eq. 19.
 const LOG_EPS: f64 = 1e-9;
@@ -40,6 +43,7 @@ fn gumbel_from_uniform(u: f64) -> f64 {
 /// ```
 /// use hap_autograd::{ParamStore, Tape};
 /// use hap_core::HapCoarsen;
+/// use hap_gnn::AdjacencyRef;
 /// use hap_graph::{degree_one_hot, generators};
 /// use hap_pooling::{CoarsenModule, PoolCtx};
 /// use hap_rand::Rng;
@@ -52,10 +56,9 @@ fn gumbel_from_uniform(u: f64) -> f64 {
 /// let coarsen = HapCoarsen::new(&mut params, "demo", 6, 4, &mut rng);
 ///
 /// let mut tape = Tape::new();
-/// let a = tape.constant(g.adjacency().clone());
 /// let h = tape.constant(x);
 /// let mut ctx = PoolCtx { training: false, rng: &mut rng };
-/// let (a2, h2) = coarsen.forward(&mut tape, a, h, &mut ctx);
+/// let (a2, h2) = coarsen.forward(&mut tape, AdjacencyRef::Fixed(&g), h, &mut ctx);
 /// assert_eq!(tape.shape(h2), (4, 6));   // 10 nodes -> 4 clusters
 /// assert_eq!(tape.shape(a2), (4, 4));
 /// ```
@@ -147,8 +150,14 @@ impl<T: Scalar> HapCoarsen<T> {
     }
 }
 
-impl<T: Scalar> CoarsenModule<T> for HapCoarsen<T> {
-    fn forward(&self, tape: &mut Tape<T>, adj: Var, h: Var, ctx: &mut PoolCtx<'_>) -> (Var, Var) {
+impl<T: GraphScalar> CoarsenModule<T> for HapCoarsen<T> {
+    fn forward(
+        &self,
+        tape: &mut Tape<T>,
+        adj: AdjacencyRef<'_>,
+        h: Var,
+        ctx: &mut PoolCtx<'_>,
+    ) -> (Var, Var) {
         let _t = hap_obs::time_scope("core.coarsen");
         // Steps 1–8 of Algorithm 1: content + attention assignment.
         let m = {
@@ -158,8 +167,13 @@ impl<T: Scalar> CoarsenModule<T> for HapCoarsen<T> {
         // Step 9: cluster formation H' = MᵀH (Eq. 17).
         let mt = tape.transpose(m);
         let h_new = tape.matmul(mt, h);
-        // Step 10: A' = MᵀAM (Eq. 18).
-        let ma = tape.matmul(mt, adj);
+        // Step 10: A' = MᵀAM (Eq. 18). A fixed input graph enters as its
+        // raw-A CSR, so MᵀA costs O(m·N') and no N×N matrix is formed;
+        // the product is bitwise the dense one (`Tape::matmul_csr`).
+        let ma = match adj {
+            AdjacencyRef::Fixed(g) => tape.matmul_csr(mt, &Arc::new(T::adjacency_csr_of(g))),
+            AdjacencyRef::Dynamic(a) => tape.matmul(mt, a),
+        };
         let a_new = tape.matmul(ma, m);
         // Steps 11–13: soft sampling (Eq. 19).
         let a_out = if self.soft_sampling {
@@ -246,13 +260,12 @@ mod tests {
         let mut rng = Rng::from_seed(2);
         let g = generators::erdos_renyi_connected(9, 0.4, &mut rng);
         let mut t = Tape::new();
-        let a = t.constant(g.adjacency().clone());
         let h = t.constant(Tensor::rand_uniform(9, 4, -1.0, 1.0, &mut rng));
         let mut ctx = PoolCtx {
             training: true,
             rng: &mut rng,
         };
-        let (a2, h2) = m.forward(&mut t, a, h, &mut ctx);
+        let (a2, h2) = m.forward(&mut t, AdjacencyRef::Fixed(&g), h, &mut ctx);
         assert_eq!(t.shape(a2), (3, 3));
         assert_eq!(t.shape(h2), (3, 4));
         assert!(t.value(a2).all_finite());
@@ -265,13 +278,12 @@ mod tests {
         let mut rng = Rng::from_seed(3);
         let g = generators::erdos_renyi_connected(8, 0.5, &mut rng);
         let mut t = Tape::new();
-        let a = t.constant(g.adjacency().clone());
         let h = t.constant(Tensor::rand_uniform(8, 3, -1.0, 1.0, &mut rng));
         let mut ctx = PoolCtx {
             training: false, // deterministic annealed softmax
             rng: &mut rng,
         };
-        let (a2, _h2) = m.forward(&mut t, a, h, &mut ctx);
+        let (a2, _h2) = m.forward(&mut t, AdjacencyRef::Fixed(&g), h, &mut ctx);
         let av = t.value(a2);
         for r in 0..4 {
             let sum: f64 = av.row(r).iter().sum();
@@ -292,13 +304,12 @@ mod tests {
         let run = |training: bool, seed: u64| {
             let mut rng = Rng::from_seed(seed);
             let mut t = Tape::new();
-            let a = t.constant(g.adjacency().clone());
             let h = t.constant(x.clone());
             let mut ctx = PoolCtx {
                 training,
                 rng: &mut rng,
             };
-            let (a2, _) = m.forward(&mut t, a, h, &mut ctx);
+            let (a2, _) = m.forward(&mut t, AdjacencyRef::Fixed(&g), h, &mut ctx);
             t.value(a2)
         };
         assert_close(&run(false, 1), &run(false, 2), 1e-12);
@@ -328,13 +339,12 @@ mod tests {
         let run = |g: &hap_graph::Graph, x: &Tensor| {
             let mut rng = Rng::from_seed(0);
             let mut t = Tape::new();
-            let a = t.constant(g.adjacency().clone());
             let h = t.constant(x.clone());
             let mut ctx = PoolCtx {
                 training: false,
                 rng: &mut rng,
             };
-            let (a2, h2) = m.forward(&mut t, a, h, &mut ctx);
+            let (a2, h2) = m.forward(&mut t, AdjacencyRef::Fixed(g), h, &mut ctx);
             (t.value(a2), t.value(h2))
         };
         let (a_orig, h_orig) = run(&g, &x);
@@ -349,13 +359,12 @@ mod tests {
         let mut rng = Rng::from_seed(10);
         let g = generators::erdos_renyi_connected(7, 0.5, &mut rng);
         let mut t = Tape::new();
-        let a = t.constant(g.adjacency().clone());
         let h = t.constant(Tensor::rand_uniform(7, 3, -1.0, 1.0, &mut rng));
         let mut ctx = PoolCtx {
             training: true,
             rng: &mut rng,
         };
-        let (_a2, h2) = m.forward(&mut t, a, h, &mut ctx);
+        let (_a2, h2) = m.forward(&mut t, AdjacencyRef::Fixed(&g), h, &mut ctx);
         let sq = t.hadamard(h2, h2);
         let loss = t.sum_all(sq);
         t.backward(loss);
@@ -376,13 +385,12 @@ mod tests {
         let m = HapCoarsen::new(&mut store, "hc", 3, 3, &mut rng).without_soft_sampling();
         let g = generators::erdos_renyi_connected(6, 0.5, &mut rng);
         let mut t = Tape::new();
-        let a = t.constant(g.adjacency().clone());
         let h = t.constant(Tensor::rand_uniform(6, 3, -1.0, 1.0, &mut rng));
         let mut ctx = PoolCtx {
             training: false,
             rng: &mut rng,
         };
-        let (a2, _) = m.forward(&mut t, a, h, &mut ctx);
-        assert!((t.value(a2).sum() - g.adjacency().sum()).abs() < 1e-9);
+        let (a2, _) = m.forward(&mut t, AdjacencyRef::Fixed(&g), h, &mut ctx);
+        assert!((t.value(a2).sum() - g.dense_adjacency().sum()).abs() < 1e-9);
     }
 }

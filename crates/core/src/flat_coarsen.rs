@@ -1,8 +1,9 @@
 //! Adapter turning a flat readout into a degenerate coarsening step.
 
 use hap_autograd::{Tape, Var};
+use hap_gnn::AdjacencyRef;
+use hap_graph::GraphScalar;
 use hap_pooling::{CoarsenModule, PoolCtx, Readout};
-use hap_tensor::Scalar;
 
 /// Wraps a flat [`Readout`] (MeanPool, MeanAttPool, …) as a
 /// [`CoarsenModule`] that collapses the graph to a single node whose
@@ -25,8 +26,15 @@ impl<R> FlatCoarsen<R> {
     }
 }
 
-impl<T: Scalar, R: Readout<T>> CoarsenModule<T> for FlatCoarsen<R> {
-    fn forward(&self, tape: &mut Tape<T>, adj: Var, h: Var, ctx: &mut PoolCtx<'_>) -> (Var, Var) {
+impl<T: GraphScalar, R: Readout<T>> CoarsenModule<T> for FlatCoarsen<R> {
+    fn forward(
+        &self,
+        tape: &mut Tape<T>,
+        adj: AdjacencyRef<'_>,
+        h: Var,
+        ctx: &mut PoolCtx<'_>,
+    ) -> (Var, Var) {
+        let adj = adj.dense(tape);
         let pooled = self.readout.forward(tape, adj, h, ctx); // 1×F
                                                               // The 1×1 "adjacency" keeps the total edge mass as a self-loop so
                                                               // downstream degree normalisation stays well-defined.
@@ -59,7 +67,7 @@ mod tests {
             training: true,
             rng: &mut rng,
         };
-        let (a2, h2) = m.forward(&mut t, a, h, &mut ctx);
+        let (a2, h2) = m.forward(&mut t, AdjacencyRef::Dynamic(a), h, &mut ctx);
         assert_eq!(t.shape(a2), (1, 1));
         assert_eq!(t.value(a2)[(0, 0)], 2.0, "edge mass preserved");
         assert_eq!(t.shape(h2), (1, 2));

@@ -88,20 +88,21 @@ impl AblationKind {
         &[MeanPool, MeanAttPool, SagPool, DiffPool, Hap]
     }
 
+    /// The module for one coarsening slot: `clusters` targets over
+    /// `cfg.hidden`-wide features.
     fn build<T: GraphScalar>(
         self,
         store: &mut ParamStore<T>,
         name: &str,
-        dim: usize,
+        cfg: &HapConfig,
         clusters: usize,
-        tau: f64,
-        soft_sampling: bool,
         rng: &mut Rng,
     ) -> Box<dyn CoarsenModule<T>> {
+        let dim = cfg.hidden;
         match self {
             AblationKind::Hap => {
-                let mut m = HapCoarsen::new(store, name, dim, clusters, rng).with_tau(tau);
-                if !soft_sampling {
+                let mut m = HapCoarsen::new(store, name, dim, clusters, rng).with_tau(cfg.tau);
+                if !cfg.soft_sampling {
                     m = m.without_soft_sampling();
                 }
                 Box::new(m)
@@ -188,17 +189,7 @@ impl<T: GraphScalar> HapModel<T> {
             .cluster_sizes
             .iter()
             .enumerate()
-            .map(|(i, &n)| {
-                kind.build(
-                    store,
-                    &format!("hap.coarsen{i}"),
-                    cfg.hidden,
-                    n,
-                    cfg.tau,
-                    cfg.soft_sampling,
-                    rng,
-                )
-            })
+            .map(|(i, &n)| kind.build(store, &format!("hap.coarsen{i}"), cfg, n, rng))
             .collect();
         Self {
             encoders,
@@ -314,15 +305,17 @@ impl<T: GraphScalar> HapModel<T> {
         for (b, &(g, _)) in graphs.iter().enumerate() {
             let rows: Vec<usize> = batch.node_range(b).collect();
             let mut h = tape.gather_rows(enc0, &rows);
-            let mut a = tape.constant(T::adjacency_of(g));
+            // Level 0 coarsens the input graph itself; every deeper level
+            // the previous level's dense `A'` on the tape.
+            let mut a = AdjacencyRef::Fixed(g);
             let mut embeddings = Vec::with_capacity(self.coarseners.len());
             for (k, coarsen) in self.coarseners.iter().enumerate() {
                 let _p = hap_obs::phase(level_label(k));
                 if k > 0 {
-                    h = self.encoders[k].forward(tape, AdjacencyRef::Dynamic(a), h);
+                    h = self.encoders[k].forward(tape, a, h);
                 }
                 let (a2, h2) = coarsen.forward(tape, a, h, ctx);
-                a = a2;
+                a = AdjacencyRef::Dynamic(a2);
                 h = h2;
                 embeddings.push(tape.col_means(h));
             }

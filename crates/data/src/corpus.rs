@@ -84,16 +84,16 @@ impl RetrievalCorpus {
             _ => {
                 // Chorded cycle: a ring plus a few random shortcuts.
                 let n = rng.gen_range(6..=24usize);
-                let mut g = generators::cycle(n);
+                let mut edges = generators::cycle(n).edges();
                 let chords = rng.gen_range(1..=n / 3);
                 for _ in 0..chords {
                     let u = rng.gen_range(0..n);
                     let v = rng.gen_range(0..n);
                     if u != v {
-                        g.add_edge(u, v);
+                        edges.push((u, v));
                     }
                 }
-                g
+                Graph::from_edges(n, &edges)
             }
         }
     }
@@ -110,20 +110,20 @@ impl RetrievalCorpus {
 /// otherwise-disjoint dense groups).
 fn ego_communities(sizes: &[usize], p_in: f64, rng: &mut Rng) -> Graph {
     let total: usize = 1 + sizes.iter().sum::<usize>();
-    let mut g = Graph::empty(total);
+    let mut edges = Vec::new();
     let mut base = 1;
     for &size in sizes {
         for u in base..base + size {
-            g.add_edge(0, u);
+            edges.push((0, u));
             for v in (u + 1)..base + size {
                 if rng.gen_bool(p_in) {
-                    g.add_edge(u, v);
+                    edges.push((u, v));
                 }
             }
         }
         base += size;
     }
-    g
+    Graph::from_edges(total, &edges)
 }
 
 #[cfg(test)]

@@ -60,13 +60,8 @@ fn connected_subgraph(g: &Graph, k: usize, rng: &mut Rng) -> Graph {
 /// (at least one edge so the result stays connected).
 fn grow(g: &Graph, k: usize, p: f64, rng: &mut Rng) -> Graph {
     let n0 = g.n();
-    let mut adj = hap_tensor::Tensor::zeros(n0 + k, n0 + k);
-    for u in 0..n0 {
-        for v in 0..n0 {
-            adj[(u, v)] = g.adjacency()[(u, v)];
-        }
-    }
-    let mut out = Graph::from_adjacency(adj);
+    // `g` plus `k` isolated nodes, then wired in below.
+    let mut out = g.disjoint_union(&Graph::empty(k));
     for new in n0..n0 + k {
         let mut connected = false;
         for v in 0..new {

@@ -21,20 +21,20 @@ const DEGREE_DIM: usize = 16;
 /// connected to every member; communities are otherwise disjoint.
 fn ego_communities(sizes: &[usize], p_in: f64, rng: &mut Rng) -> Graph {
     let total: usize = 1 + sizes.iter().sum::<usize>();
-    let mut g = Graph::empty(total);
+    let mut edges = Vec::new();
     let mut base = 1;
     for &size in sizes {
         for u in base..base + size {
-            g.add_edge(0, u);
+            edges.push((0, u));
             for v in (u + 1)..base + size {
                 if rng.gen_bool(p_in) {
-                    g.add_edge(u, v);
+                    edges.push((u, v));
                 }
             }
         }
         base += size;
     }
-    g
+    Graph::from_edges(total, &edges)
 }
 
 fn community_dataset(

@@ -36,8 +36,8 @@ fn cost_matrix(g1: &Graph, g2: &Graph, costs: &EditCosts) -> Vec<Vec<f64>> {
     let dim = n1 + n2;
     let mut c = vec![vec![FORBIDDEN; dim]; dim];
 
-    for i in 0..n1 {
-        for j in 0..n2 {
+    for (i, row) in c.iter_mut().enumerate().take(n1) {
+        for (j, cell) in row.iter_mut().enumerate().take(n2) {
             let node = if node_labels_differ(g1, i, g2, j) {
                 costs.node_subst
             } else {
@@ -51,7 +51,7 @@ fn cost_matrix(g1: &Graph, g2: &Graph, costs: &EditCosts) -> Vec<Vec<f64>> {
             };
             // Incident edges are shared between two endpoints; halving
             // avoids double-charging (standard refinement).
-            c[i][j] = node + 0.5 * edge;
+            *cell = node + 0.5 * edge;
         }
     }
     for i in 0..n1 {

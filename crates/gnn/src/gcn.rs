@@ -151,7 +151,7 @@ mod tests {
 
         let mut t2 = Tape::new();
         let h2 = t2.constant(x);
-        let a = t2.constant(g.adjacency().clone());
+        let a = t2.constant(g.dense_adjacency());
         let out2 = layer.forward(&mut t2, AdjacencyRef::Dynamic(a), h2);
 
         hap_tensor::testutil::assert_close(&t1.value(out1), &t2.value(out2), 1e-10);
@@ -228,7 +228,7 @@ mod tests {
         let layer = GcnLayer::with_activation(&mut store, "gcn", 3, 2, Activation::Tanh, &mut rng);
         let g = generators::erdos_renyi_connected(5, 0.5, &mut rng);
         let x = Tensor::<f32>::rand_uniform(5, 3, -1.0, 1.0, &mut rng);
-        let adj: Tensor<f32> = g.adjacency().cast();
+        let adj: Tensor<f32> = g.dense_adjacency().cast();
 
         let params: Vec<_> = store.iter().cloned().collect();
         for p in &params {
@@ -250,7 +250,7 @@ mod tests {
         let layer = GcnLayer::with_activation(&mut store, "gcn", 3, 2, Activation::Tanh, &mut rng);
         let g = generators::erdos_renyi_connected(5, 0.5, &mut rng);
         let x = Tensor::rand_uniform(5, 3, -1.0, 1.0, &mut rng);
-        let adj = g.adjacency().clone();
+        let adj = g.dense_adjacency();
 
         let params: Vec<_> = store.iter().cloned().collect();
         for p in &params {

@@ -66,4 +66,15 @@ impl AdjacencyRef<'_> {
             AdjacencyRef::Dynamic(a) => tape.shape(*a).0,
         }
     }
+
+    /// The adjacency as a dense tape value: a `Dynamic` one as it is, a
+    /// `Fixed` graph's raw `A` exported densely (O(n²)) onto the tape as a
+    /// constant. For the dense pooling baselines; HAP's own coarsening
+    /// multiplies a `Fixed` graph by its raw-`A` CSR instead.
+    pub fn dense<T: GraphScalar>(self, tape: &mut Tape<T>) -> Var {
+        match self {
+            AdjacencyRef::Fixed(g) => tape.constant(T::adjacency_of(g)),
+            AdjacencyRef::Dynamic(a) => a,
+        }
+    }
 }

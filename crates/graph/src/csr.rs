@@ -3,9 +3,10 @@
 //! [`CsrAdjacency`] holds a graph's normalised adjacency
 //! `D̃^{-1/2}ÃD̃^{-1/2}` (Eq. 12) as a [`CsrMatrix`], the only cached form
 //! of `Â`: every fixed-graph GNN layer propagates with SpMM over it. It is
-//! assembled straight from the adjacency and the `D̃^{-1/2}` factors, with
-//! the exact floating-point operations of [`Graph::sym_norm_adjacency`],
-//! so its values are bitwise those of the dense matrix — and because the
+//! assembled straight from the graph's neighbour rows and the `D̃^{-1/2}`
+//! factors in O(n + m), with the exact floating-point operations of
+//! [`Graph::sym_norm_adjacency`] on every non-zero entry, so its values
+//! are bitwise those of the dense matrix — and because the
 //! dense matmul kernel skips zero entries in ascending column order
 //! (exactly the CSR row walk), SpMM over it is byte-identical to a dense
 //! product (ARCHITECTURE.md "CSR adjacency").
@@ -28,9 +29,15 @@ pub struct CsrAdjacency {
 }
 
 impl CsrAdjacency {
-    /// Builds the CSR propagation matrix for `g` from its adjacency. Every
-    /// self-loop contributes a structural non-zero, so each of the `n` rows
-    /// holds at least its diagonal entry.
+    /// Builds the CSR propagation matrix for `g` from its neighbour rows.
+    /// Every self-loop contributes a structural non-zero, so each of the
+    /// `n` rows holds at least its diagonal entry.
+    ///
+    /// The bitwise match with the dense matrix assumes every `D̃_rr` is
+    /// positive, as it is for non-negative weights. Where a negative weight
+    /// drives a degree to zero or below, the dense build also turns that
+    /// node's absent entries into NaN (`0 · ∞`); this build leaves them
+    /// absent.
     ///
     /// ```
     /// use hap_graph::{csr::CsrAdjacency, Graph};
@@ -43,29 +50,28 @@ impl CsrAdjacency {
     /// assert_eq!(s.matrix().to_dense(), g.sym_norm_adjacency());
     /// ```
     pub fn from_graph(g: &Graph) -> Self {
-        let adj = g.adjacency();
-        let n = adj.rows();
+        let n = g.n();
         // `D̃_rr^{-1/2}`, with the degree summed over row `r` of `Ã = A + I`
         // in column order — the summation `Graph::sym_norm_adjacency`
-        // performs.
+        // performs, minus its zero terms. The diagonal term `A_rr + 1` is
+        // non-zero for every non-negative weight, so the sum is never an
+        // all-zero one and skipping `±0` terms cannot change its bits.
         let inv_sqrt: Vec<f64> = (0..n)
             .map(|r| {
-                let d: f64 = adj
-                    .row(r)
-                    .iter()
-                    .enumerate()
-                    .map(|(c, &a)| if c == r { a + 1.0 } else { a })
-                    .sum();
+                let d: f64 = tilde_row(g, r).map(|e| e.1).sum();
                 1.0 / d.sqrt()
             })
             .collect();
-        let csr = CsrMatrix::from_fn(n, n, |r, c| {
-            // `Ã_rc · (D̃_rr^{-1/2} · D̃_cc^{-1/2})`, in the factor order of
-            // `Graph::sym_norm_adjacency`.
-            let a = adj[(r, c)];
-            let a_tilde = if r == c { a + 1.0 } else { a };
-            a_tilde * (inv_sqrt[r] * inv_sqrt[c])
-        });
+        let inv = &inv_sqrt;
+        // `Ã_rc · (D̃_rr^{-1/2} · D̃_cc^{-1/2})`, in the factor order of
+        // `Graph::sym_norm_adjacency`; an absent `Ã_rc` would give `±0`,
+        // which the dense build drops too.
+        let entries = (0..n).map(|r| g.row(r).len() + 1).sum();
+        let csr = CsrMatrix::from_rows(
+            n,
+            entries,
+            (0..n).map(|r| tilde_row(g, r).map(move |(c, a)| (c, a * (inv[r] * inv[c])))),
+        );
         Self { csr: Arc::new(csr) }
     }
 
@@ -74,6 +80,23 @@ impl CsrAdjacency {
     pub fn matrix(&self) -> &Arc<CsrMatrix> {
         &self.csr
     }
+}
+
+/// Row `r` of `Ã = A + I` in ascending column order: the stored slots of
+/// row `r`, with the diagonal's `+1` folded into its slot (or inserted as
+/// `1.0` where `A_rr` is absent).
+fn tilde_row(g: &Graph, r: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+    let row = g.row(r);
+    let split = row.partition_point(|e| e.0 < r);
+    let (diag, rest) = match row.get(split) {
+        Some(&(c, a)) if c == r => (a + 1.0, &row[split + 1..]),
+        _ => (1.0, &row[split..]),
+    };
+    row[..split]
+        .iter()
+        .copied()
+        .chain(std::iter::once((r, diag)))
+        .chain(rest.iter().copied())
 }
 
 #[cfg(test)]

@@ -12,15 +12,15 @@ use hap_rand::Rng;
 /// Erdős–Rényi `G(n, p)`: each of the `n(n-1)/2` possible edges appears
 /// independently with probability `p`.
 pub fn erdos_renyi(n: usize, p: f64, rng: &mut Rng) -> Graph {
-    let mut g = Graph::empty(n);
+    let mut edges = Vec::new();
     for u in 0..n {
         for v in (u + 1)..n {
             if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                g.add_edge(u, v);
+                edges.push((u, v));
             }
         }
     }
-    g
+    Graph::from_edges(n, &edges)
 }
 
 /// Erdős–Rényi conditioned on connectivity: resamples up to `max_tries`
@@ -55,22 +55,13 @@ pub fn erdos_renyi_connected(n: usize, p: f64, rng: &mut Rng) -> Graph {
 pub fn barabasi_albert(n: usize, m: usize, rng: &mut Rng) -> Graph {
     assert!(m > 0, "attachment count must be positive");
     assert!(n >= m, "need at least m={m} nodes, got {n}");
-    let mut g = clique(m);
+    let mut edges = clique(m).edges();
     // Repeated-endpoint list: sampling uniformly from it is sampling
     // proportionally to degree.
-    let mut endpoints: Vec<usize> = Vec::new();
-    for (u, v) in g.edges() {
-        endpoints.push(u);
-        endpoints.push(v);
-    }
+    let mut endpoints: Vec<usize> = edges.iter().flat_map(|&(u, v)| [u, v]).collect();
     if endpoints.is_empty() {
         endpoints.push(0); // m == 1: seed graph has no edges
     }
-    let mut full = Graph::empty(n);
-    for (u, v) in g.edges() {
-        full.add_edge(u, v);
-    }
-    g = full;
     for new in m..n {
         let mut targets = Vec::with_capacity(m);
         while targets.len() < m {
@@ -80,52 +71,42 @@ pub fn barabasi_albert(n: usize, m: usize, rng: &mut Rng) -> Graph {
             }
         }
         for &t in &targets {
-            g.add_edge(new, t);
+            edges.push((new, t));
             endpoints.push(new);
             endpoints.push(t);
         }
     }
-    g
+    Graph::from_edges(n, &edges)
 }
 
 /// The complete graph `K_n`.
 pub fn clique(n: usize) -> Graph {
-    let mut g = Graph::empty(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            g.add_edge(u, v);
-        }
-    }
-    g
+    let edges: Vec<_> = (0..n)
+        .flat_map(|u| ((u + 1)..n).map(move |v| (u, v)))
+        .collect();
+    Graph::from_edges(n, &edges)
 }
 
 /// The cycle `C_n` (empty for `n < 3`).
 pub fn cycle(n: usize) -> Graph {
-    let mut g = Graph::empty(n);
-    if n >= 3 {
-        for u in 0..n {
-            g.add_edge(u, (u + 1) % n);
-        }
-    }
-    g
+    let edges: Vec<_> = if n >= 3 {
+        (0..n).map(|u| (u, (u + 1) % n)).collect()
+    } else {
+        Vec::new()
+    };
+    Graph::from_edges(n, &edges)
 }
 
 /// The path `P_n`.
 pub fn path(n: usize) -> Graph {
-    let mut g = Graph::empty(n);
-    for u in 1..n {
-        g.add_edge(u - 1, u);
-    }
-    g
+    let edges: Vec<_> = (1..n).map(|u| (u - 1, u)).collect();
+    Graph::from_edges(n, &edges)
 }
 
 /// The star `S_n`: node 0 is the hub connected to `n-1` leaves.
 pub fn star(n: usize) -> Graph {
-    let mut g = Graph::empty(n);
-    for u in 1..n {
-        g.add_edge(0, u);
-    }
-    g
+    let edges: Vec<_> = (1..n).map(|u| (0, u)).collect();
+    Graph::from_edges(n, &edges)
 }
 
 /// Plants `motif` into `host`: disjoint union plus `bridges` random

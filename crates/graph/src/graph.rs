@@ -7,8 +7,7 @@ use std::sync::{Arc, OnceLock};
 /// A single edge mutation for [`Graph::apply`].
 ///
 /// `Remove` is sugar for `Upsert` with weight `0.0` — a zero weight *is*
-/// edge absence in the dense representation, and the mutators treat the
-/// two identically.
+/// edge absence, and the mutators treat the two identically.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum EdgeDelta {
     /// Set the undirected edge `(u, v)` to weight `w` (insert, reweight,
@@ -32,11 +31,25 @@ pub enum EdgeDelta {
 
 /// An undirected weighted graph with optional discrete node labels.
 ///
-/// The adjacency matrix is kept symmetric by construction: [`Graph::add_edge`]
-/// writes both `(u,v)` and `(v,u)`. Self-loops are permitted (stored on the
-/// diagonal) but none of the generators create them — GNN layers add their
-/// own self-connections via [`Graph::csr_adjacency_cached`] (Eq. 12's
-/// `Ã = A + I`).
+/// # Storage
+/// The adjacency `A` is held as one neighbour row per node: row `u` lists
+/// `(v, A[u][v])` for every slot whose bits are not `+0.0`, in ascending
+/// `v`. Memory is O(n + m), an edit costs O(deg), and every derived
+/// structure (the CSR `Â`, the raw-`A` CSR, WL neighbour lists, edge
+/// lists) is read off the rows in O(n + m). Rows are visited in ascending
+/// column order — the order in which a dense row scan meets the non-zeros
+/// — so each derived value is bitwise what the dense formulation gives
+/// (ARCHITECTURE.md "CSR adjacency"). A dense `N×N` copy exists only on
+/// request ([`Graph::dense_adjacency`]), for the dense pooling baselines,
+/// the deeper coarsening levels' oracles and tests.
+///
+/// The rows are kept symmetric bit for bit by construction:
+/// [`Graph::apply`] writes `(u,v)` and `(v,u)` together. Self-loops are
+/// permitted (stored on the diagonal) but none of the generators create
+/// them — GNN layers add their own self-connections via
+/// [`Graph::csr_adjacency_cached`] (Eq. 12's `Ã = A + I`). A `-0.0`
+/// weight is stored so that [`Graph::weight`] returns its bits, but it is
+/// not an edge.
 ///
 /// # Cache invalidation
 /// The derived caches (the CSR Â, its `f32` cast and the WL signature)
@@ -47,14 +60,17 @@ pub enum EdgeDelta {
 /// mutations (same stored bits) leave every cache untouched.
 #[derive(Clone, Debug)]
 pub struct Graph {
-    adj: Tensor,
+    /// Row `u`: `(v, A[u][v])` for every slot not holding `+0.0`, sorted
+    /// by `v`.
+    rows: Vec<Vec<(usize, f64)>>,
     node_labels: Option<Vec<usize>>,
     /// Maintained undirected edge count (self-loops count once) — kept in
-    /// lockstep with `adj` by [`Graph::apply`] so [`Graph::num_edges`] is
-    /// O(1) instead of an O(n²) scan.
+    /// lockstep with `rows` by [`Graph::apply`] so [`Graph::num_edges`]
+    /// is O(1).
     edge_count: usize,
     /// Maintained per-node incident-edge counts (the unweighted degrees),
-    /// same lockstep contract.
+    /// same lockstep contract; a row may also hold `-0.0` slots, so its
+    /// length is not the degree.
     degree_table: Vec<usize>,
     /// Lazily built CSR form of `D̃^{-1/2} Ã D̃^{-1/2}` (Eq. 12), shared by
     /// every GNN layer and epoch that propagates over this graph.
@@ -67,22 +83,29 @@ pub struct Graph {
     wl_cache: OnceLock<(usize, Arc<WlSignature>)>,
 }
 
-/// Equality is structural: the cache is derived state and never compared.
+/// Equality is structural and value-level, as for the dense matrix: a
+/// `-0.0` slot equals an absent one and a NaN weight equals nothing. The
+/// caches are derived state and never compared.
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
-        self.adj == other.adj && self.node_labels == other.node_labels
+        self.n() == other.n()
+            && self.node_labels == other.node_labels
+            && self.rows.iter().zip(&other.rows).all(|(a, b)| {
+                a.iter()
+                    .filter(|e| e.1 != 0.0)
+                    .eq(b.iter().filter(|e| e.1 != 0.0))
+            })
     }
 }
 
 impl Graph {
-    /// Assembles a graph from raw parts, scanning the adjacency once to
-    /// seed the maintained edge/degree stats.
-    fn from_parts(adj: Tensor, node_labels: Option<Vec<usize>>) -> Self {
-        let n = adj.rows();
+    /// Assembles a graph from sorted rows, scanning them once to seed the
+    /// maintained edge/degree stats.
+    pub(crate) fn from_rows(rows: Vec<Vec<(usize, f64)>>, node_labels: Option<Vec<usize>>) -> Self {
         let mut edge_count = 0;
-        let mut degree_table = vec![0usize; n];
-        for u in 0..n {
-            for (v, &w) in adj.row(u).iter().enumerate() {
+        let mut degree_table = vec![0usize; rows.len()];
+        for (u, row) in rows.iter().enumerate() {
+            for &(v, w) in row {
                 if w != 0.0 {
                     degree_table[u] += 1;
                     if v >= u {
@@ -92,7 +115,7 @@ impl Graph {
             }
         }
         Self {
-            adj,
+            rows,
             node_labels,
             edge_count,
             degree_table,
@@ -104,45 +127,66 @@ impl Graph {
 
     /// An edgeless graph on `n` nodes.
     pub fn empty(n: usize) -> Self {
-        Self {
-            adj: Tensor::zeros(n, n),
-            node_labels: None,
-            edge_count: 0,
-            degree_table: vec![0; n],
-            csr_cache: OnceLock::new(),
-            csr_f32_cache: OnceLock::new(),
-            wl_cache: OnceLock::new(),
-        }
+        Self::from_rows(vec![Vec::new(); n], None)
     }
 
     /// Builds a graph on `n` nodes from an undirected edge list (unit
-    /// weights).
+    /// weights; a repeated edge is stored once, `(u, u)` is a self-loop) —
+    /// the graph `add_edge` over the list would give, built in one pass
+    /// with each row allocated once at its final size.
     ///
     /// # Panics
-    /// Panics when an endpoint is out of range.
+    /// Panics when an endpoint is out of range
+    /// (`edge (u,v) out of range for n nodes`).
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
-        let mut g = Self::empty(n);
+        let mut slots = vec![0usize; n];
         for &(u, v) in edges {
-            g.add_edge(u, v);
+            assert!(u < n && v < n, "edge ({u},{v}) out of range for {n} nodes");
+            slots[u] += 1;
+            if v != u {
+                slots[v] += 1;
+            }
         }
-        g
+        let mut rows: Vec<Vec<(usize, f64)>> = slots.into_iter().map(Vec::with_capacity).collect();
+        for &(u, v) in edges {
+            rows[u].push((v, 1.0));
+            if v != u {
+                rows[v].push((u, 1.0));
+            }
+        }
+        for row in &mut rows {
+            row.sort_unstable_by_key(|e| e.0);
+            row.dedup_by_key(|e| e.0);
+        }
+        Self::from_rows(rows, None)
     }
 
-    /// Builds a graph directly from a symmetric adjacency matrix.
+    /// Builds a graph from a dense symmetric adjacency matrix. O(n²): for
+    /// tests and for callers that already hold a dense matrix.
     ///
     /// # Panics
-    /// Panics when `adj` is not square or not symmetric (within 1e-9).
+    /// Panics when `adj` is not square or not symmetric bit for bit — the
+    /// SpMM kernels take `Aᵀ = A` on trust, so an entry that differs from
+    /// its mirror even in the last bit is rejected.
     pub fn from_adjacency(adj: Tensor) -> Self {
         assert_eq!(adj.rows(), adj.cols(), "adjacency matrix must be square");
         for r in 0..adj.rows() {
             for c in (r + 1)..adj.cols() {
                 assert!(
-                    (adj[(r, c)] - adj[(c, r)]).abs() < 1e-9,
+                    adj[(r, c)].to_bits() == adj[(c, r)].to_bits(),
                     "adjacency must be symmetric; differs at ({r},{c})"
                 );
             }
         }
-        Self::from_parts(adj, None)
+        let rows = (0..adj.rows())
+            .map(|r| {
+                (0..adj.cols())
+                    .map(|c| (c, adj[(r, c)]))
+                    .filter(|e| e.1.to_bits() != 0)
+                    .collect()
+            })
+            .collect();
+        Self::from_rows(rows, None)
     }
 
     /// Attaches discrete node labels (consumed builder style). Labels seed
@@ -160,7 +204,7 @@ impl Graph {
     /// Number of nodes `N`.
     #[inline]
     pub fn n(&self) -> usize {
-        self.adj.rows()
+        self.rows.len()
     }
 
     /// Number of undirected edges (self-loops count once). O(1): the count
@@ -199,16 +243,15 @@ impl Graph {
         self.apply(EdgeDelta::Remove { u, v });
     }
 
-    /// Applies one edge mutation, keeping the edge/degree stats in step
-    /// and dropping every cached derived structure (the CSR Â, its `f32`
-    /// cast, the WL signature) for its next reader to rebuild. Returns
-    /// `true` when the graph changed.
+    /// Applies one edge mutation in O(deg), keeping the edge/degree stats
+    /// in step and dropping every cached derived structure (the CSR Â, its
+    /// `f32` cast, the WL signature) for its next reader to rebuild.
+    /// Returns `true` when the graph changed.
     ///
     /// No-op detection is bit-level: writing the weight a slot already
     /// holds (including removing an absent edge) returns `false` without
     /// touching any cache — while `0.0 → -0.0`, which compares equal but
-    /// changes stored bits (and therefore every derived structure's
-    /// bytes), counts as a change.
+    /// changes stored bits, counts as a change.
     ///
     /// # Panics
     /// Panics when an endpoint is out of range
@@ -220,12 +263,16 @@ impl Graph {
         };
         let n = self.n();
         assert!(u < n && v < n, "edge ({u},{v}) out of range for {n} nodes");
-        let old = self.adj[(u, v)];
+        let slot = self.rows[u].binary_search_by_key(&v, |e| e.0);
+        let old = slot.map_or(0.0, |i| self.rows[u][i].1);
         if old.to_bits() == w.to_bits() {
             return false;
         }
-        self.adj[(u, v)] = w;
-        self.adj[(v, u)] = w;
+        write_slot(&mut self.rows[u], slot, v, w);
+        if v != u {
+            let mirror = self.rows[v].binary_search_by_key(&u, |e| e.0);
+            write_slot(&mut self.rows[v], mirror, u, w);
+        }
         let (was, is) = (old != 0.0, w != 0.0);
         if was != is {
             if is {
@@ -248,21 +295,37 @@ impl Graph {
         true
     }
 
-    /// Whether `(u, v)` is an edge.
+    /// Whether `(u, v)` is an edge. O(log deg).
     #[inline]
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.adj[(u, v)] != 0.0
+        self.weight(u, v) != 0.0
     }
 
-    /// Edge weight of `(u, v)` (zero when absent).
-    #[inline]
+    /// Edge weight of `(u, v)` (`+0.0` when absent). O(log deg).
+    ///
+    /// # Panics
+    /// Panics when an endpoint is out of range.
     pub fn weight(&self, u: usize, v: usize) -> f64 {
-        self.adj[(u, v)]
+        let n = self.n();
+        assert!(u < n && v < n, "edge ({u},{v}) out of range for {n} nodes");
+        let row = &self.rows[u];
+        row.binary_search_by_key(&v, |e| e.0)
+            .map_or(0.0, |i| row[i].1)
     }
 
-    /// (Weighted) degree of node `u`: the row sum of the adjacency matrix.
+    /// (Weighted) degree of node `u`: the row sum of the adjacency matrix
+    /// in column order, bitwise the dense row sum. Absent slots are `+0.0`
+    /// terms; one of them only matters while the running sum is still
+    /// `-0.0`, so a single `+0.0` added when any slot is absent stands in
+    /// for all of them.
     pub fn degree(&self, u: usize) -> f64 {
-        self.adj.row(u).iter().sum()
+        let row = &self.rows[u];
+        let s: f64 = row.iter().map(|e| e.1).sum();
+        if row.len() < self.n() {
+            s + 0.0
+        } else {
+            s
+        }
     }
 
     /// Unweighted degree: number of incident edges (self-loops count
@@ -273,35 +336,72 @@ impl Graph {
     }
 
     /// Maximum unweighted degree over all nodes (0 for the empty graph).
-    /// O(n) over the maintained degree table, not O(n²) over the matrix.
+    /// O(n) over the maintained degree table.
     pub fn max_degree(&self) -> usize {
         self.degree_table.iter().copied().max().unwrap_or(0)
     }
 
-    /// Neighbors of `u` in ascending order.
-    pub fn neighbors(&self, u: usize) -> Vec<usize> {
-        (0..self.n())
-            .filter(|&v| self.adj[(u, v)] != 0.0 && v != u)
-            .collect()
+    /// Neighbours of `u` in ascending order (self-loops excluded), without
+    /// collecting them.
+    pub(crate) fn neighbor_iter(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
+        self.rows[u]
+            .iter()
+            .filter(move |&&(v, w)| w != 0.0 && v != u)
+            .map(|e| e.0)
     }
 
-    /// Undirected edge list `(u, v)` with `u <= v`.
+    /// Neighbours of `u` in ascending order (self-loops excluded).
+    pub fn neighbors(&self, u: usize) -> Vec<usize> {
+        self.neighbor_iter(u).collect()
+    }
+
+    /// Undirected edge list `(u, v)` with `u <= v`, sorted. O(n + m).
     pub fn edges(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for u in 0..self.n() {
-            for v in u..self.n() {
-                if self.adj[(u, v)] != 0.0 {
-                    out.push((u, v));
-                }
-            }
+        let mut out = Vec::with_capacity(self.edge_count);
+        for (u, row) in self.rows.iter().enumerate() {
+            let upper = row.partition_point(|e| e.0 < u);
+            out.extend(
+                row[upper..]
+                    .iter()
+                    .filter(|e| e.1 != 0.0)
+                    .map(|&(v, _)| (u, v)),
+            );
         }
         out
     }
 
-    /// The adjacency matrix `A` (borrow).
-    #[inline]
-    pub fn adjacency(&self) -> &Tensor {
-        &self.adj
+    /// Row `u`'s stored `(v, A[u][v])` slots in ascending `v`, `-0.0`
+    /// slots included.
+    pub(crate) fn row(&self, u: usize) -> &[(usize, f64)] {
+        &self.rows[u]
+    }
+
+    /// A dense `N×N` copy of the adjacency `A`, bit for bit (`-0.0` slots
+    /// included). O(n²) time and memory: only the dense pooling baselines,
+    /// the dense oracles and tests call it.
+    pub fn dense_adjacency(&self) -> Tensor {
+        let n = self.n();
+        let mut adj = Tensor::zeros(n, n);
+        for (u, row) in self.rows.iter().enumerate() {
+            let out = adj.row_mut(u);
+            for &(v, w) in row {
+                out[v] = w;
+            }
+        }
+        adj
+    }
+
+    /// The raw adjacency `A` (no self-loops added) in CSR form, built from
+    /// the rows in O(n + m) on every call. Symmetric bit for bit, as the
+    /// rows are, so it can stand on either side of a product — HAP's
+    /// level-0 `MᵀA` multiplies by it (`hap_autograd::Tape::matmul_csr`).
+    pub fn adjacency_csr(&self) -> CsrMatrix {
+        let stored = self.rows.iter().map(Vec::len).sum();
+        CsrMatrix::from_rows(
+            self.n(),
+            stored,
+            self.rows.iter().map(|row| row.iter().copied()),
+        )
     }
 
     /// Node labels, when the dataset provides them.
@@ -314,7 +414,7 @@ impl Graph {
         self.node_labels.as_ref().map(|l| l[u])
     }
 
-    /// The diagonal degree matrix `D`.
+    /// The diagonal degree matrix `D` (dense).
     pub fn degree_matrix(&self) -> Tensor {
         let n = self.n();
         let mut d = Tensor::zeros(n, n);
@@ -333,7 +433,7 @@ impl Graph {
     /// so it serves as the from-scratch oracle for that cache.
     pub fn sym_norm_adjacency(&self) -> Tensor {
         let n = self.n();
-        let mut a_tilde = self.adj.clone();
+        let mut a_tilde = self.dense_adjacency();
         for i in 0..n {
             a_tilde[(i, i)] += 1.0;
         }
@@ -386,11 +486,11 @@ impl Graph {
         }
     }
 
-    /// Row-normalised adjacency with self-loops (`D̃^{-1} Ã`), the simpler
-    /// mean-aggregation propagation some baselines use.
+    /// Row-normalised adjacency with self-loops (`D̃^{-1} Ã`, dense), the
+    /// simpler mean-aggregation propagation some baselines use.
     pub fn row_norm_adjacency(&self) -> Tensor {
         let n = self.n();
-        let mut a_tilde = self.adj.clone();
+        let mut a_tilde = self.dense_adjacency();
         for i in 0..n {
             a_tilde[(i, i)] += 1.0;
         }
@@ -409,42 +509,45 @@ impl Graph {
     /// # Panics
     /// Panics when an index is out of range or repeated.
     pub fn induced_subgraph(&self, nodes: &[usize]) -> Graph {
-        let k = nodes.len();
-        let mut seen = vec![false; self.n()];
-        for &u in nodes {
-            assert!(u < self.n(), "node {u} out of range");
-            assert!(!seen[u], "duplicate node {u} in subgraph selection");
-            seen[u] = true;
-        }
-        let mut adj = Tensor::zeros(k, k);
+        let mut new_id = vec![None; self.n()];
         for (i, &u) in nodes.iter().enumerate() {
-            for (j, &v) in nodes.iter().enumerate() {
-                adj[(i, j)] = self.adj[(u, v)];
-            }
+            assert!(u < self.n(), "node {u} out of range");
+            assert!(
+                new_id[u].is_none(),
+                "duplicate node {u} in subgraph selection"
+            );
+            new_id[u] = Some(i);
         }
+        let rows = nodes
+            .iter()
+            .map(|&u| {
+                let mut row: Vec<(usize, f64)> = self.rows[u]
+                    .iter()
+                    .filter_map(|&(v, w)| new_id[v].map(|j| (j, w)))
+                    .collect();
+                row.sort_unstable_by_key(|e| e.0);
+                row
+            })
+            .collect();
         let node_labels = self
             .node_labels
             .as_ref()
             .map(|l| nodes.iter().map(|&u| l[u]).collect());
-        Graph::from_parts(adj, node_labels)
+        Graph::from_rows(rows, node_labels)
     }
 
     /// Disjoint union: `self` keeps ids `0..n`, `other` is shifted by `n`.
     /// Labels are preserved when *both* graphs are labelled, dropped
     /// otherwise.
     pub fn disjoint_union(&self, other: &Graph) -> Graph {
-        let (n1, n2) = (self.n(), other.n());
-        let mut adj = Tensor::zeros(n1 + n2, n1 + n2);
-        for u in 0..n1 {
-            for v in 0..n1 {
-                adj[(u, v)] = self.adj[(u, v)];
-            }
-        }
-        for u in 0..n2 {
-            for v in 0..n2 {
-                adj[(n1 + u, n1 + v)] = other.adj[(u, v)];
-            }
-        }
+        let n1 = self.n();
+        let mut rows = self.rows.clone();
+        rows.extend(
+            other
+                .rows
+                .iter()
+                .map(|row| row.iter().map(|&(v, w)| (n1 + v, w)).collect()),
+        );
         let node_labels = match (&self.node_labels, &other.node_labels) {
             (Some(a), Some(b)) => {
                 let mut l = a.clone();
@@ -453,7 +556,21 @@ impl Graph {
             }
             _ => None,
         };
-        Graph::from_parts(adj, node_labels)
+        Graph::from_rows(rows, node_labels)
+    }
+}
+
+/// Writes `w` into `row`'s slot `v`, where `slot` is the row's binary
+/// search for `v`, keeping the row sorted: a `+0.0` write removes the
+/// slot, any other value inserts or overwrites it.
+fn write_slot(row: &mut Vec<(usize, f64)>, slot: Result<usize, usize>, v: usize, w: f64) {
+    match slot {
+        Ok(i) if w.to_bits() == 0 => {
+            row.remove(i);
+        }
+        Ok(i) => row[i].1 = w,
+        Err(i) if w.to_bits() != 0 => row.insert(i, (v, w)),
+        Err(_) => {}
     }
 }
 
@@ -462,13 +579,20 @@ impl Graph {
 /// A `Graph` stores its adjacency (and derived propagation caches) in
 /// `f64`; generic layers need the same matrices in *their* element type.
 /// This trait is the dtype dispatch point: `f64` serves the canonical
-/// structures, `f32` their casts (the CSR cast is cached on the graph).
-/// It is implemented for exactly the two [`Scalar`] types and is not
-/// meant to be implemented downstream.
+/// structures, `f32` their casts (the CSR `Â` cast is cached on the
+/// graph). It is implemented for exactly the two [`Scalar`] types and is
+/// not meant to be implemented downstream.
 pub trait GraphScalar: Scalar {
     /// The cached CSR propagation matrix `D̃^{-1/2}ÃD̃^{-1/2}` in `Self`.
     fn csr_of(g: &Graph) -> &Arc<CsrMatrix<Self>>;
-    /// An owned copy of the raw adjacency `A` (no self-loops) in `Self`.
+    /// The raw adjacency `A` (no self-loops added) as a CSR matrix in
+    /// `Self`, built from the graph's rows on every call (see
+    /// [`Graph::adjacency_csr`]). The `f32` form is the cast of the `f64`
+    /// one, which drops entries that round to `0.0f32` as
+    /// [`CsrMatrix::cast`] does.
+    fn adjacency_csr_of(g: &Graph) -> CsrMatrix<Self>;
+    /// A dense copy of the raw adjacency `A` in `Self` — O(n²), for the
+    /// dense pooling baselines and oracles (see [`Graph::dense_adjacency`]).
     fn adjacency_of(g: &Graph) -> Tensor<Self>;
 }
 
@@ -476,8 +600,11 @@ impl GraphScalar for f64 {
     fn csr_of(g: &Graph) -> &Arc<CsrMatrix<f64>> {
         g.csr_adjacency_cached().matrix()
     }
+    fn adjacency_csr_of(g: &Graph) -> CsrMatrix<f64> {
+        g.adjacency_csr()
+    }
     fn adjacency_of(g: &Graph) -> Tensor<f64> {
-        g.adjacency().clone()
+        g.dense_adjacency()
     }
 }
 
@@ -485,8 +612,11 @@ impl GraphScalar for f32 {
     fn csr_of(g: &Graph) -> &Arc<CsrMatrix<f32>> {
         g.csr_adjacency_cached_f32()
     }
+    fn adjacency_csr_of(g: &Graph) -> CsrMatrix<f32> {
+        g.adjacency_csr().cast()
+    }
     fn adjacency_of(g: &Graph) -> Tensor<f32> {
-        g.adjacency().cast()
+        g.dense_adjacency().cast()
     }
 }
 
@@ -531,6 +661,33 @@ mod tests {
         a[(0, 1)] = 1.0;
         let res = std::panic::catch_unwind(|| Graph::from_adjacency(a));
         assert!(res.is_err());
+        // A last-bit difference across the diagonal is asymmetry too: the
+        // SpMM backward takes `Sᵀ = S` on trust.
+        let mut a = Tensor::zeros(3, 3);
+        a[(0, 1)] = 1.0;
+        a[(1, 0)] = 1.0 + 1e-12;
+        let res = std::panic::catch_unwind(|| Graph::from_adjacency(a));
+        assert!(res.is_err(), "a 1e-12 mismatch must be rejected");
+    }
+
+    #[test]
+    fn from_edges_matches_an_add_edge_loop() {
+        // The one-pass builder against the edit path, over lists with
+        // repeats (both orientations), self-loops and unsorted order.
+        let mut rng = Rng::from_seed(97);
+        for n in [0, 1, 5, 17] {
+            let edges: Vec<(usize, usize)> = (0..3 * n)
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .collect();
+            let built = Graph::from_edges(n, &edges);
+            let mut looped = Graph::empty(n);
+            for &(u, v) in &edges {
+                looped.add_edge(u, v);
+            }
+            assert_eq!(built.rows, looped.rows, "n = {n}");
+            assert_eq!(built.num_edges(), looped.num_edges());
+            assert_eq!(built.degree_table, looped.degree_table);
+        }
     }
 
     #[test]
@@ -687,42 +844,75 @@ mod tests {
 
     #[test]
     fn maintained_stats_match_scans_under_random_mutations() {
+        // Every accessor, after every step, against an independent dense
+        // model updated by the same deltas — with -0.0 writes, self-loops,
+        // reweights and removes of absent edges in the mix.
         let mut rng = Rng::from_seed(95);
         let n = 11;
         let mut g = Graph::empty(n);
-        for step in 0..300 {
+        let mut dense = vec![0.0f64; n * n];
+        for step in 0..600 {
             let u = rng.gen_range(0..n);
-            let v = rng.gen_range(0..n);
-            let delta = match rng.gen_range(0..4u32) {
-                0 => EdgeDelta::Remove { u, v },
-                1 => EdgeDelta::Upsert { u, v, w: 0.0 },
-                2 => EdgeDelta::Upsert { u, v, w: 1.0 },
-                _ => EdgeDelta::Upsert {
-                    u,
-                    v,
-                    w: rng.gen_f64() * 2.0 - 1.0,
-                },
+            let v = if rng.gen_range(0..8u32) == 0 {
+                u
+            } else {
+                rng.gen_range(0..n)
             };
-            g.apply(delta);
-            // Scan oracles over the public adjacency.
-            let adj = g.adjacency();
-            let mut edges = 0;
+            let w = match rng.gen_range(0..6u32) {
+                0 | 1 => 0.0,
+                2 => -0.0,
+                3 => 1.0,
+                _ => rng.gen_f64() * 2.0 - 1.0,
+            };
+            let delta = if w.to_bits() == 0 && step % 2 == 0 {
+                EdgeDelta::Remove { u, v }
+            } else {
+                EdgeDelta::Upsert { u, v, w }
+            };
+            let changed = dense[u * n + v].to_bits() != w.to_bits();
+            dense[u * n + v] = w;
+            dense[v * n + u] = w;
+            assert_eq!(g.apply(delta), changed, "step {step}: apply's return");
+
+            let mut edges = Vec::new();
             let mut max_deg = 0;
             for a in 0..n {
-                let mut deg = 0;
-                for b in 0..n {
-                    if adj[(a, b)] != 0.0 {
-                        deg += 1;
-                        if b >= a {
-                            edges += 1;
-                        }
+                let row = &dense[a * n..(a + 1) * n];
+                let mut nbrs = Vec::new();
+                for (b, &x) in row.iter().enumerate() {
+                    let at = format!("step {step}, slot ({a},{b})");
+                    assert_eq!(g.weight(a, b).to_bits(), x.to_bits(), "{at}");
+                    assert_eq!(g.has_edge(a, b), x != 0.0, "{at}");
+                    if x != 0.0 && b >= a {
+                        edges.push((a, b));
+                    }
+                    if x != 0.0 && b != a {
+                        nbrs.push(b);
                     }
                 }
+                let deg = row.iter().filter(|&&x| x != 0.0).count();
+                assert_eq!(g.neighbors(a), nbrs, "step {step}, node {a}");
                 assert_eq!(g.degree_count(a), deg, "step {step}, node {a}");
+                assert_eq!(
+                    g.degree(a).to_bits(),
+                    row.iter().sum::<f64>().to_bits(),
+                    "step {step}, node {a}"
+                );
                 max_deg = max_deg.max(deg);
             }
-            assert_eq!(g.num_edges(), edges, "step {step}");
+            assert_eq!(g.edges(), edges, "step {step}");
+            assert_eq!(g.num_edges(), edges.len(), "step {step}");
             assert_eq!(g.max_degree(), max_deg, "step {step}");
+            let export = g.dense_adjacency();
+            for (x, y) in export.as_slice().iter().zip(&dense) {
+                assert_eq!(x.to_bits(), y.to_bits(), "step {step}: dense export");
+            }
+            assert_eq!(
+                g.adjacency_csr(),
+                CsrMatrix::from_dense(&export),
+                "step {step}: raw-A CSR"
+            );
+            assert_eq!(g, Graph::from_adjacency(export), "step {step}: equality");
         }
     }
 
@@ -749,7 +939,7 @@ mod tests {
 
             // A fresh graph with the same adjacency is the from-scratch
             // oracle for every cache; the dense Â oracle pins the values.
-            let fresh = Graph::from_adjacency(g.adjacency().clone());
+            let fresh = Graph::from_adjacency(g.dense_adjacency());
             let rebuilt = g.csr_adjacency_cached().matrix();
             assert_eq!(
                 **rebuilt,

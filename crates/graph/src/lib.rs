@@ -2,16 +2,18 @@
 //!
 //! Graph data structures and algorithms for the HAP reproduction.
 //!
-//! A [`Graph`] is an undirected weighted graph stored as a dense adjacency
-//! matrix (the representation used throughout the paper's equations:
-//! `A ∈ R^{N×N}`, Sec. 3.1), with optional discrete node labels (the set
-//! `X` of Sec. 3.1, present for molecule-like datasets, absent for social
+//! A [`Graph`] is an undirected weighted graph — the adjacency
+//! `A ∈ R^{N×N}` of the paper's equations (Sec. 3.1), stored as sorted
+//! per-node neighbour rows in O(n + m) and exported densely only on
+//! request — with optional discrete node labels (the set `X` of
+//! Sec. 3.1, present for molecule-like datasets, absent for social
 //! networks).
 //!
 //! The crate also provides:
 //! * normalisation matrices for GNN layers — degree matrix `D`, the
 //!   self-loop-augmented symmetric normalisation `D̃^{-1/2}ÃD̃^{-1/2}` of
-//!   Eq. 12;
+//!   Eq. 12 (cached as CSR), and the raw adjacency as CSR for HAP's
+//!   level-0 `MᵀA`;
 //! * traversal utilities (BFS, connected components) used by dataset
 //!   generators and by the matching-corpus construction of Sec. 6.1.1;
 //! * random generators (Erdős–Rényi, Barabási–Albert, rings, cliques,

@@ -90,13 +90,14 @@ impl Permutation {
     pub fn apply_graph(&self, g: &Graph) -> Graph {
         assert_eq!(self.len(), g.n(), "permutation size must match graph size");
         let n = g.n();
-        let mut adj = Tensor::zeros(n, n);
+        let mut rows = vec![Vec::new(); n];
         for u in 0..n {
-            for v in 0..n {
-                adj[(self.map[u], self.map[v])] = g.adjacency()[(u, v)];
-            }
+            let mut image: Vec<(usize, f64)> =
+                g.row(u).iter().map(|&(v, w)| (self.map[v], w)).collect();
+            image.sort_unstable_by_key(|e| e.0);
+            rows[self.map[u]] = image;
         }
-        let mut out = Graph::from_adjacency(adj);
+        let mut out = Graph::from_rows(rows, None);
         if let Some(labels) = g.node_labels() {
             let mut new_labels = vec![0; n];
             for (i, &l) in labels.iter().enumerate() {
@@ -171,8 +172,8 @@ mod tests {
         let g = crate::generators::erdos_renyi(6, 0.5, &mut rng);
         let p = Permutation::random(6, &mut rng);
         let pm = p.matrix();
-        let conj = pm.matmul(g.adjacency()).matmul_nt(&pm);
-        assert_close(p.apply_graph(&g).adjacency(), &conj, 1e-12);
+        let conj = pm.matmul(&g.dense_adjacency()).matmul_nt(&pm);
+        assert_close(&p.apply_graph(&g).dense_adjacency(), &conj, 1e-12);
     }
 
     #[test]

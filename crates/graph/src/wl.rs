@@ -117,24 +117,6 @@ pub fn wl_signature(g: &Graph, iterations: usize) -> WlSignature {
     histogram(refine(g, iterations))
 }
 
-/// Every node's neighbour list (ascending, self-loops excluded), gathered
-/// in one scan of the dense adjacency so the refinement rounds never
-/// rescan a row.
-fn neighbour_lists(g: &Graph) -> Vec<Vec<usize>> {
-    let adj = g.adjacency();
-    (0..g.n())
-        .map(|u| {
-            let mut out = Vec::with_capacity(g.degree_count(u));
-            for (v, &w) in adj.row(u).iter().enumerate() {
-                if w != 0.0 && v != u {
-                    out.push(v);
-                }
-            }
-            out
-        })
-        .collect()
-}
-
 /// Every node's colour after `iterations` rounds of refinement; round 0
 /// hashes the node labels. A round's colour is the hash of the node's own
 /// colour, its neighbour count and its neighbours' colours sorted
@@ -145,23 +127,20 @@ fn refine(g: &Graph, iterations: usize) -> Vec<u64> {
         Some(l) => l.iter().map(|&x| fold(0, x as u64)).collect(),
         None => vec![fold(0, 0); g.n()],
     };
-    if iterations > 0 {
-        let nbrs = neighbour_lists(g);
-        let mut scratch = Vec::new();
-        for _ in 0..iterations {
-            colours = nbrs
-                .iter()
-                .enumerate()
-                .map(|(u, nb)| {
-                    scratch.clear();
-                    scratch.extend(nb.iter().map(|&v| colours[v]));
-                    scratch.sort_unstable();
-                    scratch
-                        .iter()
-                        .fold(fold(colours[u], nb.len() as u64), |h, &c| fold(h, c))
-                })
-                .collect();
-        }
+    let mut scratch = Vec::new();
+    for _ in 0..iterations {
+        // Neighbours come straight off the graph's rows (ascending,
+        // self-loops excluded): O(n + m) per round.
+        colours = (0..g.n())
+            .map(|u| {
+                scratch.clear();
+                scratch.extend(g.neighbor_iter(u).map(|v| colours[v]));
+                scratch.sort_unstable();
+                scratch
+                    .iter()
+                    .fold(fold(colours[u], scratch.len() as u64), |h, &c| fold(h, c))
+            })
+            .collect();
     }
     colours
 }

@@ -24,8 +24,7 @@ fn check_all_params(store: &ParamStore, tol: f64, mut loss_of: impl FnMut() -> f
         let analytic = p.grad();
         let numeric = finite_difference_grad(&base, 1e-5, |probe| {
             p.set_value(probe.clone());
-            let v = loss_of_no_grad(&mut loss_of);
-            v
+            loss_of_no_grad(&mut loss_of)
         });
         p.set_value(base);
         hap_tensor::testutil::assert_close(&analytic, &numeric, tol);

@@ -8,6 +8,7 @@
 
 use hap_autograd::{ParamStore, Tape};
 use hap_core::HapCoarsen;
+use hap_gnn::AdjacencyRef;
 use hap_graph::{degree_one_hot, generators};
 use hap_pooling::{CoarsenModule, PoolCtx};
 use hap_rand::Rng;
@@ -36,10 +37,9 @@ fn coarsen_once(
     let module = HapCoarsen::new(&mut store, "hc", dim, clusters, rng).with_tau(tau);
 
     let mut tape = Tape::new();
-    let a = tape.constant(g.adjacency().clone());
     let h = tape.constant(x);
     let mut ctx = PoolCtx { training, rng };
-    let (a2, _h2) = module.forward(&mut tape, a, h, &mut ctx);
+    let (a2, _h2) = module.forward(&mut tape, AdjacencyRef::Fixed(&g), h, &mut ctx);
     let av = tape.value(a2);
     (0..clusters).map(|r| av.row(r).to_vec()).collect()
 }
@@ -106,13 +106,12 @@ fn noise_draws_perturb_but_never_break_stochasticity() {
     let run = |noise_seed: u64| {
         let mut rng = Rng::from_seed(noise_seed);
         let mut tape = Tape::new();
-        let a = tape.constant(g.adjacency().clone());
         let h = tape.constant(x.clone());
         let mut ctx = PoolCtx {
             training: true,
             rng: &mut rng,
         };
-        let (a2, _) = module.forward(&mut tape, a, h, &mut ctx);
+        let (a2, _) = module.forward(&mut tape, AdjacencyRef::Fixed(&g), h, &mut ctx);
         tape.value(a2)
     };
     let m1 = run(1);

@@ -186,13 +186,12 @@ fn coarsen_forward_and_backward_are_byte_identical_across_thread_counts() {
         let h = Tensor::rand_uniform(200, 16, -1.0, 1.0, &mut rng);
 
         let mut t = Tape::new();
-        let a = t.constant(g.adjacency().clone());
         let hv = t.constant(h);
         let mut ctx = PoolCtx {
             training: false, // deterministic: no Gumbel draws
             rng: &mut rng,
         };
-        let (a2, h2) = module.forward(&mut t, a, hv, &mut ctx);
+        let (a2, h2) = module.forward(&mut t, AdjacencyRef::Fixed(&g), hv, &mut ctx);
         let prod = t.hadamard(h2, h2);
         let loss = t.sum_all(prod);
         t.backward(loss);

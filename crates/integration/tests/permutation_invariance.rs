@@ -7,6 +7,7 @@
 
 use hap_autograd::{ParamStore, Tape};
 use hap_core::{HapCoarsen, HapConfig, HapModel};
+use hap_gnn::AdjacencyRef;
 use hap_graph::{degree_one_hot, Graph, Permutation};
 use hap_pooling::{CoarsenModule, PoolCtx};
 use hap_rand::Rng;
@@ -43,13 +44,12 @@ fn coarsening_module_is_permutation_invariant() {
         let run = |graph: &Graph, feats: &Tensor| {
             let mut rng = Rng::from_seed(0);
             let mut tape = Tape::new();
-            let a = tape.constant(graph.adjacency().clone());
             let h = tape.constant(feats.clone());
             let mut ctx = PoolCtx {
                 training: false,
                 rng: &mut rng,
             };
-            let (a2, h2) = module.forward(&mut tape, a, h, &mut ctx);
+            let (a2, h2) = module.forward(&mut tape, AdjacencyRef::Fixed(graph), h, &mut ctx);
             (tape.value(a2), tape.value(h2))
         };
         let (a1, h1) = run(&g, &x);
@@ -98,7 +98,7 @@ fn flat_readout_baselines_are_permutation_invariant() {
             let run = |graph: &Graph, feats: &Tensor| {
                 let mut rng = Rng::from_seed(0);
                 let mut tape = Tape::new();
-                let a = tape.constant(graph.adjacency().clone());
+                let a = tape.constant(graph.dense_adjacency());
                 let h = tape.constant(feats.clone());
                 let mut ctx = PoolCtx {
                     training: false,

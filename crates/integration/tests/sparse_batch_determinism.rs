@@ -15,18 +15,23 @@
 //! 3. **Batched = looped, bitwise.** A block-diagonal `BatchGraph`
 //!    forward must reproduce every per-graph embedding bit-for-bit, at
 //!    any batch composition and for either encoder kind.
+//! 4. **Sparse level-0 coarsening = dense, bitwise.** HAP's `A' = MᵀAM`
+//!    over a fixed graph multiplies `Mᵀ` by the graph's raw-`A` CSR; it
+//!    must match the dense `Mᵀ·A` oracle in `A'`, `H'`, `dH` and every
+//!    parameter gradient, in eval and Gumbel training mode, `f64` and
+//!    `f32`.
 //!
-//! Both properties must additionally hold across thread counts
+//! Every property must additionally hold across thread counts
 //! (`HAP_THREADS=1` vs a multi-worker pool), because the sparse kernel
 //! has its own parallel row-block dispatch. Problem sizes below include
 //! cases above the `nnz·m ≥ 100 000` parallel crossover so the parallel
 //! code path genuinely executes.
 
 use hap_autograd::{Param, ParamStore, Tape, Var};
-use hap_core::{HapClassifier, HapConfig, HapModel};
+use hap_core::{HapClassifier, HapCoarsen, HapConfig, HapModel};
 use hap_gnn::{AdjacencyRef, BatchGraph, EncoderKind, GatLayer, GcnLayer, GnnEncoder};
 use hap_graph::{degree_one_hot, generators, Graph, GraphScalar};
-use hap_pooling::PoolCtx;
+use hap_pooling::{CoarsenModule, PoolCtx};
 use hap_rand::Rng;
 use hap_tensor::{CsrMatrix, Scalar, Tensor};
 use std::sync::Arc;
@@ -273,6 +278,83 @@ fn gcn_matches_dense_oracle<T: GraphScalar>() {
 fn gcn_csr_forward_and_backward_match_dense_oracle() {
     gcn_matches_dense_oracle::<f64>();
     gcn_matches_dense_oracle::<f32>();
+}
+
+/// One level-0 HAP coarsening forward + backward over
+/// `loss = Σ A'² + Σ H'²`, so the gradient reaches `Mᵀ` through both
+/// products: `A'`, `H'`, `dH` and every GCont/MOA parameter gradient.
+/// `fixed` takes the graph as `AdjacencyRef::Fixed` (the raw-`A` CSR
+/// product); otherwise the dense oracle puts `A` on the tape and
+/// multiplies densely.
+fn coarsen_level0<T: GraphScalar>(
+    module: &HapCoarsen<T>,
+    store: &ParamStore<T>,
+    g: &Graph,
+    x: &Tensor<T>,
+    training: bool,
+    fixed: bool,
+) -> Vec<Tensor<T>> {
+    store.zero_grads();
+    // Both runs draw the same Gumbel noise.
+    let mut rng = Rng::from_seed(52);
+    let mut t = Tape::new();
+    let h = t.constant(x.clone());
+    let adj = if fixed {
+        AdjacencyRef::Fixed(g)
+    } else {
+        AdjacencyRef::Dynamic(t.constant(T::adjacency_of(g)))
+    };
+    let mut ctx = PoolCtx {
+        training,
+        rng: &mut rng,
+    };
+    let (a2, h2) = module.forward(&mut t, adj, h, &mut ctx);
+    let sa = t.hadamard(a2, a2);
+    let la = t.sum_all(sa);
+    let sh = t.hadamard(h2, h2);
+    let lh = t.sum_all(sh);
+    let loss = t.add(la, lh);
+    t.backward(loss);
+    let mut res = vec![t.value(a2), t.value(h2), t.grad(h)];
+    res.extend(store.iter().map(Param::grad));
+    res
+}
+
+fn coarsen_level0_matches_dense_oracle<T: GraphScalar>() {
+    for (label, g) in sweep_graphs() {
+        let mut rng = Rng::from_seed(51);
+        let mut store = ParamStore::<T>::new();
+        // 16 clusters put the densest graphs' SpMM (nnz · 16) and the
+        // dense oracle's GEMM above the parallel crossover.
+        let module = HapCoarsen::new(&mut store, "hc", 16, 16, &mut rng);
+        let x = Tensor::<T>::rand_uniform(g.n(), 16, -1.0, 1.0, &mut rng);
+        for training in [false, true] {
+            let (seq, par) = seq_and_par(|| {
+                (
+                    coarsen_level0(&module, &store, &g, &x, training, true),
+                    coarsen_level0(&module, &store, &g, &x, training, false),
+                )
+            });
+            for (mode, (csr, dense)) in [("seq", &seq), ("par", &par)] {
+                assert_eq!(csr.len(), dense.len());
+                for (k, (c, d)) in csr.iter().zip(dense).enumerate() {
+                    let what = ["A'", "H'", "dH"].get(k).copied().unwrap_or("param grad");
+                    let tag = format!("coarsen {label} training={training} {mode} {what} #{k}");
+                    assert_bits_equal(&tag, c, d);
+                }
+            }
+            for (k, (s, p)) in seq.0.iter().zip(&par.0).enumerate() {
+                let tag = format!("coarsen {label} training={training} across threads #{k}");
+                assert_bits_equal(&tag, s, p);
+            }
+        }
+    }
+}
+
+#[test]
+fn coarsen_level0_csr_matches_dense_oracle() {
+    coarsen_level0_matches_dense_oracle::<f64>();
+    coarsen_level0_matches_dense_oracle::<f32>();
 }
 
 /// Additive mask value of the dense GAT oracle for non-admitted pairs.

@@ -35,7 +35,7 @@ fn assert_csr_bitwise<T: hap_tensor::Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>,
 /// equals the same structure computed fresh on a graph rebuilt from its
 /// adjacency and node labels.
 fn assert_matches_fresh(g: &Graph, wl_iterations: usize, step: usize) {
-    let mut fresh = Graph::from_adjacency(g.adjacency().clone());
+    let mut fresh = Graph::from_adjacency(g.dense_adjacency());
     if let Some(labels) = g.node_labels() {
         fresh = fresh.with_node_labels(labels.to_vec());
     }
@@ -114,7 +114,7 @@ fn random_delta(g: &Graph, rng: &mut Rng) -> EdgeDelta {
         8 => EdgeDelta::Upsert {
             u,
             v,
-            w: g.adjacency()[(u, v)],
+            w: g.weight(u, v),
         },
         // Self-loop churn.
         _ => EdgeDelta::Upsert { u: v, v, w: 1.0 },
@@ -198,7 +198,7 @@ fn mutated_graph_embeds_bitwise_like_a_fresh_copy() {
         for _ in 0..9 {
             g.apply(random_delta(&g, &mut graph_rng));
         }
-        let fresh = Graph::from_adjacency(g.adjacency().clone());
+        let fresh = Graph::from_adjacency(g.dense_adjacency());
         let features = degree_one_hot(&g, 8);
         let eval = |graph: &Graph| {
             let mut rng = Rng::from_seed(0);

@@ -13,7 +13,7 @@ const CASES: u64 = 32;
 
 /// Runs `body` over [`CASES`] independent seeded rngs.
 fn for_each_case(label: &str, mut body: impl FnMut(&mut Rng)) {
-    let mut root = Rng::from_seed(0xA16E_B7A).fork(label);
+    let mut root = Rng::from_seed(0x0A16_EB7A).fork(label);
     for case in 0..CASES {
         body(&mut root.fork(&format!("case.{case}")));
     }

@@ -3,6 +3,7 @@
 
 use hap_autograd::{ParamStore, Tape, Var};
 use hap_core::HapCoarsen;
+use hap_gnn::AdjacencyRef;
 use hap_graph::Graph;
 use hap_nn::{bce_scalar, Linear};
 use hap_pooling::{CoarsenModule, PoolCtx};
@@ -227,12 +228,12 @@ impl GmnHap {
         h0: Var,
         ctx: &mut PoolCtx<'_>,
     ) -> Vec<Var> {
-        let mut a = tape.constant(graph.adjacency().clone());
+        let mut a = AdjacencyRef::Fixed(graph);
         let mut h = h0;
         let mut out = Vec::new();
         for c in &self.coarseners {
             let (a2, h2) = c.forward(tape, a, h, ctx);
-            a = a2;
+            a = AdjacencyRef::Dynamic(a2);
             h = h2;
             out.push(tape.col_means(h));
         }

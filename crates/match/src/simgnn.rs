@@ -51,7 +51,7 @@ impl SimGnn {
     /// Graph embedding (`1×hidden`).
     fn embed(&self, tape: &mut Tape, g: (&Graph, &Tensor), ctx: &mut PoolCtx<'_>) -> Var {
         let x = tape.constant(g.1.clone());
-        let a = tape.constant(g.0.adjacency().clone());
+        let a = tape.constant(g.0.dense_adjacency());
         let h = self.encoder.forward(tape, AdjacencyRef::Fixed(g.0), x);
         self.readout.forward(tape, a, h, ctx)
     }

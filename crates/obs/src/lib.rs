@@ -434,11 +434,7 @@ impl Drop for TimeScope {
     fn drop(&mut self) {
         if let Some((t0, name)) = self.start.take() {
             let ns = t0.elapsed().as_secs_f64() * 1e9;
-            registry()
-                .timings
-                .entry(name)
-                .or_insert_with(Histogram::new)
-                .record(ns);
+            registry().timings.entry(name).or_default().record(ns);
         }
     }
 }

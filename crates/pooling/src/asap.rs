@@ -81,7 +81,14 @@ impl<T: GraphScalar> Asap<T> {
 }
 
 impl<T: GraphScalar> CoarsenModule<T> for Asap<T> {
-    fn forward(&self, tape: &mut Tape<T>, adj: Var, h: Var, _ctx: &mut PoolCtx<'_>) -> (Var, Var) {
+    fn forward(
+        &self,
+        tape: &mut Tape<T>,
+        adj: AdjacencyRef<'_>,
+        h: Var,
+        _ctx: &mut PoolCtx<'_>,
+    ) -> (Var, Var) {
+        let adj = adj.dense(tape);
         let n = tape.shape(h).0;
         // 1. ego-network cluster representations
         let c = self.former.forward(tape, AdjacencyRef::Dynamic(adj), h);
@@ -136,13 +143,13 @@ mod tests {
         let m = Asap::new(&mut store, "asap", 3, 0.6, &mut rng);
         let g = generators::path(5);
         let mut t = Tape::new();
-        let a = t.constant(g.adjacency().clone());
+        let a = t.constant(g.dense_adjacency());
         let h = t.constant(Tensor::rand_uniform(5, 3, -1.0, 1.0, &mut rng));
         let mut ctx = PoolCtx {
             training: true,
             rng: &mut rng,
         };
-        let (a2, h2) = m.forward(&mut t, a, h, &mut ctx);
+        let (a2, h2) = m.forward(&mut t, AdjacencyRef::Dynamic(a), h, &mut ctx);
         assert_eq!(t.shape(a2), (3, 3));
         assert_eq!(t.shape(h2), (3, 3));
         let av = t.value(a2);
@@ -160,7 +167,7 @@ mod tests {
         let m = Asap::new(&mut store, "asap", 4, 0.5, &mut rng);
         let g = generators::erdos_renyi_connected(7, 0.4, &mut rng);
         let mut t = Tape::new();
-        let a = t.constant(g.adjacency().clone());
+        let a = t.constant(g.dense_adjacency());
         let h = t.constant(Tensor::rand_uniform(7, 4, -1.0, 1.0, &mut rng));
         let phi = m.fitness(&mut t, a, h);
         let v = t.value(phi);
@@ -175,13 +182,13 @@ mod tests {
         let m = Asap::new(&mut store, "asap", 3, 0.5, &mut rng);
         let g = generators::erdos_renyi_connected(6, 0.5, &mut rng);
         let mut t = Tape::new();
-        let a = t.constant(g.adjacency().clone());
+        let a = t.constant(g.dense_adjacency());
         let h = t.constant(Tensor::rand_uniform(6, 3, -1.0, 1.0, &mut rng));
         let mut ctx = PoolCtx {
             training: true,
             rng: &mut rng,
         };
-        let (_a2, h2) = m.forward(&mut t, a, h, &mut ctx);
+        let (_a2, h2) = m.forward(&mut t, AdjacencyRef::Dynamic(a), h, &mut ctx);
         let sq = t.hadamard(h2, h2);
         let loss = t.sum_all(sq);
         t.backward(loss);

@@ -234,12 +234,14 @@ impl<T: GraphScalar> PoolingClassifier<T> {
         ctx: &mut PoolCtx<'_>,
     ) -> Var {
         let x = tape.constant(features.clone());
-        let a = tape.constant(T::adjacency_of(graph));
         let h = self.encoder.forward(tape, AdjacencyRef::Fixed(graph), x);
         match &self.pooler {
-            Pooler::Flat(r) => r.forward(tape, a, h, ctx),
+            Pooler::Flat(r) => {
+                let a = AdjacencyRef::Fixed(graph).dense(tape);
+                r.forward(tape, a, h, ctx)
+            }
             Pooler::Hier { module, post } => {
-                let (a2, h2) = module.forward(tape, a, h, ctx);
+                let (a2, h2) = module.forward(tape, AdjacencyRef::Fixed(graph), h, ctx);
                 let h3 = post.forward(tape, AdjacencyRef::Dynamic(a2), h2);
                 tape.col_sums(h3)
             }

@@ -69,7 +69,14 @@ impl<T: GraphScalar> DiffPool<T> {
 }
 
 impl<T: GraphScalar> CoarsenModule<T> for DiffPool<T> {
-    fn forward(&self, tape: &mut Tape<T>, adj: Var, h: Var, _ctx: &mut PoolCtx<'_>) -> (Var, Var) {
+    fn forward(
+        &self,
+        tape: &mut Tape<T>,
+        adj: AdjacencyRef<'_>,
+        h: Var,
+        _ctx: &mut PoolCtx<'_>,
+    ) -> (Var, Var) {
+        let adj = adj.dense(tape);
         let z = self.embed.forward(tape, AdjacencyRef::Dynamic(adj), h);
         let s = self.assignment(tape, adj, h); // N×N'
         let st = tape.transpose(s);
@@ -98,13 +105,13 @@ mod tests {
         let m = DiffPool::new(&mut store, "dp", 4, 3, &mut rng);
         let g = generators::erdos_renyi_connected(9, 0.4, &mut rng);
         let mut t = Tape::new();
-        let a = t.constant(g.adjacency().clone());
+        let a = t.constant(g.dense_adjacency());
         let h = t.constant(Tensor::rand_uniform(9, 4, -1.0, 1.0, &mut rng));
         let mut ctx = PoolCtx {
             training: true,
             rng: &mut rng,
         };
-        let (a2, h2) = m.forward(&mut t, a, h, &mut ctx);
+        let (a2, h2) = m.forward(&mut t, AdjacencyRef::Dynamic(a), h, &mut ctx);
         assert_eq!(t.shape(a2), (3, 3));
         assert_eq!(t.shape(h2), (3, 4));
         assert!(t.value(a2).all_finite() && t.value(h2).all_finite());
@@ -117,7 +124,7 @@ mod tests {
         let m = DiffPool::new(&mut store, "dp", 3, 4, &mut rng);
         let g = generators::cycle(6);
         let mut t = Tape::new();
-        let a = t.constant(g.adjacency().clone());
+        let a = t.constant(g.dense_adjacency());
         let h = t.constant(Tensor::rand_uniform(6, 3, -1.0, 1.0, &mut rng));
         let s = m.assignment(&mut t, a, h);
         let sv = t.value(s);
@@ -136,14 +143,14 @@ mod tests {
         let m = DiffPool::new(&mut store, "dp", 3, 3, &mut rng);
         let g = generators::erdos_renyi_connected(7, 0.5, &mut rng);
         let mut t = Tape::new();
-        let a = t.constant(g.adjacency().clone());
+        let a = t.constant(g.dense_adjacency());
         let h = t.constant(Tensor::rand_uniform(7, 3, -1.0, 1.0, &mut rng));
         let mut ctx = PoolCtx {
             training: true,
             rng: &mut rng,
         };
-        let (a2, _h2) = m.forward(&mut t, a, h, &mut ctx);
-        let mass_before = g.adjacency().sum();
+        let (a2, _h2) = m.forward(&mut t, AdjacencyRef::Dynamic(a), h, &mut ctx);
+        let mass_before = g.dense_adjacency().sum();
         let mass_after = t.value(a2).sum();
         assert!(
             (mass_before - mass_after).abs() < 1e-9,
@@ -158,13 +165,13 @@ mod tests {
         let m = DiffPool::new(&mut store, "dp", 3, 2, &mut rng);
         let g = generators::erdos_renyi_connected(6, 0.5, &mut rng);
         let mut t = Tape::new();
-        let a = t.constant(g.adjacency().clone());
+        let a = t.constant(g.dense_adjacency());
         let h = t.constant(Tensor::rand_uniform(6, 3, -1.0, 1.0, &mut rng));
         let mut ctx = PoolCtx {
             training: true,
             rng: &mut rng,
         };
-        let (_a2, h2) = m.forward(&mut t, a, h, &mut ctx);
+        let (_a2, h2) = m.forward(&mut t, AdjacencyRef::Dynamic(a), h, &mut ctx);
         let sq = t.hadamard(h2, h2);
         let loss = t.sum_all(sq);
         t.backward(loss);

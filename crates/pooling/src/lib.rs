@@ -41,6 +41,8 @@ pub use structpool::StructPool;
 pub use topk::{GPool, SagPool};
 
 use hap_autograd::{Tape, Var};
+use hap_gnn::AdjacencyRef;
+use hap_graph::GraphScalar;
 use hap_rand::Rng;
 use hap_tensor::Scalar;
 
@@ -72,10 +74,20 @@ pub trait Readout<T: Scalar = f64> {
 
 /// One hierarchical coarsening step `(A, H) → (A', H')`. Generic over the
 /// tape element type (default `f64`).
-pub trait CoarsenModule<T: Scalar = f64> {
-    /// Coarsens the graph. `adj`/`h` live on `tape`; the returned pair does
-    /// too, so modules can be chained and gradients flow end-to-end.
-    fn forward(&self, tape: &mut Tape<T>, adj: Var, h: Var, ctx: &mut PoolCtx<'_>) -> (Var, Var);
+pub trait CoarsenModule<T: GraphScalar = f64> {
+    /// Coarsens the graph. `adj` is the input graph itself at level 0
+    /// ([`AdjacencyRef::Fixed`]) and the previous level's tape value after
+    /// it ([`AdjacencyRef::Dynamic`]); `h` and the returned pair live on
+    /// `tape`, so modules can be chained and gradients flow end-to-end.
+    /// The dense baselines take a `Fixed` graph's adjacency densely
+    /// ([`AdjacencyRef::dense`]).
+    fn forward(
+        &self,
+        tape: &mut Tape<T>,
+        adj: AdjacencyRef<'_>,
+        h: Var,
+        ctx: &mut PoolCtx<'_>,
+    ) -> (Var, Var);
 
     /// Method name for experiment tables.
     fn name(&self) -> &'static str;

@@ -3,6 +3,8 @@
 
 use crate::{CoarsenModule, PoolCtx};
 use hap_autograd::{ParamStore, Tape, Var};
+use hap_gnn::AdjacencyRef;
+use hap_graph::GraphScalar;
 use hap_nn::Linear;
 use hap_rand::Rng;
 use hap_tensor::Scalar;
@@ -69,8 +71,15 @@ impl<T: Scalar> StructPool<T> {
     }
 }
 
-impl<T: Scalar> CoarsenModule<T> for StructPool<T> {
-    fn forward(&self, tape: &mut Tape<T>, adj: Var, h: Var, _ctx: &mut PoolCtx<'_>) -> (Var, Var) {
+impl<T: GraphScalar> CoarsenModule<T> for StructPool<T> {
+    fn forward(
+        &self,
+        tape: &mut Tape<T>,
+        adj: AdjacencyRef<'_>,
+        h: Var,
+        _ctx: &mut PoolCtx<'_>,
+    ) -> (Var, Var) {
+        let adj = adj.dense(tape);
         let q = self.assignment(tape, adj, h);
         let qt = tape.transpose(q);
         let h_new = tape.matmul(qt, h);
@@ -98,13 +107,13 @@ mod tests {
         let m = StructPool::new(&mut store, "sp", 4, 3, 2, &mut rng);
         let g = generators::erdos_renyi_connected(8, 0.4, &mut rng);
         let mut t = Tape::new();
-        let a = t.constant(g.adjacency().clone());
+        let a = t.constant(g.dense_adjacency());
         let h = t.constant(Tensor::rand_uniform(8, 4, -1.0, 1.0, &mut rng));
         let mut ctx = PoolCtx {
             training: true,
             rng: &mut rng,
         };
-        let (a2, h2) = m.forward(&mut t, a, h, &mut ctx);
+        let (a2, h2) = m.forward(&mut t, AdjacencyRef::Dynamic(a), h, &mut ctx);
         assert_eq!(t.shape(a2), (3, 3));
         assert_eq!(t.shape(h2), (3, 4));
     }
@@ -120,7 +129,7 @@ mod tests {
         let mut g = generators::clique(4).disjoint_union(&generators::clique(4));
         g.add_edge(0, 4);
         let mut t = Tape::new();
-        let a = t.constant(g.adjacency().clone());
+        let a = t.constant(g.dense_adjacency());
         let h = t.constant(Tensor::rand_uniform(8, 2, -1.0, 1.0, &mut rng));
         let q = m.assignment(&mut t, a, h);
         let qv = t.value(q);
@@ -139,7 +148,7 @@ mod tests {
         let m = StructPool::new(&mut store, "sp", 3, 4, 2, &mut rng);
         let g = generators::cycle(6);
         let mut t = Tape::new();
-        let a = t.constant(g.adjacency().clone());
+        let a = t.constant(g.dense_adjacency());
         let h = t.constant(Tensor::rand_uniform(6, 3, -1.0, 1.0, &mut rng));
         let q = m.assignment(&mut t, a, h);
         let qv = t.value(q);

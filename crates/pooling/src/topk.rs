@@ -65,8 +65,15 @@ impl<T: Scalar> GPool<T> {
     }
 }
 
-impl<T: Scalar> CoarsenModule<T> for GPool<T> {
-    fn forward(&self, tape: &mut Tape<T>, adj: Var, h: Var, _ctx: &mut PoolCtx<'_>) -> (Var, Var) {
+impl<T: GraphScalar> CoarsenModule<T> for GPool<T> {
+    fn forward(
+        &self,
+        tape: &mut Tape<T>,
+        adj: AdjacencyRef<'_>,
+        h: Var,
+        _ctx: &mut PoolCtx<'_>,
+    ) -> (Var, Var) {
+        let adj = adj.dense(tape);
         let n = tape.shape(h).0;
         let p = tape.param(&self.p);
         // y = H p / ||p||
@@ -125,7 +132,14 @@ impl<T: GraphScalar> SagPool<T> {
 }
 
 impl<T: GraphScalar> CoarsenModule<T> for SagPool<T> {
-    fn forward(&self, tape: &mut Tape<T>, adj: Var, h: Var, _ctx: &mut PoolCtx<'_>) -> (Var, Var) {
+    fn forward(
+        &self,
+        tape: &mut Tape<T>,
+        adj: AdjacencyRef<'_>,
+        h: Var,
+        _ctx: &mut PoolCtx<'_>,
+    ) -> (Var, Var) {
+        let adj = adj.dense(tape);
         let n = tape.shape(h).0;
         let y = self.scorer.forward(tape, AdjacencyRef::Dynamic(adj), h); // N×1
         let gate = tape.tanh(y);
@@ -156,13 +170,13 @@ mod tests {
         let mut rng = Rng::from_seed(seed);
         let g = generators::erdos_renyi_connected(n, 0.4, &mut rng);
         let mut t = Tape::new();
-        let a = t.constant(g.adjacency().clone());
+        let a = t.constant(g.dense_adjacency());
         let h = t.constant(Tensor::rand_uniform(n, f, -1.0, 1.0, &mut rng));
         let mut ctx = PoolCtx {
             training: true,
             rng: &mut rng,
         };
-        let (a2, h2) = m.forward(&mut t, a, h, &mut ctx);
+        let (a2, h2) = m.forward(&mut t, AdjacencyRef::Dynamic(a), h, &mut ctx);
         (t.shape(a2), t.shape(h2))
     }
 
@@ -192,7 +206,7 @@ mod tests {
         // coarsened adjacency must contain exactly the 1-2 edge.
         let mut t = Tape::new();
         let g = generators::path(4);
-        let a = t.constant(g.adjacency().clone());
+        let a = t.constant(g.dense_adjacency());
         let h = t.constant(Tensor::from_rows(&[
             vec![0.0],
             vec![5.0],
@@ -217,13 +231,13 @@ mod tests {
         let m = GPool::new(&mut store, "gp", 3, 0.5, &mut rng);
         let g = generators::erdos_renyi_connected(6, 0.5, &mut rng);
         let mut t = Tape::new();
-        let a = t.constant(g.adjacency().clone());
+        let a = t.constant(g.dense_adjacency());
         let h = t.constant(Tensor::rand_uniform(6, 3, -1.0, 1.0, &mut rng));
         let mut ctx = PoolCtx {
             training: true,
             rng: &mut rng,
         };
-        let (_a2, h2) = m.forward(&mut t, a, h, &mut ctx);
+        let (_a2, h2) = m.forward(&mut t, AdjacencyRef::Dynamic(a), h, &mut ctx);
         let sq = t.hadamard(h2, h2);
         let loss = t.sum_all(sq);
         t.backward(loss);

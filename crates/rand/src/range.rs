@@ -135,7 +135,7 @@ mod tests {
             let x: f64 = rng.gen_range(-0.5..0.5);
             assert!((-0.5..0.5).contains(&x));
             let y: f64 = rng.gen_range(f64::EPSILON..1.0);
-            assert!(y >= f64::EPSILON && y < 1.0);
+            assert!((f64::EPSILON..1.0).contains(&y));
             let z: f64 = rng.gen_range(2.0..=3.0);
             assert!((2.0..=3.0).contains(&z));
         }

@@ -102,7 +102,7 @@ impl BoundedHeap {
     fn new(cap: usize) -> Self {
         Self {
             cap: cap.max(1),
-            heap: BinaryHeap::with_capacity(cap.max(1).min(65536) + 1),
+            heap: BinaryHeap::with_capacity(cap.clamp(1, 65536) + 1),
         }
     }
 

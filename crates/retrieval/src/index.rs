@@ -236,12 +236,7 @@ impl GraphIndex {
             if let Some(err) = out.error {
                 return Err(err);
             }
-            for ((stats, wl), concat) in out
-                .stats
-                .into_iter()
-                .zip(out.wl.into_iter())
-                .zip(out.concat.into_iter())
-            {
+            for ((stats, wl), concat) in out.stats.into_iter().zip(out.wl).zip(out.concat) {
                 index.nodes.push(stats.n);
                 index.edges.push(stats.edges);
                 index.max_deg.push(stats.max_degree);

@@ -33,6 +33,8 @@
 
 pub mod batch;
 pub mod cache;
+#[cfg(test)]
+mod fuzz;
 pub mod http;
 pub mod json;
 pub mod server;

@@ -393,7 +393,7 @@ fn parse_body(body: &[u8]) -> Result<Json, String> {
     Json::parse(text).map_err(|e| e.to_string())
 }
 
-fn parse_classify(body: &[u8]) -> Result<Job, String> {
+pub(crate) fn parse_classify(body: &[u8]) -> Result<Job, String> {
     let v = parse_body(body)?;
     // Accept either a bare graph object or {"graph": {...}}.
     let g = match v.get("graph") {
@@ -403,14 +403,14 @@ fn parse_classify(body: &[u8]) -> Result<Job, String> {
     Ok(Job::Classify(g))
 }
 
-fn parse_similarity(body: &[u8]) -> Result<Job, String> {
+pub(crate) fn parse_similarity(body: &[u8]) -> Result<Job, String> {
     let v = parse_body(body)?;
     let a = v.get("a").ok_or("missing \"a\" graph")?;
     let b = v.get("b").ok_or("missing \"b\" graph")?;
     Ok(Job::Similarity(graph_from_json(a)?, graph_from_json(b)?))
 }
 
-fn parse_search(body: &[u8]) -> Result<Job, String> {
+pub(crate) fn parse_search(body: &[u8]) -> Result<Job, String> {
     let v = parse_body(body)?;
     // Accept either a bare graph object or {"graph": {...}, "k": 10,
     // "budget": 200, "rerank": true} — k/budget/rerank are optional.
@@ -462,7 +462,7 @@ fn parse_search(body: &[u8]) -> Result<Job, String> {
 /// edge carries) and is rejected on `"remove"`. Structural validation
 /// against the target graph (endpoint range, self-loops, weight
 /// positivity) happens in the model thread, which owns the graph.
-fn parse_update(body: &[u8]) -> Result<Job, String> {
+pub(crate) fn parse_update(body: &[u8]) -> Result<Job, String> {
     let v = parse_body(body)?;
     let id = v
         .get("id")

@@ -26,8 +26,10 @@ use hap_rand::Rng;
 use hap_tensor::Tensor;
 use std::collections::HashMap;
 
-/// Hard cap on `n` accepted over the wire — dense `N×N` adjacency means
-/// a large `n` in a tiny payload would allocate quadratic memory.
+/// Hard cap on `n` accepted over the wire. A graph is stored in O(n + m),
+/// but `n` alone sizes every level-0 tensor of a request (features,
+/// encoder activations, the `N×N'` assignment), so a large `n` in a tiny
+/// payload would still buy a large computation.
 pub const MAX_GRAPH_NODES: usize = 512;
 
 /// Hard cap on the edge list length (larger than `MAX_GRAPH_NODES²/2`
@@ -634,7 +636,7 @@ pub fn graph_from_json(v: &Json) -> Result<Graph, String> {
             "n = {n} exceeds the limit of {MAX_GRAPH_NODES} nodes"
         ));
     }
-    let mut g = Graph::empty(n);
+    let mut edge_list = Vec::new();
     if let Some(edges) = v.get("edges") {
         let edges = edges.as_array().ok_or("\"edges\" must be an array")?;
         if edges.len() > MAX_GRAPH_EDGES {
@@ -643,6 +645,7 @@ pub fn graph_from_json(v: &Json) -> Result<Graph, String> {
                 edges.len()
             ));
         }
+        edge_list.reserve(edges.len());
         for (i, e) in edges.iter().enumerate() {
             let pair = e
                 .as_array()
@@ -660,9 +663,10 @@ pub fn graph_from_json(v: &Json) -> Result<Graph, String> {
             if u == w {
                 return Err(format!("edge {i} is a self-loop ([{u}, {w}])"));
             }
-            g.add_edge(u, w);
+            edge_list.push((u, w));
         }
     }
+    let mut g = Graph::from_edges(n, &edge_list);
     if let Some(labels) = v.get("labels") {
         let labels = labels.as_array().ok_or("\"labels\" must be an array")?;
         if labels.len() != n {
@@ -782,10 +786,9 @@ mod tests {
         let g = svc.search.as_ref().unwrap().corpus.graph(3);
         // Find a non-adjacent pair: removing an absent edge is a
         // bit-level no-op.
-        let adj = g.adjacency();
         let (u, v) = (0..g.n())
             .flat_map(|u| (u + 1..g.n()).map(move |v| (u, v)))
-            .find(|&(u, v)| adj[(u, v)] == 0.0)
+            .find(|&(u, v)| !g.has_edge(u, v))
             .expect("a 16-node corpus graph is not complete");
         // Warm the cache so we can observe that nothing is evicted.
         let _ = svc.search(&g, 1, None, false).unwrap();

@@ -86,6 +86,58 @@ impl<T: Scalar> CsrMatrix<T> {
         }
     }
 
+    /// Builds a matrix with `cols` columns from one `(column, value)` run
+    /// per row, each in strictly ascending column order, storing the
+    /// entries that are not `0.0` — the sparse-input counterpart of
+    /// [`CsrMatrix::from_fn`]: it yields the same matrix as `from_fn` over
+    /// the densified rows in O(rows + entries) instead of O(rows · cols).
+    /// `nnz` sizes the arrays up front: the number of entries the rows
+    /// yield (a wrong count costs reallocation, never correctness).
+    ///
+    /// ```
+    /// use hap_tensor::{CsrMatrix, Tensor};
+    /// let s = CsrMatrix::from_rows(3, 3, [vec![(1, 2.0)], vec![(0, 3.0), (2, 0.0)]]);
+    /// assert_eq!(s.nnz(), 2);
+    /// assert_eq!(s.to_dense(), Tensor::from_rows(&[vec![0.0, 2.0, 0.0], vec![3.0, 0.0, 0.0]]));
+    /// ```
+    ///
+    /// # Panics
+    /// Panics when a column reaches `cols`, or when a row's stored
+    /// (non-zero) columns are not strictly ascending.
+    pub fn from_rows<R: IntoIterator<Item = (usize, T)>>(
+        cols: usize,
+        nnz: usize,
+        rows: impl IntoIterator<Item = R>,
+    ) -> CsrMatrix<T> {
+        let rows = rows.into_iter();
+        let mut indptr = Vec::with_capacity(rows.size_hint().0 + 1);
+        indptr.push(0);
+        let mut indices = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        for row in rows {
+            let mut next = 0; // smallest column the next stored entry may take
+            for (c, v) in row {
+                assert!(
+                    c < cols && c >= next,
+                    "from_rows: column {c} out of order or out of range for {cols} columns"
+                );
+                if v != T::ZERO {
+                    indices.push(c);
+                    values.push(v);
+                    next = c + 1;
+                }
+            }
+            indptr.push(indices.len());
+        }
+        CsrMatrix {
+            rows: indptr.len() - 1,
+            cols,
+            indptr,
+            indices,
+            values,
+        }
+    }
+
     /// Expands back to a dense [`Tensor`].
     pub fn to_dense(&self) -> Tensor<T> {
         let mut out = Tensor::zeros(self.rows, self.cols);
@@ -280,6 +332,39 @@ impl<T: Scalar> CsrMatrix<T> {
         self.try_spmm(rhs).unwrap_or_else(|e| panic!("{e}"))
     }
 
+    /// Dense × sparse product `lhs · self` for a **symmetric** `self`:
+    /// output `(i, j)` walks row `j`'s stored entries — which are column
+    /// `j`'s by symmetry — adding `self[j][k] · lhs[i][k]` in ascending
+    /// `k` from `0.0`. That is term for term the sum [`CsrMatrix::spmm`]
+    /// forms for `(self · lhsᵀ)ᵀ`, without either transpose. Sequential:
+    /// its work is `nnz · lhs.rows()`, the sparse share of a product the
+    /// dense kernel would spend `cols² · lhs.rows()` on.
+    ///
+    /// # Panics
+    /// Panics when `lhs.cols() != self.rows()`; debug builds also assert
+    /// symmetry.
+    pub fn spmm_left(&self, lhs: &Tensor<T>) -> Tensor<T> {
+        assert_eq!(
+            lhs.cols(),
+            self.rows,
+            "spmm_left: lhs {:?} does not chain with {:?}",
+            lhs.shape(),
+            self.shape()
+        );
+        debug_assert!(self.is_symmetric(), "spmm_left requires a symmetric matrix");
+        let mut out = Tensor::zeros(lhs.rows(), self.cols);
+        for (i, out_row) in (0..lhs.rows()).zip(out.as_mut_slice().chunks_mut(self.cols.max(1))) {
+            let x = lhs.row(i);
+            for (j, o) in out_row.iter_mut().enumerate() {
+                let span = self.indptr[j]..self.indptr[j + 1];
+                for (&k, &a) in self.indices[span.clone()].iter().zip(&self.values[span]) {
+                    *o += a * x[k];
+                }
+            }
+        }
+        out
+    }
+
     /// The SpMM row kernel, shared verbatim by the sequential and
     /// parallel paths: fills the output rows in `out` (a block of whole
     /// rows starting at global row `row0`) from this matrix and `b`
@@ -338,6 +423,37 @@ mod tests {
             assert_eq!(dense.shape(), sparse.shape());
             for (x, y) in dense.as_slice().iter().zip(sparse.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn spmm_left_is_bitwise_equal_to_transposed_spmm_and_dense_matmul() {
+        for (n, rows, density) in [(1, 1, 1.0), (7, 3, 0.4), (30, 5, 0.1), (6, 2, 0.0)] {
+            let mut rng = Rng::from_seed(13);
+            let mut a = Tensor::zeros(n, n);
+            for i in 0..n {
+                for j in i..n {
+                    if rng.gen_f64() < density {
+                        let v = rng.gen_f64() - 0.5;
+                        a[(i, j)] = v;
+                        a[(j, i)] = v;
+                    }
+                }
+            }
+            let s = CsrMatrix::from_dense(&a);
+            let mut x = random_sparse(rows, n, 1.0, 14);
+            x.row_mut(0).fill(0.0); // the dense kernel skips it, the walk adds ±0
+            let left = s.spmm_left(&x);
+            let via_spmm = s.spmm(&x.transpose()).transpose();
+            let dense = x.matmul(&a);
+            for (l, (v, d)) in left
+                .as_slice()
+                .iter()
+                .zip(via_spmm.as_slice().iter().zip(dense.as_slice()))
+            {
+                assert_eq!(l.to_bits(), v.to_bits(), "n = {n}");
+                assert_eq!(l.to_bits(), d.to_bits(), "n = {n}");
             }
         }
     }
@@ -403,6 +519,22 @@ mod tests {
             }
         }
         assert_eq!(bd.nnz(), sa.nnz() + sb.nnz());
+    }
+
+    #[test]
+    fn from_rows_matches_from_dense_bitwise() {
+        let d = random_sparse(9, 7, 0.3, 43);
+        let dr = &d;
+        let rows = (0..9).map(|r| (0..7).map(move |c| (c, dr[(r, c)])).filter(|e| e.1 != 0.0));
+        let built = CsrMatrix::from_rows(7, 0, rows);
+        let fresh = CsrMatrix::from_dense(&d);
+        assert_eq!(built, fresh);
+        // Zeros (either sign) are dropped like `from_fn` drops them.
+        let z = CsrMatrix::from_rows(3, 2, [vec![(0, -0.0), (2, 1.0)], vec![]]);
+        assert_eq!((z.rows(), z.nnz()), (2, 1));
+        let bad =
+            std::panic::catch_unwind(|| CsrMatrix::from_rows(3, 2, [vec![(2, 1.0), (1, 1.0)]]));
+        assert!(bad.is_err(), "descending columns must be rejected");
     }
 
     #[test]

@@ -41,6 +41,9 @@ impl Default for TsneConfig {
 ///
 /// # Panics
 /// Panics when `data` has fewer than 3 rows.
+// Index loops mirror the pairwise formulas and fix the summation order
+// the committed figures were produced with.
+#[allow(clippy::needless_range_loop)]
 pub fn tsne(data: &Tensor, cfg: &TsneConfig, rng: &mut Rng) -> Tensor {
     let n = data.rows();
     assert!(n >= 3, "t-SNE needs at least 3 points, got {n}");

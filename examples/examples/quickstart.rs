@@ -7,6 +7,7 @@
 
 use hap_autograd::{ParamStore, Tape};
 use hap_core::{HapClassifier, HapCoarsen, HapConfig, HapModel};
+use hap_gnn::AdjacencyRef;
 use hap_graph::{degree_one_hot, generators};
 use hap_pooling::{CoarsenModule, PoolCtx};
 use hap_rand::Rng;
@@ -25,7 +26,6 @@ fn main() {
     let mut store = ParamStore::new();
     let coarsen = HapCoarsen::new(&mut store, "demo", 8, 4, &mut rng);
     let mut tape = Tape::new();
-    let a = tape.constant(g.adjacency().clone());
     let h = tape.constant(x.clone());
     let mut ctx = PoolCtx {
         training: false,
@@ -36,7 +36,7 @@ fn main() {
     let mv = tape.value(m);
     println!("MOA assignment for node 0: {:?}", mv.row(0));
 
-    let (a2, h2) = coarsen.forward(&mut tape, a, h, &mut ctx);
+    let (a2, h2) = coarsen.forward(&mut tape, AdjacencyRef::Fixed(&g), h, &mut ctx);
     println!(
         "coarsened: {} clusters (features {:?}, adjacency {:?})",
         tape.shape(h2).0,
