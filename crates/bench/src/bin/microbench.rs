@@ -30,7 +30,8 @@
 //!   the readout/attention companions to the batched SpMM.
 //! * `embed/*` — eval-mode hierarchy embeddings for a batch of graphs:
 //!   the graph-at-a-time loop vs one block-diagonal batched forward
-//!   (`HapClassifier::try_embeddings`), the hap-serve cache-miss path.
+//!   (`HapClassifier::try_embeddings`), the retrieval index build's path.
+//!   hap-serve embeds one graph at a time (`try_embedding`).
 //! * `precision/*` — f32-vs-f64 pairs ([`Bench::run_pair`]) for the two
 //!   headline hot paths: the `n=200` square GEMM (the packed microkernel
 //!   with twice the lanes per register at f32) and the full training
@@ -429,7 +430,7 @@ fn segment_reductions(bench: &mut Bench, seed: u64) {
 }
 
 /// Eval-mode hierarchy embeddings for a batch of IMDB-B-like graphs —
-/// the hap-serve cache-miss workload. `looped` calls
+/// the retrieval index build's workload. `looped` calls
 /// `HapClassifier::try_embedding` per graph; `batched` embeds the whole
 /// batch through one block-diagonal level-0 forward
 /// (`HapClassifier::try_embeddings`). Outputs are byte-identical.

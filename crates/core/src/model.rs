@@ -254,8 +254,7 @@ impl<T: GraphScalar> HapModel<T> {
     /// Validation is all-or-nothing: every graph is checked *before* any
     /// compute, and the first [`HapError::EmptyGraph`] /
     /// [`HapError::FeatureShape`] aborts the whole batch. Callers needing
-    /// per-item error granularity (e.g. `hap-serve`) pre-validate and
-    /// exclude bad items.
+    /// per-item error granularity pre-validate and exclude bad items.
     ///
     /// # Errors
     /// See the validation contract above.

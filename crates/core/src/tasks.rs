@@ -224,9 +224,8 @@ impl<T: GraphScalar> HapClassifier<T> {
     /// in submission order — the batched form of
     /// [`HapClassifier::try_embedding`], sharing one tape and one
     /// block-diagonal level-0 forward across the batch. Each returned
-    /// tensor is byte-identical to the single-graph call, which is what
-    /// lets `hap-serve` batch cache misses without perturbing its
-    /// response-hash determinism contract.
+    /// tensor is byte-identical to the single-graph call, so training and
+    /// retrieval index builds can batch without changing a result.
     ///
     /// # Errors
     /// All-or-nothing validation, as documented on
@@ -308,13 +307,6 @@ impl<T: GraphScalar> HapMatcher<T> {
     /// Wraps a hierarchy with the paper's default `scale = 0.5`.
     pub fn new(model: HapModel<T>) -> Self {
         Self { model, scale: 0.5 }
-    }
-
-    /// Overrides the Eq. 22 scale parameter.
-    pub fn with_scale(mut self, scale: f64) -> Self {
-        assert!(scale > 0.0, "scale must be positive");
-        self.scale = scale;
-        self
     }
 
     /// The underlying hierarchy.

@@ -17,6 +17,7 @@
 //! ego-communities, connected Erdős–Rényi, Barabási–Albert, and chorded
 //! cycles.
 
+use crate::social::ego_communities;
 use hap_graph::{degree_one_hot, generators, Graph};
 use hap_rand::Rng;
 use hap_tensor::{Scalar, Tensor};
@@ -103,27 +104,6 @@ impl RetrievalCorpus {
     pub fn features<T: Scalar>(&self, g: &Graph) -> Tensor<T> {
         degree_one_hot(g, CORPUS_FEATURE_DIM).cast()
     }
-}
-
-/// Ego network used by the corpus's community family (same construction
-/// as the social simulators: a hub node connected to every member of
-/// otherwise-disjoint dense groups).
-fn ego_communities(sizes: &[usize], p_in: f64, rng: &mut Rng) -> Graph {
-    let total: usize = 1 + sizes.iter().sum::<usize>();
-    let mut edges = Vec::new();
-    let mut base = 1;
-    for &size in sizes {
-        for u in base..base + size {
-            edges.push((0, u));
-            for v in (u + 1)..base + size {
-                if rng.gen_bool(p_in) {
-                    edges.push((u, v));
-                }
-            }
-        }
-        base += size;
-    }
-    Graph::from_edges(total, &edges)
 }
 
 #[cfg(test)]

@@ -18,8 +18,9 @@ const DEGREE_DIM: usize = 16;
 
 /// An ego network with `communities` dense groups, each of `sizes[i]`
 /// members with internal edge probability `p_in`; node 0 is the ego,
-/// connected to every member; communities are otherwise disjoint.
-fn ego_communities(sizes: &[usize], p_in: f64, rng: &mut Rng) -> Graph {
+/// connected to every member; communities are otherwise disjoint. The
+/// retrieval corpus's community family draws from it too.
+pub(crate) fn ego_communities(sizes: &[usize], p_in: f64, rng: &mut Rng) -> Graph {
     let total: usize = 1 + sizes.iter().sum::<usize>();
     let mut edges = Vec::new();
     let mut base = 1;

@@ -34,11 +34,6 @@ impl Activation {
             Activation::Identity => x,
         }
     }
-
-    /// The conventional LeakyReLU slope used by GAT and by MOA (0.2).
-    pub fn default_leaky() -> Self {
-        Activation::LeakyRelu(0.2)
-    }
 }
 
 #[cfg(test)]

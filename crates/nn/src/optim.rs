@@ -91,21 +91,9 @@ impl<T: Scalar> Adam<T> {
         }
     }
 
-    /// Overrides the exponential-decay rates.
-    pub fn with_betas(mut self, beta1: f64, beta2: f64) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
     /// Current learning rate.
     pub fn lr(&self) -> f64 {
         self.lr
-    }
-
-    /// Adjusts the learning rate (simple decay schedules in `hap-train`).
-    pub fn set_lr(&mut self, lr: f64) {
-        self.lr = lr;
     }
 }
 

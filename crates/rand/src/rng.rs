@@ -73,12 +73,6 @@ impl Rng {
         result
     }
 
-    /// The next 32-bit word (upper half of [`Self::next_u64`]).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn gen_f64(&mut self) -> f64 {

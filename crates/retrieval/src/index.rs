@@ -52,15 +52,10 @@ pub struct IndexConfig {
     /// corpus length — never thread count — so scans are byte-identical
     /// at any `HAP_THREADS`.
     pub shard_size: usize,
-    /// Stat-term weights. Leave at 0 with `calibration_pairs > 0` to
-    /// have the build derive them from sampled corpus distances.
-    pub w_size: f64,
-    pub w_degree: f64,
-    pub w_wl: f64,
-    /// Seeded sample-pair count for weight calibration (0 = keep the
-    /// provided weights verbatim).
-    pub calibration_pairs: usize,
 }
+
+/// Seeded corpus pairs sampled to calibrate the stat-term weights.
+const CALIBRATION_PAIRS: usize = 256;
 
 impl Default for IndexConfig {
     fn default() -> Self {
@@ -68,10 +63,6 @@ impl Default for IndexConfig {
             wl_iterations: 3,
             chunk: 64,
             shard_size: 16384,
-            w_size: 0.0,
-            w_degree: 0.0,
-            w_wl: 0.0,
-            calibration_pairs: 256,
         }
     }
 }
@@ -133,8 +124,8 @@ impl QueryEmbedding {
     }
 }
 
-/// Calibrated (or user-provided) stat-term weights.
-#[derive(Clone, Copy, Debug)]
+/// Calibrated stat-term weights.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct StatWeights {
     pub size: f64,
     pub degree: f64,
@@ -212,11 +203,7 @@ impl GraphIndex {
             len,
             hidden,
             levels,
-            weights: StatWeights {
-                size: 0.0,
-                degree: 0.0,
-                wl: 0.0,
-            },
+            weights: StatWeights::default(),
             nodes: Vec::with_capacity(len),
             edges: Vec::with_capacity(len),
             max_deg: Vec::with_capacity(len),
@@ -264,18 +251,14 @@ impl GraphIndex {
     /// sample of corpus pairs. Purely sequential and seeded, so the
     /// weights (and hence every query result) are reproducible.
     fn calibrate_weights(&self, seed: u64) -> StatWeights {
-        let (w_size, w_degree, w_wl) = (self.cfg.w_size, self.cfg.w_degree, self.cfg.w_wl);
-        let pairs = self.cfg.calibration_pairs;
-        if pairs == 0 || self.len < 2 {
-            return StatWeights {
-                size: w_size,
-                degree: w_degree,
-                wl: w_wl,
-            };
+        // Fewer than two graphs give no pair to sample: the stat terms
+        // stay off.
+        if self.len < 2 {
+            return StatWeights::default();
         }
         let mut rng = Rng::from_seed(seed).fork("retrieval-calibrate");
         let (mut sum_coarse, mut sum_dn, mut sum_dd, mut sum_dwl) = (0.0, 0.0, 0.0, 0.0);
-        for _ in 0..pairs {
+        for _ in 0..CALIBRATION_PAIRS {
             let a = rng.gen_range(0..self.len);
             let b = rng.gen_range(0..self.len);
             if a == b {
@@ -306,21 +289,9 @@ impl GraphIndex {
         // distance. The coarse/fine terms then rank within the
         // structurally similar survivors.
         StatWeights {
-            size: if w_size != 0.0 {
-                w_size
-            } else {
-                scale(6.0, sum_dn)
-            },
-            degree: if w_degree != 0.0 {
-                w_degree
-            } else {
-                scale(2.0, sum_dd)
-            },
-            wl: if w_wl != 0.0 {
-                w_wl
-            } else {
-                scale(2.0, sum_dwl)
-            },
+            size: scale(6.0, sum_dn),
+            degree: scale(2.0, sum_dd),
+            wl: scale(2.0, sum_dwl),
         }
     }
 

@@ -1,19 +1,15 @@
-//! Micro-batching between the HTTP workers and the single model thread.
+//! The bridge between the HTTP workers and the single model thread.
 //!
 //! `HapClassifier` parameters are `Rc`-shared (deliberately — the whole
 //! training stack is single-threaded by design), so the model cannot move
 //! across threads. The serving layer therefore runs **one** model thread
 //! that owns the classifier and its embedding cache, and the HTTP workers
 //! hand it jobs over an mpsc channel. The model thread collects jobs for a
-//! short window (default 1 ms) or until `max_batch`, then answers them:
-//! the `Classify` jobs of a batch are embedded together in **one**
-//! block-diagonal batched forward pass over the cache misses
-//! ([`ModelService::classify_batch`]; ARCHITECTURE.md "Sparse & batched
-//! execution"), so batching amortises the model compute itself — not just
-//! channel wake-ups — while staying byte-identical per graph to the
-//! graph-at-a-time loop. Responses are pure functions of the request
-//! payload, which is what makes replayed traffic byte-identical at any
-//! worker count and any batch composition.
+//! short window (default 1 ms) or until `max_batch`, then answers them one
+//! at a time: the window only groups jobs, it shares no compute between
+//! them. Responses are pure functions of the request payload, which is
+//! what makes replayed traffic byte-identical at any worker count and any
+//! batch composition.
 
 use crate::json::{num, num_array};
 use crate::server::ServeError;
@@ -230,50 +226,23 @@ fn run_loop<T: GraphScalar>(
             }
         }
         hap_obs::record("serve.batch_size", batch.len() as f64);
-        // Split off the Classify jobs so their cache misses share one
-        // block-diagonal forward pass; everything else stays job-at-a-time.
-        let mut classify_graphs: Vec<Graph> = Vec::new();
-        let mut classify_replies = Vec::new();
-        let mut rest = Vec::new();
-        for sub in batch {
-            match sub.job {
-                Job::Classify(mut g) => {
-                    clamp_labels(&mut g, svc.in_dim());
-                    classify_graphs.push(g);
-                    classify_replies.push(sub.reply);
-                }
-                job => rest.push(Submission {
-                    job,
-                    reply: sub.reply,
-                }),
-            }
-        }
-        // Jobs run under `catch_unwind`: handlers validate their inputs
-        // and should never panic, but the model thread is a singleton —
-        // letting one slip through would take down every route for the
-        // rest of the process. A caught panic answers only the jobs it
-        // covered; the thread (and the service state, which mutates
-        // nothing observable before a result is produced) lives on.
-        if !classify_graphs.is_empty() {
-            hap_obs::record("serve.classify_batch_size", classify_graphs.len() as f64);
-            match catch_unwind(AssertUnwindSafe(|| svc.classify_batch(&classify_graphs))) {
-                Ok(results) => {
-                    for (result, reply) in results.into_iter().zip(classify_replies) {
-                        let body = result.map(classification_body).map_err(|e| e.to_string());
-                        // A dead receiver just means the worker gave up; ignore.
-                        let _ = reply.send(body);
-                    }
-                }
-                Err(_) => {
-                    for reply in classify_replies {
-                        let _ = reply.send(Err("internal error handling request".to_string()));
-                    }
-                }
-            }
-        }
-        for Submission { job, reply } in rest {
+        // A batch answers its `/classify` jobs first, then the rest, each
+        // group in arrival order. Replays depend on that order: the
+        // WL-keyed cache hands a 1-WL-equal graph whichever embedding was
+        // computed first.
+        let (classify, rest): (Vec<_>, Vec<_>) = batch
+            .into_iter()
+            .partition(|sub| matches!(sub.job, Job::Classify(_)));
+        for Submission { job, reply } in classify.into_iter().chain(rest) {
+            // Handlers validate their inputs and should never panic, but
+            // the model thread is a singleton: a panic that slipped
+            // through would take down every route for the rest of the
+            // process. A caught panic answers only its own job; the
+            // thread (and the service state, which mutates nothing
+            // observable before a result is produced) lives on.
             let body = catch_unwind(AssertUnwindSafe(|| handle_job(svc, job)))
                 .unwrap_or_else(|_| Err("internal error handling request".to_string()));
+            // A dead receiver just means the worker gave up; ignore.
             let _ = reply.send(body);
         }
         stats.hits.store(svc.cache_hits(), Ordering::Relaxed);
@@ -281,18 +250,15 @@ fn run_loop<T: GraphScalar>(
     }
 }
 
-/// The `/classify` response body.
-fn classification_body(Classification { label, logits }: Classification) -> String {
-    format!("{{\"label\":{label},\"logits\":{}}}", num_array(&logits))
-}
-
 fn handle_job<T: GraphScalar>(svc: &mut ModelService<T>, job: Job) -> Result<String, String> {
     match job {
         Job::Classify(mut g) => {
             clamp_labels(&mut g, svc.in_dim());
-            svc.classify(&g)
-                .map(classification_body)
-                .map_err(|e| e.to_string())
+            let Classification { label, logits } = svc.classify(&g).map_err(|e| e.to_string())?;
+            Ok(format!(
+                "{{\"label\":{label},\"logits\":{}}}",
+                num_array(&logits)
+            ))
         }
         Job::Similarity(mut a, mut b) => {
             clamp_labels(&mut a, svc.in_dim());
@@ -377,6 +343,60 @@ mod tests {
         drop(client); // release the channel so shutdown can join
         b.shutdown();
         assert!(stats.hits.load(Ordering::Relaxed) >= 1);
+    }
+
+    #[test]
+    fn a_window_answers_each_job_as_if_it_came_alone() {
+        let snap = tiny_snapshot();
+        let g = Graph::from_edges(7, &[(0, 1), (0, 6), (2, 4), (3, 5), (3, 6), (4, 5), (5, 6)]);
+        // `g` under a node relabelling: one WL key, but on this snapshot
+        // its cold logits differ from `g`'s in the last bits, so the
+        // bodies show which of the two was computed first.
+        let relabelled =
+            Graph::from_edges(7, &[(2, 3), (2, 0), (1, 4), (5, 6), (5, 0), (4, 6), (6, 0)]);
+        let star = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
+        let triangle = Graph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
+        let arrivals = || {
+            vec![
+                Job::Similarity(relabelled.clone(), star.clone()),
+                Job::Classify(g.clone()),
+                Job::Classify(triangle.clone()),
+                Job::Classify(relabelled.clone()),
+            ]
+        };
+        // The window answers its `/classify` jobs first.
+        let answering = [1, 2, 3, 0];
+
+        // Queue every job before the loop starts, so one window holds
+        // them all; the loop returns once the queue is drained.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let replies: Vec<_> = arrivals()
+            .into_iter()
+            .map(|job| {
+                let (reply, answer) = sync_channel(1);
+                tx.send(Submission { job, reply }).unwrap();
+                answer
+            })
+            .collect();
+        drop(tx);
+        let (_store, clf) = snap.build_classifier().unwrap();
+        let (in_dim, hidden) = (snap.config.in_dim, snap.config.hidden);
+        let mut svc = ModelService::new(clf, in_dim, hidden, 1, ServiceConfig::default());
+        let stats = CacheStats::default();
+        run_loop(&rx, &mut svc, Duration::from_secs(60), 64, &stats);
+        let windowed: Vec<String> = replies.iter().map(|r| r.recv().unwrap().unwrap()).collect();
+
+        // The same jobs one at a time, in answering order, through a
+        // zero-window batcher.
+        let b = Batcher::spawn(snap, ServiceConfig::default(), Duration::ZERO, 1).unwrap();
+        let client = b.client();
+        let mut jobs: Vec<Option<Job>> = arrivals().into_iter().map(Some).collect();
+        for i in answering {
+            let alone = client.submit(jobs[i].take().unwrap()).unwrap().unwrap();
+            assert_eq!(windowed[i], alone, "job {i}");
+        }
+        drop(client);
+        b.shutdown();
     }
 
     #[test]

@@ -15,11 +15,13 @@
 //!   cache, and the four operations: `classify`, `similarity`, `search`
 //!   (top-k retrieval over a seeded corpus) and `update` (edge edits to a
 //!   corpus graph, rewriting its index slot in place);
-//! * [`batch`] — the micro-batching bridge between the multi-threaded
-//!   HTTP layer and the single model thread (`HapClassifier` parameters
-//!   are `Rc`-shared and cannot cross threads); the model thread is the
-//!   only dtype-generic piece — it runs at the snapshot's recorded
-//!   element type (`f64` or `f32`), everything above it is dtype-erased;
+//! * [`batch`] — the bridge between the multi-threaded HTTP layer and
+//!   the single model thread (`HapClassifier` parameters are `Rc`-shared
+//!   and cannot cross threads). The thread collects jobs for a short
+//!   window, then answers them one at a time through the single-graph
+//!   path. It is the only dtype-generic piece: it runs at the snapshot's
+//!   recorded element type (`f64` or `f32`), and everything above it is
+//!   dtype-erased;
 //! * [`server`] — workers accepting on one shared listener, routing,
 //!   `/healthz`, `/metrics`, and clean shutdown.
 //!

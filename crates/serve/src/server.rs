@@ -31,9 +31,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker thread count; `0` means `hap_par::threads()`.
     pub workers: usize,
-    /// Micro-batch collection window.
+    /// How long the model thread collects jobs before answering them.
     pub window: Duration,
-    /// Maximum jobs per micro-batch.
+    /// Maximum jobs collected per window.
     pub max_batch: usize,
     /// Maximum accepted request body, in bytes.
     pub max_body: usize,

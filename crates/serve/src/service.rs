@@ -243,10 +243,8 @@ impl<T: GraphScalar> ModelService<T> {
     /// must not re-derive them).
     fn embedding_keyed(&mut self, g: &Graph, key: u64) -> Result<Tensor<T>, HapError> {
         if let Some(e) = self.cache.get(key) {
-            hap_obs::inc("serve.cache.hit");
             return Ok(e.clone());
         }
-        hap_obs::inc("serve.cache.miss");
         let features = wire_features::<T>(g, self.in_dim);
         // Eval passes draw nothing from the RNG; a fresh fixed-seed RNG
         // keeps the signature satisfied without threading server state.
@@ -260,110 +258,22 @@ impl<T: GraphScalar> ModelService<T> {
         Ok(e)
     }
 
-    /// Hierarchy embeddings for a whole micro-batch, with per-graph
-    /// errors. Cache lookups happen in submission order; the misses are
-    /// then deduplicated by WL key and embedded in **one** block-diagonal
-    /// batched forward pass (`HapClassifier::try_embeddings`), which is
-    /// byte-identical per graph to the graph-at-a-time loop — see
-    /// ARCHITECTURE.md "Sparse & batched execution". Duplicate keys inside
-    /// one batch each count as a miss (the cache is consulted before any
-    /// compute) but share a single computation.
-    pub fn embedding_batch(&mut self, graphs: &[Graph]) -> Vec<Result<Tensor<T>, HapError>> {
-        let mut out: Vec<Option<Result<Tensor<T>, HapError>>> = vec![None; graphs.len()];
-        // Unique cache misses, in first-appearance order.
-        let mut miss_keys: Vec<u64> = Vec::new();
-        let mut miss_jobs: Vec<usize> = Vec::new(); // first job index per key
-        let mut miss_features: Vec<Tensor<T>> = Vec::new();
-        // For every missing job, the slot in `miss_*` that serves it.
-        let mut job_slot: Vec<(usize, usize)> = Vec::new();
-        for (i, g) in graphs.iter().enumerate() {
-            let key = self.cache_key(g);
-            if let Some(e) = self.cache.get(key) {
-                hap_obs::inc("serve.cache.hit");
-                out[i] = Some(Ok(e.clone()));
-                continue;
-            }
-            hap_obs::inc("serve.cache.miss");
-            if g.n() == 0 {
-                // Same outcome as the single-graph path: the lookup counts
-                // a miss, the forward pass refuses the graph.
-                out[i] = Some(Err(HapError::EmptyGraph));
-                continue;
-            }
-            let slot = match miss_keys.iter().position(|&k| k == key) {
-                Some(s) => s,
-                None => {
-                    miss_keys.push(key);
-                    miss_jobs.push(i);
-                    miss_features.push(wire_features::<T>(g, self.in_dim));
-                    miss_keys.len() - 1
-                }
-            };
-            job_slot.push((i, slot));
-        }
-        if !miss_keys.is_empty() {
-            let items: Vec<(&Graph, &Tensor<T>)> = miss_jobs
-                .iter()
-                .zip(&miss_features)
-                .map(|(&j, f)| (&graphs[j], f))
-                .collect();
-            // Eval passes draw nothing from the RNG (see `embedding`), so
-            // one fresh RNG per batch is equivalent to one per graph.
-            let mut rng = Rng::from_seed(0);
-            let mut ctx = PoolCtx {
-                training: false,
-                rng: &mut rng,
-            };
-            match self.clf.try_embeddings(&items, &mut ctx) {
-                Ok(es) => {
-                    for (&key, e) in miss_keys.iter().zip(&es) {
-                        self.cache.insert(key, e.clone());
-                    }
-                    for (i, slot) in job_slot {
-                        out[i] = Some(Ok(es[slot].clone()));
-                    }
-                }
-                // Unreachable after the n == 0 screen above (features are
-                // built at the right shape), but kept total.
-                Err(e) => {
-                    for (i, _) in job_slot {
-                        out[i] = Some(Err(e.clone()));
-                    }
-                }
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every job answered"))
-            .collect()
-    }
-
     /// Classifies one graph.
     ///
     /// # Errors
     /// [`HapError`] from the forward pass.
     pub fn classify(&mut self, g: &Graph) -> Result<Classification, HapError> {
         let e = self.embedding(g)?;
-        Ok(self.classification_from(&e))
-    }
-
-    /// Classifies a micro-batch: [`ModelService::embedding_batch`] for the
-    /// embeddings (one shared forward pass over the cache misses), then
-    /// the small head per graph. Results are in submission order and
-    /// bitwise equal to per-graph [`ModelService::classify`] calls.
-    pub fn classify_batch(&mut self, graphs: &[Graph]) -> Vec<Result<Classification, HapError>> {
-        let embeddings = self.embedding_batch(graphs);
-        embeddings
-            .into_iter()
-            .map(|r| r.map(|e| self.classification_from(&e)))
-            .collect()
-    }
-
-    fn classification_from(&self, e: &Tensor<T>) -> Classification {
-        let logits = self.clf.logits_from_embedding(e);
-        Classification {
+        let logits = self.clf.logits_from_embedding(&e);
+        Ok(Classification {
             label: self.clf.predict_from_logits(&logits),
             logits: logits.as_slice().iter().map(|v| (*v).to_f64()).collect(),
-        }
+        })
+    }
+
+    /// [`ModelService::classify`] over `graphs` in order.
+    pub fn classify_batch(&mut self, graphs: &[Graph]) -> Vec<Result<Classification, HapError>> {
+        graphs.iter().map(|g| self.classify(g)).collect()
     }
 
     /// Scores a pair of graphs by per-level euclidean distance between
@@ -972,16 +882,15 @@ mod tests {
         let g1 = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         // Same path graph under a node relabelling → same WL key.
         let g2 = Graph::from_edges(4, &[(3, 2), (2, 0), (0, 1)]);
-        let got = svc.classify_batch(&[g1.clone(), g2]);
-        let (a, b) = (got[0].as_ref().unwrap(), got[1].as_ref().unwrap());
-        assert_eq!(a.logits, b.logits, "deduped jobs share one embedding");
-        // Both lookups preceded the compute, so both count as misses …
-        assert_eq!(svc.cache_misses(), 2);
-        // … but a repeat batch is now served entirely from the cache, and
-        // the cached result is bit-identical to the batched computation.
-        let again = svc.classify_batch(&[g1]);
-        assert_eq!(svc.cache_hits(), 1);
-        assert_eq!(again[0].as_ref().unwrap().logits, a.logits);
+        let got = svc.classify_batch(&[g1, g2]);
+        // The first graph is computed once; its relabelled copy is a cache
+        // hit with bit-identical logits.
+        assert_eq!((svc.cache_misses(), svc.cache_hits()), (1, 1));
+        let bits = |c: &Result<Classification, HapError>| -> Vec<u64> {
+            let c = c.as_ref().unwrap();
+            c.logits.iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&got[0]), bits(&got[1]));
     }
 
     #[test]

@@ -46,9 +46,13 @@
 //! at any offset, a trailing-garbage tail, a corrupted byte — is rejected
 //! with a typed [`SnapshotError`] instead of a panic, because the loader
 //! sits on the serving startup path where a bad file must degrade into a
-//! clean process exit, not UB-adjacent chaos.
+//! clean process exit, not UB-adjacent chaos. Seeded mutation fuzzing
+//! (`src/fuzz.rs`) holds the parser to that inside `cargo test`.
 
 #![deny(missing_docs)]
+
+#[cfg(test)]
+mod fuzz;
 
 use hap_autograd::ParamStore;
 use hap_core::{HapClassifier, HapConfig, HapModel};
@@ -306,13 +310,14 @@ impl<T: Scalar> ModelSnapshot<T> {
                 .map_err(|_| SnapshotError::Corrupt("param name is not UTF-8".into()))?;
             let rows = r.u32()? as usize;
             let cols = r.u32()? as usize;
-            let n = rows.checked_mul(cols).ok_or_else(|| {
-                SnapshotError::Corrupt(format!("param {name:?}: {rows}x{cols} overflows"))
-            })?;
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(T::read_le(r.take(T::BYTES)?));
-            }
+            // The shape is checked against the bytes left before anything
+            // is allocated for it; a product that overflows cannot fit.
+            let len = rows.saturating_mul(cols).saturating_mul(T::BYTES);
+            let data = r
+                .take(len)?
+                .chunks_exact(T::BYTES)
+                .map(T::read_le)
+                .collect();
             params.push((name, Tensor::from_vec(rows, cols, data)));
         }
         let payload_end = r.pos;

@@ -62,18 +62,7 @@ pub use tensor::Tensor;
 
 /// Numeric tolerance helpers shared by tests across the workspace.
 pub mod testutil {
-    use crate::{Dtype, Scalar, Tensor};
-
-    /// The default comparison tolerance for a dtype: forward-pass results
-    /// of the workspace's layer sizes agree to ~`1e-12` in `f64` and
-    /// ~`1e-4` in `f32` (unit-scale values, hundreds of accumulation
-    /// steps; ≈ `50 · ε`-per-step growth with headroom).
-    pub fn default_tol<T: Scalar>() -> f64 {
-        match T::DTYPE {
-            Dtype::F32 => 1e-4,
-            Dtype::F64 => 1e-12,
-        }
-    }
+    use crate::{Scalar, Tensor};
 
     /// Asserts two tensors are elementwise equal within `tol` (compared
     /// after widening to `f64`).
@@ -99,15 +88,5 @@ pub mod testutil {
                 );
             }
         }
-    }
-
-    /// [`assert_close`] at the dtype's [`default_tol`] — the form the
-    /// cross-dtype differential suites use so per-dtype tolerance logic
-    /// lives in one place.
-    ///
-    /// # Panics
-    /// Panics like [`assert_close`].
-    pub fn assert_close_default<T: Scalar>(a: &Tensor<T>, b: &Tensor<T>) {
-        assert_close(a, b, default_tol::<T>());
     }
 }

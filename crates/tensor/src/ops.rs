@@ -698,25 +698,6 @@ impl<T: Scalar> Tensor<T> {
         self.try_add_col(col).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Multiplies every row elementwise by a `1 × cols` row vector.
-    pub fn try_mul_row(&self, row: &Tensor<T>) -> Result<Tensor<T>, ShapeError> {
-        if row.rows() != 1 || row.cols() != self.cols() {
-            return Err(ShapeError::binary(
-                "mul_row",
-                self.shape(),
-                row.shape(),
-                "broadcast operand must be 1 × cols",
-            ));
-        }
-        let mut out = self.clone();
-        for r in 0..out.rows() {
-            for (o, &b) in out.row_mut(r).iter_mut().zip(row.as_slice()) {
-                *o *= b;
-            }
-        }
-        Ok(out)
-    }
-
     // ----- concatenation & slicing --------------------------------------
 
     /// Horizontal concatenation `[self ‖ rhs]` (same row count).
@@ -863,11 +844,6 @@ impl<T: Scalar> Tensor<T> {
     /// Per-column means as a `1 × cols` row vector.
     pub fn col_means(&self) -> Tensor<T> {
         self.col_sums().scale(1.0 / self.rows() as f64)
-    }
-
-    /// Per-row means as an `rows × 1` column vector.
-    pub fn row_means(&self) -> Tensor<T> {
-        self.row_sums().scale(1.0 / self.cols() as f64)
     }
 
     /// Per-column elementwise maxima as a `1 × cols` row vector.

@@ -39,6 +39,21 @@ env -u HAP_THREADS cargo test -q --offline -p hap-autograd --lib -- gradcheck_f3
 HAP_THREADS=1 cargo test -q --offline -p hap-train --test determinism -- f32_
 env -u HAP_THREADS cargo test -q --offline -p hap-train --test determinism -- f32_
 
+# The per-sample training path (`hap_train::train`) is pinned end to end:
+# the default-scale design-choice ablation must print exactly the
+# committed table. The determinism tests above compare two fresh runs and
+# perfbench's train golden runs `train_batched`, so without this pin a
+# change to `train`'s trajectory would leave the committed paper tables
+# stale without failing anything.
+ABLATION_TMP="$(mktemp)"
+cargo run --release --offline -q -p hap-bench --bin ablation_design_choices \
+  > "$ABLATION_TMP" 2> /dev/null
+diff -u results/ablation_design_choices.txt "$ABLATION_TMP" || {
+  echo "ablation_design_choices differs from results/ablation_design_choices.txt" >&2
+  exit 1
+}
+rm -f "$ABLATION_TMP"
+
 # The fused transposed-GEMM kernels (matmul_nt / matmul_tn) must match the
 # composed transpose+matmul path bit-for-bit at every thread setting — the
 # tape-level fusion in hap-autograd relies on it, and the goldens above
