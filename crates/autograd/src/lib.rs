@@ -39,6 +39,6 @@ pub use gradcheck::{
     check_param_grad, check_param_grad_default, check_unary_op, check_unary_op_default,
     default_fd_eps, default_gradcheck_tol, finite_difference_grad,
 };
-pub use op::Op;
+pub use op::{Op, GATHER_PAD};
 pub use param::{Param, ParamStore};
 pub use tape::{Tape, Var};

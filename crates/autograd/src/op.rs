@@ -9,6 +9,10 @@ use crate::param::Param;
 use hap_tensor::{CsrMatrix, Scalar};
 use std::sync::Arc;
 
+/// A source index for [`crate::Tape::gather_entries`] that reads no entry:
+/// the output entry is `+0.0` and passes no gradient back.
+pub const GATHER_PAD: usize = usize::MAX;
+
 /// How a tape node's value was computed from its parents.
 ///
 /// Generic over the tensor element type `T` (default `f64`); scalar op
@@ -88,6 +92,11 @@ pub enum Op<T: Scalar = f64> {
     /// Row selection (with repetition allowed): `C = X[indices, :]`.
     /// Gradient: scatter-add rows of `G` back to their source rows.
     GatherRows(Vec<usize>),
+    /// Entry selection (repetition allowed): output entry `k` (row-major)
+    /// is `X`'s row-major entry `src[k]`, or `+0.0` where `src[k]` is
+    /// [`GATHER_PAD`]. Gradient: add `G[k]` into a zeroed `dX` at
+    /// `src[k]`.
+    GatherEntries(Vec<usize>),
     /// Sum of all elements, producing a `1×1` scalar.
     /// Gradient: `dX = G[0,0] · 1`.
     SumAll,
@@ -162,6 +171,7 @@ impl<T: Scalar> Op<T> {
             Op::HStack => "hstack",
             Op::VStack => "vstack",
             Op::GatherRows(_) => "gather_rows",
+            Op::GatherEntries(_) => "gather_entries",
             Op::SumAll => "sum_all",
             Op::MeanAll => "mean_all",
             Op::ColSums => "col_sums",

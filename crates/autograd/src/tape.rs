@@ -1,6 +1,6 @@
 //! The computation tape: forward recording and the reverse sweep.
 
-use crate::op::Op;
+use crate::op::{Op, GATHER_PAD};
 use crate::param::Param;
 use hap_tensor::{CsrMatrix, Scalar, Tensor};
 use std::sync::Arc;
@@ -414,6 +414,25 @@ impl<T: Scalar> Tape<T> {
         self.push(v, Op::GatherRows(indices.to_vec()), &[x.0])
     }
 
+    /// A `rows×cols` matrix whose row-major entry `k` is `x`'s row-major
+    /// entry `src[k]`, or `+0.0` where `src[k]` is [`GATHER_PAD`]. One
+    /// node for any rearrangement of entries (repetition allowed) — MOA's
+    /// reduced columns. Every value is a copy; the backward pass adds
+    /// each `G[k]` into a zeroed `dx` at `src[k]`.
+    ///
+    /// # Panics
+    /// Panics when `src.len() != rows·cols` or an index is out of range.
+    pub fn gather_entries(&mut self, x: Var, rows: usize, cols: usize, src: Vec<usize>) -> Var {
+        assert_eq!(src.len(), rows * cols, "gather_entries: src length");
+        let xs = self.nodes[x.0].value.as_slice();
+        let v = src
+            .iter()
+            .map(|&s| if s == GATHER_PAD { T::ZERO } else { xs[s] })
+            .collect();
+        let v = Tensor::from_vec(rows, cols, v);
+        self.push(v, Op::GatherEntries(src), &[x.0])
+    }
+
     // ----- reductions -------------------------------------------------------
 
     /// Sum of all elements → `1×1`.
@@ -791,6 +810,17 @@ impl<T: Scalar> Tape<T> {
                 }
                 self.accumulate(p0, dx);
             }
+            Op::GatherEntries(src) => {
+                let (rows, cols) = self.parent_value(i, 0).shape();
+                let mut dx = self.pooled_zeros(rows, cols);
+                let d = dx.as_mut_slice();
+                for (&s, &gv) in src.iter().zip(g.as_slice()) {
+                    if s != GATHER_PAD {
+                        d[s] += gv;
+                    }
+                }
+                self.accumulate(p0, dx);
+            }
             Op::SumAll => {
                 let (rows, cols) = self.parent_value(i, 0).shape();
                 let dx = self.pooled_full(rows, cols, g[(0, 0)]);
@@ -1008,6 +1038,43 @@ mod tests {
             &Tensor::from_rows(&[vec![1.0], vec![0.0], vec![2.0]]),
             1e-12,
         );
+    }
+
+    #[test]
+    fn gather_entries_copies_pads_and_scatters_gradient() {
+        let mut t = Tape::<f64>::new();
+        let x = t.constant(Tensor::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]));
+        let y = t.gather_entries(x, 2, 2, vec![3, GATHER_PAD, 3, 0]);
+        assert_eq!(
+            t.value(y).as_slice(),
+            &[4.0, 0.0, 4.0, 1.0],
+            "row-major copies, +0.0 at the pad"
+        );
+        assert_eq!(t.value(y)[(0, 1)].to_bits(), 0.0f64.to_bits());
+        let loss = t.sum_all(y);
+        t.backward(loss);
+        assert_close(
+            &t.grad(x),
+            &Tensor::from_rows(&[vec![1.0, 0.0], vec![0.0, 2.0]]),
+            1e-12,
+        );
+    }
+
+    #[test]
+    fn gradcheck_gather_entries_with_padding() {
+        use crate::gradcheck::check_unary_op;
+        let mut rng = hap_rand::Rng::from_seed(43);
+        let x = Tensor::<f64>::rand_uniform(3, 2, -1.5, 1.5, &mut rng);
+        // Non-uniform downstream weights so every routed gradient differs.
+        let w = Tensor::rand_uniform(2, 4, 0.2, 2.0, &mut rng);
+        let src = vec![5, GATHER_PAD, 0, 2, 5, 1, GATHER_PAD, 3];
+        check_unary_op(x, 1e-6, move |t, x| {
+            let y = t.gather_entries(x, 2, 4, src.clone());
+            let w = t.constant(w.clone());
+            let z = t.hadamard(y, w);
+            let z = t.hadamard(z, z);
+            t.sum_all(z)
+        });
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! MOA — Master-Orthogonal Attention (Sec. 4.4.2, Eqs. 14–15).
 
-use hap_autograd::{Param, ParamStore, Tape, Var};
+use hap_autograd::{Param, ParamStore, Tape, Var, GATHER_PAD};
 use hap_nn::xavier_uniform;
 use hap_rand::Rng;
 use hap_tensor::{Scalar, Tensor};
@@ -26,7 +26,8 @@ use hap_tensor::{Scalar, Tensor};
 /// Splitting `a = [a₁; a₂]`, the logits decompose as
 /// `M_ij = LeakyReLU((C·a₁)_i + (Ĉ_j·a₂))` where `Ĉ_j` is the reduced
 /// column — computed with two small matmuls instead of materialising the
-/// `N×N'×2N'` concatenation.
+/// `N×N'×2N'` concatenation. The `N'×N'` matrix of reduced columns is a
+/// single tape node, whatever `N'` is.
 pub struct Moa<T: Scalar = f64> {
     /// `a₁ ∈ R^{N'}` — weights for the row (node) part.
     a_row: Param<T>,
@@ -58,20 +59,21 @@ impl<T: Scalar> Moa<T> {
 
     /// Reduces each column of `C` to its `N'` largest entries (descending,
     /// zero-padded), returning an `N'×N'` matrix whose row `j` is `Ĉ_j`.
+    /// The matrix is one [`Tape::gather_entries`] node over `C`, so the
+    /// tape does not grow with `N'`.
     fn reduced_columns(&self, tape: &mut Tape<T>, c: Var) -> Var {
         let (n, nc) = tape.shape(c);
         debug_assert_eq!(nc, self.clusters);
-        let ct = tape.transpose(c); // N'×N, row j = column j of C
-        let vals = tape.value(ct);
-
-        // Per-column sort orders are pure functions of `vals`, so they are
-        // computed up front — in parallel for large graphs (each slot in
-        // `orders` is owned by one worker; the stable sort is deterministic,
-        // so results match the sequential path bit-for-bit). The tape ops
-        // below stay sequential: graph construction mutates shared state.
-        let clusters = self.clusters;
+        let vals = tape.value(c);
         let vals = &vals;
-        let compute_order = move |j: usize| -> Vec<usize> {
+
+        // Row `j` of `src` holds the flat indices of column `j`'s entries
+        // in descending order; past `N` it stays `GATHER_PAD` (the zero
+        // padding). Rows are independent, so large graphs fill them in
+        // parallel — each row is owned by one worker and the stable sort
+        // is deterministic, so the result matches the sequential path
+        // bit-for-bit.
+        let fill = move |j: usize, row: &mut [usize]| {
             let mut order: Vec<usize> = (0..n).collect();
             // `total_cmp` instead of `partial_cmp(..).expect(..)`: a NaN
             // produced upstream (exploding GCont weights) used to panic the
@@ -79,41 +81,20 @@ impl<T: Scalar> Moa<T> {
             // NaN above +∞, so a poisoned column degrades to a NaN logit
             // that the hap-obs sentinel can attribute — identical ordering
             // for finite inputs.
-            order.sort_by(|&a, &b| vals[(j, b)].total_cmp(&vals[(j, a)]));
-            order.truncate(clusters);
-            order
+            order.sort_by(|&a, &b| vals[(b, j)].total_cmp(&vals[(a, j)]));
+            for (slot, &r) in row.iter_mut().zip(&order) {
+                *slot = r * nc + j;
+            }
         };
-        let mut orders: Vec<Vec<usize>> = vec![Vec::new(); nc];
+        let mut src = vec![GATHER_PAD; nc * nc];
         if n >= 256 && nc >= 2 && hap_par::threads() > 1 {
-            hap_par::par_chunks_mut(&mut orders, 1, |j, slot| slot[0] = compute_order(j));
+            hap_par::par_chunks_mut(&mut src, nc, fill);
         } else {
-            for (j, slot) in orders.iter_mut().enumerate() {
-                *slot = compute_order(j);
+            for (j, row) in src.chunks_mut(nc).enumerate() {
+                fill(j, row);
             }
         }
-
-        let mut rows: Vec<Var> = Vec::with_capacity(nc);
-        for (j, order) in orders.into_iter().enumerate() {
-            // gather the sorted entries of this column as a column vector
-            let col_j = tape.gather_rows(ct, &[j]); // 1×N
-            let col_j = tape.transpose(col_j); // N×1
-            let picked = if n < self.clusters {
-                // zero-pad: append a zero row and gather it repeatedly
-                let zeros = tape.constant(Tensor::zeros(1, 1));
-                let padded = tape.vstack(col_j, zeros);
-                let mut idx = order.clone();
-                idx.extend(std::iter::repeat(n).take(self.clusters - n));
-                tape.gather_rows(padded, &idx)
-            } else {
-                tape.gather_rows(col_j, &order)
-            }; // N'×1
-            rows.push(tape.transpose(picked)); // 1×N'
-        }
-        let mut out = rows.remove(0);
-        for r in rows {
-            out = tape.vstack(out, r);
-        }
-        out // N'×N'
+        tape.gather_entries(c, nc, nc, src) // N'×N'
     }
 
     /// Computes the raw (pre-softmax) attention logits `N×N'`.
@@ -283,6 +264,130 @@ mod tests {
             v.as_slice().iter().any(|x| x.is_nan()),
             "the NaN must propagate into the logits instead of panicking"
         );
+    }
+
+    /// The column reduction as it was built before the single
+    /// `gather_entries` node: per cluster a gather, a transpose, a second
+    /// gather and a second transpose, then `N'−1` row stacks. Kept
+    /// verbatim as the oracle for the one-node form.
+    fn reduced_columns_oracle<T: Scalar>(clusters: usize, tape: &mut Tape<T>, c: Var) -> Var {
+        let (n, nc) = tape.shape(c);
+        debug_assert_eq!(nc, clusters);
+        let ct = tape.transpose(c); // N'×N, row j = column j of C
+        let vals = tape.value(ct);
+
+        let vals = &vals;
+        let compute_order = move |j: usize| -> Vec<usize> {
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by(|&a, &b| vals[(j, b)].total_cmp(&vals[(j, a)]));
+            order.truncate(clusters);
+            order
+        };
+        let mut orders: Vec<Vec<usize>> = vec![Vec::new(); nc];
+        if n >= 256 && nc >= 2 && hap_par::threads() > 1 {
+            hap_par::par_chunks_mut(&mut orders, 1, |j, slot| slot[0] = compute_order(j));
+        } else {
+            for (j, slot) in orders.iter_mut().enumerate() {
+                *slot = compute_order(j);
+            }
+        }
+
+        let mut rows: Vec<Var> = Vec::with_capacity(nc);
+        for (j, order) in orders.into_iter().enumerate() {
+            // gather the sorted entries of this column as a column vector
+            let col_j = tape.gather_rows(ct, &[j]); // 1×N
+            let col_j = tape.transpose(col_j); // N×1
+            let picked = if n < clusters {
+                // zero-pad: append a zero row and gather it repeatedly
+                let zeros = tape.constant(Tensor::zeros(1, 1));
+                let padded = tape.vstack(col_j, zeros);
+                let mut idx = order.clone();
+                idx.extend(std::iter::repeat(n).take(clusters - n));
+                tape.gather_rows(padded, &idx)
+            } else {
+                tape.gather_rows(col_j, &order)
+            }; // N'×1
+            rows.push(tape.transpose(picked)); // 1×N'
+        }
+        let mut out = rows.remove(0);
+        for r in rows {
+            out = tape.vstack(out, r);
+        }
+        out // N'×N'
+    }
+
+    /// Runs `reduce` on `c` under a fixed downstream loss
+    /// `sum((R ∘ W)²)` and returns the bits of `R` and of `dL/dC`.
+    fn reduce_bits<T: Scalar>(
+        c: &Tensor<T>,
+        w: &Tensor<T>,
+        reduce: impl FnOnce(&mut Tape<T>, Var) -> Var,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let mut t = Tape::new();
+        let cv = t.constant(c.clone());
+        let r = reduce(&mut t, cv);
+        let wv = t.constant(w.clone());
+        let z = t.hadamard(r, wv);
+        let z = t.hadamard(z, z);
+        let loss = t.sum_all(z);
+        t.backward(loss);
+        // Widening to f64 is exact, so f32 bit patterns survive it.
+        let widen = |x: Tensor<T>| x.as_slice().iter().map(|v| v.to_f64()).collect();
+        (widen(t.value(r)), widen(t.grad(cv)))
+    }
+
+    fn one_node_reduction_matches_oracle<T: Scalar>() {
+        // N < N' (zero padding), N = N', N > N', and N ≥ 256 (the
+        // parallel sort path when the pool has more than one thread).
+        for (n, nc, seed) in [(3, 5, 21), (4, 4, 22), (9, 3, 23), (300, 4, 24)] {
+            let mut rng = Rng::from_seed(seed);
+            let mut store = ParamStore::<T>::new();
+            let moa = Moa::<T>::new(&mut store, "moa", nc, &mut rng);
+            let mut c = Tensor::<T>::rand_uniform(n, nc, -1.0, 1.0, &mut rng);
+            // Column 0 is full of ties, a -0.0 among them: the stable
+            // sort must break them the same way in both forms.
+            for r in (0..n).step_by(2) {
+                c[(r, 0)] = T::from_f64(0.25);
+            }
+            c[(n - 1, 0)] = T::from_f64(-0.0);
+            let w = Tensor::<T>::rand_uniform(nc, nc, 0.5, 2.0, &mut rng);
+
+            let got = reduce_bits(&c, &w, |t, cv| moa.reduced_columns(t, cv));
+            let want = reduce_bits(&c, &w, |t, cv| reduced_columns_oracle(nc, t, cv));
+            for (what, g, e) in [("value", &got.0, &want.0), ("dC", &got.1, &want.1)] {
+                assert_eq!(g.len(), e.len(), "{what} n={n} nc={nc}");
+                for (i, (a, b)) in g.iter().zip(e).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{what} n={n} nc={nc} entry {i}: {a} vs {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_node_reduction_matches_the_per_column_chain_bitwise() {
+        one_node_reduction_matches_oracle::<f64>();
+        one_node_reduction_matches_oracle::<f32>();
+    }
+
+    #[test]
+    fn reduction_tape_length_does_not_grow_with_clusters() {
+        let mut rng = Rng::from_seed(25);
+        let added = |nc: usize, rng: &mut Rng| {
+            let (_s, moa) = make_moa(nc, 26);
+            let mut t = Tape::new();
+            let c = t.constant(Tensor::rand_uniform(10, nc, -1.0, 1.0, rng));
+            let before = t.len();
+            moa.reduced_columns(&mut t, c);
+            t.len() - before
+        };
+        let small = added(3, &mut rng);
+        let large = added(16, &mut rng);
+        assert_eq!(small, 1);
+        assert_eq!(small, large, "N'=3 and N'=16 must record the same nodes");
     }
 
     #[test]

@@ -3,15 +3,24 @@
 //! loss/grad-norm recording) must leave a training run *byte-identical*
 //! to the same run with instrumentation off, at any `HAP_THREADS`.
 //!
-//! One `#[test]` function on purpose: the obs level is process-global
-//! state, and cargo runs a binary's tests on parallel threads — a second
-//! test toggling the level concurrently would race. `scripts/ci.sh`
-//! executes this file under both `HAP_THREADS=1` and the host default.
+//! The same holds for serving: `/search` and `/update` answer the same
+//! bytes with every probe live, while the cascade's prune counters reach
+//! the registry that `/metrics` exports.
+//!
+//! The obs level is process-global state and cargo runs a binary's tests
+//! on parallel threads, so every test here holds [`LEVEL`] while it
+//! toggles the level. `scripts/ci.sh` executes this file under both
+//! `HAP_THREADS=1` and the host default.
 
 use hap_autograd::ParamStore;
 use hap_core::{HapClassifier, HapConfig, HapModel};
 use hap_rand::Rng;
 use hap_train::{train, TrainConfig, TrainReport};
+use std::sync::Mutex;
+use std::time::Duration;
+
+/// Serialises the tests of this file: each one sets the global level.
+static LEVEL: Mutex<()> = Mutex::new(());
 
 /// The determinism-suite experiment: synthetic IMDB-B, one coarsening
 /// level, four epochs, every draw forked from `seed`.
@@ -59,6 +68,7 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 #[test]
 fn full_trace_instrumentation_does_not_perturb_training() {
+    let _level = LEVEL.lock().unwrap_or_else(|e| e.into_inner());
     // Baseline: instrumentation fully off (the HAP_TRACE-unset path).
     hap_obs::set_level(hap_obs::Level::Off);
     hap_obs::reset();
@@ -99,6 +109,88 @@ fn full_trace_instrumentation_does_not_perturb_training() {
     assert_eq!(hap_obs::nonfinite_total(), 0);
 
     // Leave the process-global level as the environment dictates.
+    hap_obs::set_level(hap_obs::Level::Off);
+    hap_obs::reset();
+}
+
+/// A fixed `/search` + `/update` stream against a tiny untrained model
+/// with a 48-graph index, answered by a fresh model thread; returns every
+/// response body in order.
+fn serve_search_update_bodies() -> Vec<String> {
+    let mut rng = Rng::from_seed(3);
+    let mut store = ParamStore::<f64>::new();
+    let cfg = HapConfig::new(4, 4).with_clusters(&[2]);
+    let model = HapModel::new(&mut store, &cfg, &mut rng);
+    let _clf = HapClassifier::new(&mut store, model, 2, &mut rng);
+    let snapshot = hap_snapshot::ModelSnapshot::capture(&cfg, 2, &store);
+    let service = hap_serve::ServiceConfig {
+        search_corpus: 48,
+        ..hap_serve::ServiceConfig::default()
+    };
+    let batcher = hap_serve::Batcher::spawn(snapshot, service, Duration::from_micros(200), 8)
+        .expect("model thread starts");
+    let client = batcher.client();
+    let search = |graph: hap_graph::Graph, rerank: bool| hap_serve::Job::Search {
+        graph,
+        k: 5,
+        budget: Some(8),
+        rerank,
+    };
+    let update = |id: usize| hap_serve::Job::Update {
+        id,
+        ops: vec![
+            hap_graph::EdgeDelta::Remove { u: 0, v: 1 },
+            hap_graph::EdgeDelta::Upsert { u: 0, v: 2, w: 1.0 },
+        ],
+    };
+    let jobs = vec![
+        search(hap_graph::generators::cycle(6), false),
+        update(7),
+        search(hap_graph::generators::path(5), true),
+        update(30),
+        search(hap_graph::generators::cycle(6), false),
+        search(hap_graph::generators::path(9), false),
+    ];
+    jobs.into_iter()
+        .map(
+            |job| match client.submit(job).expect("model thread answers") {
+                Ok(body) => body,
+                Err(msg) => panic!("the stream is valid, got: {msg}"),
+            },
+        )
+        .collect()
+}
+
+#[test]
+fn full_trace_instrumentation_does_not_perturb_search_or_update() {
+    let _level = LEVEL.lock().unwrap_or_else(|e| e.into_inner());
+    hap_obs::set_level(hap_obs::Level::Off);
+    hap_obs::reset();
+    let off = serve_search_update_bodies();
+    assert_eq!(
+        hap_obs::counter("retrieval.scanned"),
+        0,
+        "Level::Off must record nothing"
+    );
+
+    hap_obs::set_level(hap_obs::Level::Trace);
+    hap_obs::reset();
+    let on = serve_search_update_bodies();
+    assert_eq!(off, on, "tracing changed a /search or /update body");
+
+    // Four searches over a 48-graph index: every entry is either skipped
+    // by one of the two filters or gets a coarse distance.
+    let scanned = hap_obs::counter("retrieval.scanned");
+    assert_eq!(scanned, 4 * 48);
+    assert_eq!(
+        hap_obs::counter("retrieval.skipped_size_degree")
+            + hap_obs::counter("retrieval.skipped_wl")
+            + hap_obs::counter("retrieval.coarse_evals"),
+        scanned
+    );
+    assert!(hap_obs::counter("retrieval.coarse_evals") > 0);
+    assert!(hap_obs::counter("retrieval.refined") > 0);
+
     hap_obs::set_level(hap_obs::Level::Off);
     hap_obs::reset();
 }

@@ -10,7 +10,7 @@
 //! maps to a typed [`HttpError`] carrying the status code to answer with
 //! — parsing untrusted bytes must never panic or kill a worker.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Maximum size of the request line + headers block.
 const MAX_HEAD: usize = 8192;
@@ -65,6 +65,10 @@ impl std::error::Error for HttpError {}
 
 /// Reads and parses one HTTP/1.1 request from `stream`.
 ///
+/// Takes a buffered reader, so a head costs a few `read` calls. A
+/// connection keeps one reader across keep-alive requests: bytes
+/// buffered past this request's body belong to the next.
+///
 /// `max_body` bounds the accepted `Content-Length`; larger declarations
 /// fail fast with [`HttpError::PayloadTooLarge`] *before* reading the
 /// body, so a client cannot make a worker buffer an arbitrary payload.
@@ -72,15 +76,17 @@ impl std::error::Error for HttpError {}
 /// # Errors
 /// [`HttpError::BadRequest`] on malformed syntax, [`HttpError::Io`] on
 /// socket failures or short reads.
-pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, HttpError> {
-    // Read byte-wise until the blank line; MAX_HEAD bounds the scan.
+pub fn read_request(stream: &mut impl BufRead, max_body: usize) -> Result<Request, HttpError> {
+    // Read line by line until the blank line. Every `\r\n\r\n` ends in a
+    // `\n`, so whole-line reads stop exactly at the end of the head and
+    // consume nothing past it. `take` keeps the head within MAX_HEAD.
     let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
     while !head.ends_with(b"\r\n\r\n") {
         if head.len() >= MAX_HEAD {
             return Err(HttpError::BadRequest("header block too large".into()));
         }
-        match stream.read(&mut byte) {
+        let room = (MAX_HEAD - head.len()) as u64;
+        match stream.by_ref().take(room).read_until(b'\n', &mut head) {
             Ok(0) => {
                 return Err(if head.is_empty() {
                     HttpError::Io("connection closed before request".into())
@@ -88,7 +94,7 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
                     HttpError::BadRequest("connection closed mid-header".into())
                 })
             }
-            Ok(_) => head.push(byte[0]),
+            Ok(_) => {}
             Err(e) => return Err(HttpError::Io(e.to_string())),
         }
     }
@@ -151,10 +157,11 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
     })
 }
 
-/// Writes a complete JSON response and flushes. `keep_alive` selects the
-/// advertised `Connection` disposition; the caller must actually honour
-/// it (keep reading or drop the stream). I/O errors are returned for
-/// logging but a failed write just ends the connection either way.
+/// Writes a complete JSON response, head and body in one `write_all`
+/// (one segment under `TCP_NODELAY`), and flushes. `keep_alive` selects
+/// the advertised `Connection` disposition; the caller must actually
+/// honour it (keep reading or drop the stream). I/O errors are returned
+/// for logging but a failed write just ends the connection either way.
 pub fn write_response(
     stream: &mut impl Write,
     status: u16,
@@ -163,12 +170,12 @@ pub fn write_response(
     keep_alive: bool,
 ) -> std::io::Result<()> {
     let conn = if keep_alive { "keep-alive" } else { "close" };
-    let head = format!(
+    let mut message = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {conn}\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    message.push_str(body);
+    stream.write_all(message.as_bytes())?;
     stream.flush()
 }
 

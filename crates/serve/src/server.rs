@@ -15,6 +15,7 @@ use crate::service::{graph_from_json, ServiceConfig};
 use hap_graph::GraphScalar;
 use hap_snapshot::{peek_dtype, ModelSnapshot, SnapshotError};
 use hap_tensor::Dtype;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -257,7 +258,7 @@ fn worker_loop(
         // worker alive; the connection state is unwind-safe because it
         // is dropped right after either way.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            handle_connection(&mut stream, client, stats, max_body, search_enabled)
+            handle_connection(&stream, client, stats, max_body, search_enabled)
         }));
         if result.is_err() {
             hap_obs::inc("serve.panics");
@@ -279,8 +280,11 @@ fn worker_loop(
 /// connection occupies its worker until the client closes or the 10 s
 /// read timeout fires, so persistent clients should stay at or below the
 /// worker count.
+///
+/// One buffered reader serves the whole connection, because a client
+/// that pipelines may already have sent the next request behind this one.
 fn handle_connection(
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     client: &BatcherClient,
     stats: &CacheStats,
     max_body: usize,
@@ -288,20 +292,22 @@ fn handle_connection(
 ) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_nodelay(true); // small JSON bodies; don't wait on Nagle
+    let mut reader = BufReader::new(stream);
+    let mut writer = stream;
     loop {
         let start = Instant::now();
-        let request = match read_request(stream, max_body) {
+        let request = match read_request(&mut reader, max_body) {
             Ok(r) => r,
             Err(HttpError::BadRequest(msg)) => {
                 hap_obs::inc("serve.http.400");
                 let body = format!("{{\"error\":\"{}\"}}", crate::json::escape(&msg));
-                let _ = write_response(stream, 400, "Bad Request", &body, false);
+                let _ = write_response(&mut writer, 400, "Bad Request", &body, false);
                 return;
             }
             Err(HttpError::PayloadTooLarge(n)) => {
                 hap_obs::inc("serve.http.413");
                 let body = format!("{{\"error\":\"body of {n} bytes exceeds the limit\"}}");
-                let _ = write_response(stream, 413, "Payload Too Large", &body, false);
+                let _ = write_response(&mut writer, 413, "Payload Too Large", &body, false);
                 return;
             }
             Err(HttpError::Io(_)) => return, // client went away; nothing to answer
@@ -316,7 +322,7 @@ fn handle_connection(
             503 => "serve.http.503",
             _ => "serve.http.other",
         });
-        let ok = write_response(stream, status, reason, &body, keep_alive).is_ok();
+        let ok = write_response(&mut writer, status, reason, &body, keep_alive).is_ok();
         hap_obs::record("serve.latency_ns", start.elapsed().as_nanos() as f64);
         if !keep_alive || !ok {
             return;

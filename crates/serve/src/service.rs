@@ -353,7 +353,17 @@ impl<T: GraphScalar> ModelService<T> {
         let corpus = state.index.len().max(1);
         let k = k.clamp(1, MAX_SEARCH_K.min(corpus));
         let budget = budget.unwrap_or(self.cfg.search_budget).clamp(k, corpus);
-        let (hits, _report) = state.index.cascade(&q, k, budget);
+        let (hits, report) = state.index.cascade(&q, k, budget);
+        // The cascade's prune counts, for `/metrics`: every scanned entry
+        // is skipped at one of the two filters or gets a coarse distance.
+        hap_obs::add("retrieval.scanned", state.index.len() as u64);
+        hap_obs::add(
+            "retrieval.skipped_size_degree",
+            report.skipped_size_degree as u64,
+        );
+        hap_obs::add("retrieval.skipped_wl", report.skipped_wl as u64);
+        hap_obs::add("retrieval.coarse_evals", report.coarse_evals as u64);
+        hap_obs::add("retrieval.refined", report.refined as u64);
         let hits = if rerank {
             // The rerank must see the *current* graphs: mutated slots
             // come from the streaming overlay, untouched ones are

@@ -89,6 +89,35 @@ fn classify_roundtrip_is_deterministic() {
 }
 
 #[test]
+fn pipelined_keep_alive_requests_in_one_write_get_two_answers() {
+    // The second request arrives in the same segment as the first, so it
+    // sits in the connection's read buffer while the first is answered.
+    let h = start();
+    let payload = r#"{"n": 4, "edges": [[0,1],[1,2],[2,3]]}"#;
+    let (_, expected) = request(&h, "POST", "/classify", payload);
+    let pipelined = format!(
+        "GET /healthz HTTP/1.1\r\nConnection: keep-alive\r\n\r\n\
+         POST /classify HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
+        payload.len()
+    );
+    let (first_status, rest) = raw(&h, pipelined.as_bytes());
+    assert_eq!(first_status, "HTTP/1.1 200 OK");
+    // `raw` splits at the first blank line: `rest` is the first body
+    // followed by the whole second response.
+    let second = rest
+        .strip_prefix("{\"status\":\"ok\"}")
+        .unwrap_or_else(|| panic!("first answer must be /healthz: {rest}"));
+    let (second_head, second_body) = second.split_once("\r\n\r\n").expect("second response");
+    assert!(
+        second_head.starts_with("HTTP/1.1 200 OK\r\n"),
+        "{second_head}"
+    );
+    assert!(second_head.contains("Connection: close"), "{second_head}");
+    assert_eq!(second_body, expected);
+    h.shutdown();
+}
+
+#[test]
 fn similarity_of_a_graph_with_itself_is_one() {
     let h = start();
     let payload = r#"{"a": {"n": 4, "edges": [[0,1],[1,2],[2,3]]},

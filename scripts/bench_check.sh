@@ -110,13 +110,20 @@ cargo run --release --offline -p hap-bench --bin loadgen -- \
 # Speedup here is FLOP reduction, not parallelism — the floors hold at
 # HAP_THREADS=1 — so unlike the latency gates above they are not
 # host-sensitive. The committed curve lives in results/retrieval.json.
+# The answers are checked too: the run's results_hash, over every (id,
+# distance-bits) pair of every exhaustive and cascade answer, must equal
+# the committed one.
 retrieval_out=$(mktemp /tmp/retrieval.XXXXXX.json)
 trap 'rm -f "$current" "$loadgen_out" "$retrieval_out"' EXIT
 cargo run --release --offline -p hap-bench --bin retrieval_bench -- \
     --out "$retrieval_out"
-python3 - "$retrieval_out" <<'EOF'
+python3 - "$retrieval_out" results/retrieval.json <<'EOF'
 import json, sys
 r = json.load(open(sys.argv[1]))
+golden = json.load(open(sys.argv[2]))["results_hash"]
+if r["results_hash"] != golden:
+    sys.exit(f"retrieval answers changed: results_hash {r['results_hash']} "
+             f"differs from results/retrieval.json's {golden}")
 speedup, recall, budget = r["gated_speedup"], r["gated_recall"], r["gated_budget"]
 if recall < 0.95:
     sys.exit(f"retrieval recall collapsed: no budget reaches recall@10 >= 0.95 "
@@ -125,5 +132,5 @@ if speedup < 3.0:
     sys.exit(f"retrieval cascade speedup regressed: {speedup:.2f}x at budget "
              f"{budget} (floor 3.0x)")
 print(f"retrieval cascade: {speedup:.2f}x over exhaustive at budget {budget}, "
-      f"recall@10 {recall:.4f}")
+      f"recall@10 {recall:.4f}, results_hash {golden}")
 EOF
