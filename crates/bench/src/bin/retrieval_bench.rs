@@ -183,6 +183,7 @@ fn main() {
             per_budget[bi].report.skipped_wl += report.skipped_wl;
             per_budget[bi].report.coarse_evals += report.coarse_evals;
             per_budget[bi].report.refined += report.refined;
+            per_budget[bi].report.visited += report.visited;
         }
     }
 
@@ -205,11 +206,12 @@ fn main() {
         budget_rows.push(format!(
             "    {{\"budget\": {budget}, \"median_ns\": {med}, \"speedup\": {speedup}, \
              \"recall_at_k\": {recall}, \"skipped_size_degree\": {}, \"skipped_wl\": {}, \
-             \"coarse_evals\": {}, \"refined\": {}}}",
+             \"coarse_evals\": {}, \"refined\": {}, \"visited\": {}}}",
             stats.report.skipped_size_degree,
             stats.report.skipped_wl,
             stats.report.coarse_evals,
-            stats.report.refined
+            stats.report.refined,
+            stats.report.visited
         ));
     }
     let (gated_budget, gated_speedup, gated_recall) = gated.unwrap_or_else(|| {

@@ -179,17 +179,28 @@ fn full_trace_instrumentation_does_not_perturb_search_or_update() {
     assert_eq!(off, on, "tracing changed a /search or /update body");
 
     // Four searches over a 48-graph index: every entry is either skipped
-    // by one of the two filters or gets a coarse distance.
+    // by one of the two filters or gets a coarse distance, and only
+    // entries in visited buckets can get one.
+    let searches = 4;
     let scanned = hap_obs::counter("retrieval.scanned");
-    assert_eq!(scanned, 4 * 48);
+    assert_eq!(scanned, searches * 48);
+    let coarse = hap_obs::counter("retrieval.coarse_evals");
     assert_eq!(
         hap_obs::counter("retrieval.skipped_size_degree")
             + hap_obs::counter("retrieval.skipped_wl")
-            + hap_obs::counter("retrieval.coarse_evals"),
+            + coarse,
         scanned
     );
-    assert!(hap_obs::counter("retrieval.coarse_evals") > 0);
+    let visited = hap_obs::counter("retrieval.visited");
+    assert!(
+        coarse <= visited && visited <= scanned,
+        "coarse_evals {coarse} <= visited {visited} <= scanned {scanned}"
+    );
+    assert!(coarse > 0);
     assert!(hap_obs::counter("retrieval.refined") > 0);
+    // One cascade timing per `/search`.
+    let cascade = hap_obs::histogram("time.retrieval.cascade").expect("cascade timed at Trace");
+    assert_eq!(cascade.count, searches);
 
     hap_obs::set_level(hap_obs::Level::Off);
     hap_obs::reset();

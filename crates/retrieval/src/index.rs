@@ -24,12 +24,23 @@
 //!
 //! Corpus graphs are never stored (see
 //! [`hap_data::RetrievalCorpus`] — they regenerate on demand). The
-//! index keeps, per graph: `(n, edges, max_degree)` in parallel `u32`
-//! arrays, the compact WL histogram `(hash, count)` pairs in one flat
-//! buffer with an offsets array, and the embeddings as flat `f64`
-//! row-major buffers — the coarse (last) level contiguous for the hot
-//! scan, each finer level in its own buffer touched only for cascade
-//! survivors.
+//! index keeps, per graph:
+//!
+//! - `n` and `max_degree` in parallel `u32` arrays;
+//! - a 128-bit set of its WL colours (bit `colour mod 128`), kept beside
+//!   its id in its bucket (below) — the cascade's O(1) lower bound on the
+//!   WL term;
+//! - the compact WL histogram's `(hash, count)` pairs in a slot of `n`
+//!   pairs of one flat buffer, with the row's length beside it. A 1-WL
+//!   histogram has at most one colour per node and an edit never changes
+//!   `n`, so [`GraphIndex::update_entry`] rewrites the slot in place;
+//! - the embeddings as flat `f64` row-major buffers — the coarse (last)
+//!   level contiguous for the hot scan, each finer level in its own
+//!   buffer touched only for cascade survivors.
+//!
+//! Each scan shard also groups its ids into buckets keyed by
+//! `(n, max_degree)`: every member of a bucket has the same size/degree
+//! prefix, so the cascade bounds and orders whole buckets at once.
 
 use crate::RetrievalError;
 use hap_core::HapClassifier;
@@ -71,7 +82,6 @@ impl Default for IndexConfig {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GraphStats {
     pub n: u32,
-    pub edges: u32,
     pub max_degree: u32,
 }
 
@@ -79,7 +89,6 @@ impl GraphStats {
     pub fn of(g: &Graph) -> Self {
         Self {
             n: g.n() as u32,
-            edges: g.num_edges() as u32,
             max_degree: g.max_degree() as u32,
         }
     }
@@ -132,6 +141,42 @@ pub struct StatWeights {
     pub wl: f64,
 }
 
+impl StatWeights {
+    /// `w_size·|Δn| + w_degree·|Δmaxdeg|`, the stat prefix ahead of the
+    /// WL term. The exhaustive scan and the cascade's buckets both
+    /// compute it here, so their sums stay bitwise equal.
+    pub(crate) fn size_degree(&self, q: &GraphStats, n: u32, max_degree: u32) -> f64 {
+        let dn = (f64::from(q.n) - f64::from(n)).abs();
+        let dd = (f64::from(q.max_degree) - f64::from(max_degree)).abs();
+        self.size * dn + self.degree * dd
+    }
+
+    /// `size_deg + w_wl·l1`: the stat term for the WL L1 `l1`, or a lower
+    /// bound on it for a lower bound `l1`, since the same operations on
+    /// a smaller integer never round to a larger sum.
+    pub(crate) fn stat(&self, size_deg: f64, l1: u64) -> f64 {
+        size_deg + self.wl * l1 as f64
+    }
+}
+
+/// The graphs of one scan shard that share `(n, max_degree)`, ids
+/// ascending, each with the set of its WL colours beside it.
+#[derive(Clone, Debug)]
+pub(crate) struct Bucket {
+    pub(crate) n: u32,
+    pub(crate) max_degree: u32,
+    pub(crate) ids: Vec<u32>,
+    /// `colours[j]` has bit `colour mod 128` set for each WL colour of
+    /// graph `ids[j]`.
+    pub(crate) colours: Vec<u128>,
+}
+
+impl Bucket {
+    fn key(&self) -> (u32, u32) {
+        (self.n, self.max_degree)
+    }
+}
+
 /// The corpus-scale retrieval index. See the module docs for layout.
 pub struct GraphIndex {
     cfg: IndexConfig,
@@ -139,12 +184,15 @@ pub struct GraphIndex {
     hidden: usize,
     levels: usize,
     weights: StatWeights,
-    nodes: Vec<u32>,
-    edges: Vec<u32>,
-    max_deg: Vec<u32>,
-    wl_offsets: Vec<u32>,
+    pub(crate) nodes: Vec<u32>,
+    pub(crate) max_deg: Vec<u32>,
+    /// Per graph, `(start, len)` of its WL row: the slot holds `nodes[i]`
+    /// pairs from `start`, of which the first `len` are the histogram.
+    wl_slots: Vec<(u32, u32)>,
     wl_hashes: Vec<u64>,
     wl_counts: Vec<u32>,
+    /// Per scan shard, its `(n, max_degree)` buckets in key order.
+    buckets: Vec<Vec<Bucket>>,
     /// Coarsest-level rows, `len × hidden` row-major.
     coarse: Vec<f64>,
     /// Finer levels (finest first), each `len × hidden` row-major.
@@ -205,11 +253,11 @@ impl GraphIndex {
             levels,
             weights: StatWeights::default(),
             nodes: Vec::with_capacity(len),
-            edges: Vec::with_capacity(len),
             max_deg: Vec::with_capacity(len),
-            wl_offsets: Vec::with_capacity(len + 1),
+            wl_slots: Vec::with_capacity(len),
             wl_hashes: Vec::new(),
             wl_counts: Vec::new(),
+            buckets: Vec::new(),
             coarse: Vec::with_capacity(len * hidden),
             // Not `vec![Vec::with_capacity(..); n]`: `Vec::clone` copies
             // contents (len 0), not capacity, so all but the template
@@ -218,20 +266,30 @@ impl GraphIndex {
                 .map(|_| Vec::with_capacity(len * hidden))
                 .collect(),
         };
-        index.wl_offsets.push(0);
+        let mut colours = Vec::with_capacity(len);
         for out in outs {
             if let Some(err) = out.error {
                 return Err(err);
             }
             for ((stats, wl), concat) in out.stats.into_iter().zip(out.wl).zip(out.concat) {
                 index.nodes.push(stats.n);
-                index.edges.push(stats.edges);
                 index.max_deg.push(stats.max_degree);
-                for (h, c) in wl {
-                    index.wl_hashes.push(h);
-                    index.wl_counts.push(c);
-                }
-                index.wl_offsets.push(index.wl_hashes.len() as u32);
+                colours.push(colour_set(&wl));
+                // A 1-WL histogram has at most one colour per node, so an
+                // `n`-pair slot holds every later histogram of the graph.
+                let start = index.wl_hashes.len();
+                assert!(
+                    wl.len() <= stats.n as usize,
+                    "a 1-WL histogram has at most one colour per node"
+                );
+                index.wl_slots.push((
+                    u32::try_from(start).expect("WL slots fit in u32 offsets"),
+                    wl.len() as u32,
+                ));
+                index.wl_hashes.extend(wl.iter().map(|&(h, _)| h));
+                index.wl_counts.extend(wl.iter().map(|&(_, c)| c));
+                index.wl_hashes.resize(start + stats.n as usize, 0);
+                index.wl_counts.resize(start + stats.n as usize, 0);
                 let (fines, coarse) = concat.split_at((levels - 1) * hidden);
                 index.coarse.extend_from_slice(coarse);
                 for (l, row) in fines.chunks(hidden).enumerate() {
@@ -241,8 +299,46 @@ impl GraphIndex {
         }
         debug_assert_eq!(index.nodes.len(), len);
 
+        index.buckets = index.bucket_shards(&colours);
         index.weights = index.calibrate_weights(corpus.seed());
         Ok(index)
+    }
+
+    /// Groups each scan shard's ids into `(n, max_degree)` buckets, in
+    /// key order with ids ascending; `colours[i]` is graph `i`'s colour
+    /// set.
+    fn bucket_shards(&self, colours: &[u128]) -> Vec<Vec<Bucket>> {
+        let shard = self.cfg.shard_size.max(1);
+        (0..self.len.div_ceil(shard).max(1))
+            .map(|si| {
+                let lo = si * shard;
+                let hi = (lo + shard).min(self.len);
+                let mut keyed: Vec<(u32, u32, u32)> = (lo..hi)
+                    .map(|i| {
+                        let id = u32::try_from(i).expect("graph ids fit in u32");
+                        (self.nodes[i], self.max_deg[i], id)
+                    })
+                    .collect();
+                keyed.sort_unstable();
+                let mut buckets: Vec<Bucket> = Vec::new();
+                for (n, max_degree, id) in keyed {
+                    let set = colours[id as usize];
+                    match buckets.last_mut() {
+                        Some(b) if b.key() == (n, max_degree) => {
+                            b.ids.push(id);
+                            b.colours.push(set);
+                        }
+                        _ => buckets.push(Bucket {
+                            n,
+                            max_degree,
+                            ids: vec![id],
+                            colours: vec![set],
+                        }),
+                    }
+                }
+                buckets
+            })
+            .collect()
     }
 
     /// Derives stat weights so the cheap filter terms live on the same
@@ -319,17 +415,14 @@ impl GraphIndex {
         self.weights
     }
 
-    pub(crate) fn stats_row(&self, i: usize) -> GraphStats {
-        GraphStats {
-            n: self.nodes[i],
-            edges: self.edges[i],
-            max_degree: self.max_deg[i],
-        }
+    /// Shard `shard`'s `(n, max_degree)` buckets, in key order.
+    pub(crate) fn buckets(&self, shard: usize) -> &[Bucket] {
+        &self.buckets[shard]
     }
 
     pub(crate) fn wl_row(&self, i: usize) -> (&[u64], &[u32]) {
-        let lo = self.wl_offsets[i] as usize;
-        let hi = self.wl_offsets[i + 1] as usize;
+        let (start, len) = self.wl_slots[i];
+        let (lo, hi) = (start as usize, (start + len) as usize);
         (&self.wl_hashes[lo..hi], &self.wl_counts[lo..hi])
     }
 
@@ -343,20 +436,20 @@ impl GraphIndex {
 
     /// `stat(q, i)` — the cheapest admissible prefix of the retrieval
     /// distance, accumulated in the fixed order size → degree → WL.
-    pub(crate) fn stat_terms(&self, q: &QueryEmbedding, i: usize) -> (f64, f64) {
-        let dn = (f64::from(q.stats.n) - f64::from(self.nodes[i])).abs();
-        let dd = (f64::from(q.stats.max_degree) - f64::from(self.max_deg[i])).abs();
-        let size_deg = self.weights.size * dn + self.weights.degree * dd;
+    pub(crate) fn stat(&self, q: &QueryEmbedding, i: usize) -> f64 {
+        let w = &self.weights;
         let (hashes, counts) = self.wl_row(i);
-        let dwl = wl_l1_split(&q.wl, hashes, counts) as f64;
-        (size_deg, size_deg + self.weights.wl * dwl)
+        w.stat(
+            w.size_degree(&q.stats, self.nodes[i], self.max_deg[i]),
+            wl_l1_split(&q.wl, hashes, counts),
+        )
     }
 
     /// Full retrieval distance `D(q, i)` with the canonical addition
     /// order; the exhaustive scan and the cascade's refine stage both
     /// go through the partial sums this returns.
     pub(crate) fn full_distance(&self, q: &QueryEmbedding, i: usize) -> f64 {
-        let (_, stat) = self.stat_terms(q, i);
+        let stat = self.stat(q, i);
         let coarse = stat + l2_distance(&q.levels[self.levels - 1], self.coarse_row(i));
         self.refine_from(q, i, coarse)
     }
@@ -392,17 +485,21 @@ impl GraphIndex {
     }
 
     /// Rewrites graph `id`'s SoA slot in place from a freshly prepared
-    /// query embedding — the streaming upsert path (`POST /update`). The
-    /// fixed-width columns (stats, coarse and fine rows) are overwritten
-    /// directly; the variable-width WL row is spliced into the flat
-    /// hash/count buffers with the later offsets shifted. No rebuild, no
-    /// recalibration: the stat weights are constants of the distance
-    /// function fixed at build time, so admissibility of the cascade's
-    /// prefix bounds is unaffected.
+    /// query embedding — the streaming upsert path (`POST /update`).
+    /// Every column is overwritten where it lies: the WL histogram goes
+    /// into the graph's `n`-pair slot (an edit never changes `n`, and a
+    /// 1-WL histogram has at most `n` colours), so no later entry moves.
+    /// When `max_degree` changes, the id moves to its new
+    /// `(n, max_degree)` bucket, which is created if missing and dropped
+    /// once empty. No rebuild, no recalibration: the stat weights are
+    /// constants of the distance function fixed at build time, so
+    /// admissibility of the cascade's bounds is unaffected.
     ///
     /// # Panics
-    /// Panics when `id` is out of range or the embedding's level count /
-    /// hidden width disagree with the index.
+    /// Panics, before writing anything, when `id` is out of range, the
+    /// embedding's level count or hidden width disagree with the index,
+    /// `q.stats.n` differs from the graph's stored node count, or the WL
+    /// histogram does not count each of those nodes exactly once.
     pub fn update_entry(&mut self, id: usize, q: &QueryEmbedding) {
         assert!(
             id < self.len,
@@ -421,24 +518,78 @@ impl GraphIndex {
                 "update_entry: hidden width mismatch"
             );
         }
-        self.nodes[id] = q.stats.n;
-        self.edges[id] = q.stats.edges;
-        self.max_deg[id] = q.stats.max_degree;
-        let lo = self.wl_offsets[id] as usize;
-        let hi = self.wl_offsets[id + 1] as usize;
-        let delta = q.wl.len() as i64 - (hi - lo) as i64;
-        self.wl_hashes.splice(lo..hi, q.wl.iter().map(|&(h, _)| h));
-        self.wl_counts.splice(lo..hi, q.wl.iter().map(|&(_, c)| c));
-        if delta != 0 {
-            for off in &mut self.wl_offsets[id + 1..] {
-                *off = (i64::from(*off) + delta) as u32;
-            }
+        let n = self.nodes[id];
+        assert_eq!(
+            q.stats.n, n,
+            "update_entry: graph {id} has {n} nodes; an update may not change n"
+        );
+        assert!(
+            q.wl.len() <= n as usize && histogram_nodes(&q.wl) == u64::from(n),
+            "update_entry: the WL histogram must count each of the {n} nodes once"
+        );
+        self.rebucket(id, q.stats.max_degree, colour_set(&q.wl));
+        let (start, _) = self.wl_slots[id];
+        let lo = start as usize;
+        let hi = lo + q.wl.len();
+        for ((h, c), &(qh, qc)) in self.wl_hashes[lo..hi]
+            .iter_mut()
+            .zip(&mut self.wl_counts[lo..hi])
+            .zip(&q.wl)
+        {
+            (*h, *c) = (qh, qc);
         }
+        self.wl_slots[id].1 = q.wl.len() as u32;
         self.coarse[id * self.hidden..(id + 1) * self.hidden]
             .copy_from_slice(&q.levels[self.levels - 1]);
         for l in 0..self.levels - 1 {
             self.fine[l][id * self.hidden..(id + 1) * self.hidden].copy_from_slice(&q.levels[l]);
         }
+    }
+
+    /// Stores graph `id`'s colour set and moves it to the
+    /// `(n, max_degree)` bucket when its maximum degree changed, keeping
+    /// key and id order; a bucket left empty is dropped.
+    fn rebucket(&mut self, id: usize, max_degree: u32, colours: u128) {
+        let n = self.nodes[id];
+        let old = (n, self.max_deg[id]);
+        let shard = &mut self.buckets[id / self.cfg.shard_size.max(1)];
+        // Build checked that every id fits in u32.
+        let id32 = id as u32;
+        let b = shard
+            .binary_search_by_key(&old, Bucket::key)
+            .expect("every graph sits in its (n, max_degree) bucket");
+        let at = shard[b]
+            .ids
+            .binary_search(&id32)
+            .expect("every graph sits in its (n, max_degree) bucket");
+        if old.1 == max_degree {
+            shard[b].colours[at] = colours;
+            return;
+        }
+        shard[b].ids.remove(at);
+        shard[b].colours.remove(at);
+        if shard[b].ids.is_empty() {
+            shard.remove(b);
+        }
+        let b = match shard.binary_search_by_key(&(n, max_degree), Bucket::key) {
+            Ok(b) => b,
+            Err(b) => {
+                shard.insert(
+                    b,
+                    Bucket {
+                        n,
+                        max_degree,
+                        ids: Vec::new(),
+                        colours: Vec::new(),
+                    },
+                );
+                b
+            }
+        };
+        let at = shard[b].ids.partition_point(|&x| x < id32);
+        shard[b].ids.insert(at, id32);
+        shard[b].colours.insert(at, colours);
+        self.max_deg[id] = max_degree;
     }
 }
 
@@ -503,6 +654,31 @@ fn embed_chunk<T: GraphScalar>(
     out
 }
 
+/// The set of a WL histogram's colours as 128 bits, bit `colour mod 128`
+/// (colours with a zero count are absent). A bit set on one side only
+/// marks at least one colour present on that side alone, each adding at
+/// least 1 to the L1, so `popcount(a ⊕ b)` never exceeds
+/// [`wl_l1_split`]'s value; colliding colours only clear bits.
+pub(crate) fn colour_set(wl: &[(u64, u32)]) -> u128 {
+    wl.iter()
+        .filter(|&&(_, c)| c > 0)
+        .fold(0, |set, &(h, _)| set | 1 << (h % 128))
+}
+
+/// The number of nodes a WL histogram counts: `n` for a graph's own
+/// histogram.
+pub(crate) fn histogram_nodes(wl: &[(u64, u32)]) -> u64 {
+    wl.iter().map(|&(_, c)| u64::from(c)).sum()
+}
+
+/// A lower bound on the WL L1 between two histograms, from their
+/// [`colour_set`]s and the difference `dn` of their
+/// [`histogram_nodes`]: the L1 is at least each of `popcount(a ⊕ b)` and
+/// `dn`, but not their sum.
+pub(crate) fn wl_floor(a: u128, b: u128, dn: u64) -> u64 {
+    u64::from((a ^ b).count_ones()).max(dn)
+}
+
 /// Euclidean distance with a fixed sequential accumulation order.
 pub(crate) fn l2_distance(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
@@ -547,4 +723,50 @@ pub(crate) fn wl_l1_split(q: &[(u64, u32)], hashes: &[u64], counts: &[u32]) -> u
         j += 1;
     }
     total
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A random histogram over a 40-colour pool in which colours
+    /// `c`, `c + 128` and `c + 256` collide mod 128.
+    fn random_histogram(rng: &mut Rng) -> Vec<(u64, u32)> {
+        let mut wl: Vec<(u64, u32)> = (0..rng.gen_range(0..12usize))
+            .map(|_| {
+                let base = rng.gen_range(0..10u64) * 13;
+                let colour = base + 128 * rng.gen_range(0..4u64);
+                (colour, rng.gen_range(1..6u32))
+            })
+            .collect();
+        wl.sort_unstable();
+        wl.dedup_by_key(|e| e.0);
+        wl
+    }
+
+    #[test]
+    fn colour_and_size_floors_never_exceed_the_wl_l1() {
+        let mut rng = Rng::from_seed(0xC010);
+        let mut collided = 0;
+        for _ in 0..2000 {
+            let (a, b) = (random_histogram(&mut rng), random_histogram(&mut rng));
+            let hashes: Vec<u64> = b.iter().map(|&(h, _)| h).collect();
+            let counts: Vec<u32> = b.iter().map(|&(_, c)| c).collect();
+            let l1 = wl_l1_split(&a, &hashes, &counts);
+            let pop = u64::from((colour_set(&a) ^ colour_set(&b)).count_ones());
+            assert!(pop <= l1, "popcount {pop} > L1 {l1} for {a:?} vs {b:?}");
+            let dn = histogram_nodes(&a).abs_diff(histogram_nodes(&b));
+            assert!(dn <= l1, "|Δn| {dn} > L1 {l1} for {a:?} vs {b:?}");
+            let floor = wl_floor(colour_set(&a), colour_set(&b), dn);
+            assert!(floor <= l1, "floor {floor} > L1 {l1} for {a:?} vs {b:?}");
+            let distinct: std::collections::BTreeSet<u64> =
+                a.iter().chain(&b).map(|&(h, _)| h).collect();
+            let bits: std::collections::BTreeSet<u64> = distinct.iter().map(|h| h % 128).collect();
+            collided += usize::from(bits.len() < distinct.len());
+        }
+        assert!(
+            collided > 100,
+            "only {collided} pairs had colliding colours"
+        );
+    }
 }

@@ -7,12 +7,14 @@
 //!
 //! - [`GraphIndex`] — SoA index over a seeded
 //!   [`hap_data::RetrievalCorpus`]: per-level embeddings (coarsest
-//!   level in one contiguous buffer), compact 1-WL histograms, and
-//!   size/degree stats. Built through the batched block-diagonal
-//!   forward in parallel chunks.
-//! - [`GraphIndex::cascade`] — staged query path: admissible
-//!   stat/WL filters → bounded coarse-level scan → fine-level refine,
-//!   with an optional exact [`GraphIndex::rerank_ged`] stage.
+//!   level in one contiguous buffer), 1-WL histograms in fixed `n`-pair
+//!   slots, 128-bit colour sets, and size/degree stats, with each shard
+//!   grouped into `(n, max_degree)` buckets. Built through the batched
+//!   block-diagonal forward in parallel chunks.
+//! - [`GraphIndex::cascade`] — staged query path: a best-first walk of
+//!   the buckets that stops at the heap threshold, admissible colour and
+//!   WL filters → bounded coarse-level scan → fine-level refine, with an
+//!   optional exact [`GraphIndex::rerank_ged`] stage.
 //! - [`GraphIndex::exhaustive`] — the full-distance oracle the
 //!   cascade is measured against; with `budget ≥ corpus size` the
 //!   cascade is bitwise-equal to it.

@@ -235,7 +235,7 @@ fn update_entry_upserts_slot_in_place_and_keeps_admissibility() {
     assert_eq!(top[0].id, 17, "upserted slot must be its own nearest");
     assert_eq!(top[0].distance.to_bits(), 0.0f64.to_bits());
 
-    // The spliced WL row and rewritten embedding rows must keep the SoA
+    // The rewritten WL slot and embedding rows must keep the SoA
     // layout coherent: the cascade stays bitwise equal to the exhaustive
     // scan for unrelated queries.
     for (qi, q) in queries(&index, &snap, 71, 3).iter().enumerate() {
@@ -263,6 +263,43 @@ fn update_entry_upserts_slot_in_place_and_keeps_admissibility() {
     );
     let self_hit = reranked.iter().find(|n| n.id == 17).expect("id 17 kept");
     assert_eq!(self_hit.distance, 0.0, "GED of the mutated graph to itself");
+}
+
+#[test]
+fn update_entry_with_a_different_node_count_panics_before_writing() {
+    let (mut index, corpus, snap) = small_index(83, 60);
+    let (_store, clf) = snap.build_classifier().expect("classifier");
+    let n = corpus.graph(9).n();
+    let other = (0..corpus.len())
+        .map(|i| corpus.graph(i))
+        .find(|g| g.n() != n)
+        .expect("the corpus mixes graph sizes");
+    let f = corpus.features::<f64>(&other);
+    let q = index.embed_query(&clf, &other, &f).expect("embed");
+    let probes = queries(&index, &snap, 83, 3);
+    let before: Vec<Vec<Neighbor>> = probes
+        .iter()
+        .map(|p| index.cascade(p, 10, index.len()).0)
+        .collect();
+
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        index.update_entry(9, &q);
+    }))
+    .expect_err("a different n must panic");
+    let msg = err
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .unwrap_or_default();
+    assert!(msg.contains("may not change n"), "panic message: {msg}");
+
+    // Nothing was written: every answer is unchanged, bit for bit.
+    for (p, want) in probes.iter().zip(&before) {
+        assert_bitwise_eq(
+            &index.cascade(p, 10, index.len()).0,
+            want,
+            "after the panic",
+        );
+    }
 }
 
 #[test]

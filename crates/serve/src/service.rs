@@ -353,10 +353,15 @@ impl<T: GraphScalar> ModelService<T> {
         let corpus = state.index.len().max(1);
         let k = k.clamp(1, MAX_SEARCH_K.min(corpus));
         let budget = budget.unwrap_or(self.cfg.search_budget).clamp(k, corpus);
-        let (hits, report) = state.index.cascade(&q, k, budget);
+        let (hits, report) = {
+            let _t = hap_obs::time_scope("retrieval.cascade");
+            state.index.cascade(&q, k, budget)
+        };
         // The cascade's prune counts, for `/metrics`: every scanned entry
-        // is skipped at one of the two filters or gets a coarse distance.
+        // is skipped at one of the two filters or gets a coarse distance,
+        // and only entries in visited buckets can get one.
         hap_obs::add("retrieval.scanned", state.index.len() as u64);
+        hap_obs::add("retrieval.visited", report.visited as u64);
         hap_obs::add(
             "retrieval.skipped_size_degree",
             report.skipped_size_degree as u64,

@@ -106,7 +106,9 @@ cargo run --release --offline -p hap-bench --bin loadgen -- \
 # Retrieval cascade gate: rebuild the 100k-graph index and replay the
 # held-out queries fresh, then hold the gated operating point (the
 # smallest budget whose recall@10 clears 0.95) to the committed floors:
-# >= 3x median speedup over the exhaustive scan at >= 0.95 recall@10.
+# >= 8x median speedup over the exhaustive scan at >= 0.95 recall@10.
+# The best-first bucket walk measures 11-12x there; a cascade that slid
+# back to scanning every entry measured 4.2x, so it fails the floor.
 # Speedup here is FLOP reduction, not parallelism — the floors hold at
 # HAP_THREADS=1 — so unlike the latency gates above they are not
 # host-sensitive. The committed curve lives in results/retrieval.json.
@@ -128,9 +130,9 @@ speedup, recall, budget = r["gated_speedup"], r["gated_recall"], r["gated_budget
 if recall < 0.95:
     sys.exit(f"retrieval recall collapsed: no budget reaches recall@10 >= 0.95 "
              f"(best gated: {recall:.4f} at budget {budget})")
-if speedup < 3.0:
+if speedup < 8.0:
     sys.exit(f"retrieval cascade speedup regressed: {speedup:.2f}x at budget "
-             f"{budget} (floor 3.0x)")
+             f"{budget} (floor 8.0x)")
 print(f"retrieval cascade: {speedup:.2f}x over exhaustive at budget {budget}, "
       f"recall@10 {recall:.4f}, results_hash {golden}")
 EOF
