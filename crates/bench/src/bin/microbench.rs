@@ -36,14 +36,15 @@
 //!   headline hot paths: the `n=200` square GEMM (the packed microkernel
 //!   with twice the lanes per register at f32) and the full training
 //!   step. The f32/f64 median ratio here is the "Precision" table in
-//!   EXPERIMENTS.md, and `scripts/bench_check.sh` gates the train-step
-//!   pair at ≥2× — the refactor's raison d'être.
-//! * `train/train_step` — one full gradient-accumulation step exactly as
-//!   `hap_train::train` runs it (persistent tape, `reset()` per sample);
-//!   the training-hot-path headline number. `train/train_step_batched` is
-//!   the same workload through `hap_train::train_batched`'s inner loop:
-//!   one shared block-diagonal level-0 forward and one backward for the
-//!   whole batch.
+//!   EXPERIMENTS.md, and `scripts/bench_check.sh` gates the matmul pair
+//!   at ≥1.6× and the COLLAB-scale train-step pair at ≥1.25×.
+//! * `train/train_step` — one full gradient-accumulation step through
+//!   `hap_train::Stepper::step` with one sample per group, the step
+//!   `hap_train::train` runs (persistent tape, `reset()` per sample); the
+//!   training-hot-path headline number. `train/train_step_batched` is the
+//!   same workload with the whole batch in one group, the step
+//!   `hap_train::train_batched` runs: one shared block-diagonal level-0
+//!   forward and one backward for the whole batch.
 //!
 //! ```text
 //! cargo run --release -p hap-bench --bin microbench \
@@ -65,13 +66,13 @@ use hap_ged::{
 };
 use hap_gnn::{AdjacencyRef, GatLayer};
 use hap_graph::{degree_one_hot, generators, Graph, GraphScalar};
-use hap_nn::{Adam, Optimizer};
 use hap_pooling::{
     CoarsenModule, DiffPool, GPool, MeanAttReadout, MeanReadout, PoolCtx, Readout, SagPool,
     StructPool, SumReadout,
 };
 use hap_rand::Rng;
 use hap_tensor::Tensor;
+use hap_train::{Stepper, TrainConfig};
 
 /// With `--features count-allocs`, route every heap allocation through
 /// the counting allocator so [`Bench::run`] reports allocations per
@@ -479,106 +480,93 @@ fn embed_batch(bench: &mut Bench, seed: u64) {
     );
 }
 
-/// One full gradient-accumulation training step — zero grads, an
-/// 8-sample forward/backward batch on a persistent tape with `reset()`
-/// between samples, then an Adam update — exactly the inner loop of
-/// `hap_train::train`. Under `--features count-allocs` its
-/// allocations-per-iteration figure is the headline number for the
-/// tape buffer-reuse work (EXPERIMENTS.md "Training hot path").
+/// One full gradient-accumulation training step on IMDB-scale graphs
+/// (~20 nodes, width 8, an 8-sample batch) through
+/// `hap_train::Stepper::step`, the code `hap_train::train` and
+/// `train_batched` run for every mini-batch. Under
+/// `--features count-allocs` its allocations-per-iteration figure is the
+/// headline number for the tape buffer-reuse work (EXPERIMENTS.md
+/// "Training hot path").
+///
+/// `batched = false` is `train`'s step: every sample gets its own
+/// `tape.reset()`, `HapClassifier::loss` forward and backward.
+/// `batched = true` is `train_batched`'s step: one `tape.reset()`, all
+/// eight losses from a single `HapClassifier::batch_losses` call (shared
+/// block-diagonal level-0 forward) and one backward through their sum.
+/// Per-loss values are byte-identical; the pair measures what sharing
+/// the forward and the backward buys.
 ///
 /// The `/obs` variant re-times the identical workload with
 /// `hap-obs` at `Level::Trace` (`HAP_TRACE=1` semantics: phase timers
 /// plus whole-tensor finiteness scans); comparing the two medians is
 /// the observability-overhead acceptance check (budget: < 5%).
+fn train_step_workload<T: GraphScalar>(seed: u64, batched: bool) -> impl FnMut() -> f64 {
+    let mut rng = Rng::from_seed(seed);
+    let ds = hap_data::imdb_b(16, &mut rng);
+    step_workload::<T>(rng, ds, 8, &[4, 2], 8, batched)
+}
+
+/// One `Stepper::step` over the first `batch_size` samples of `ds`,
+/// with `rng` initialising the classifier, at `TrainConfig::default()`'s
+/// learning rate and clip bound, the ones every trainer in the workspace
+/// runs with: each step also takes the gradient norm and clips the
+/// gradients when the norm exceeds the bound.
 ///
 /// Each case rebuilds its model/optimiser state from the same seeds:
 /// sharing one evolving model across cases would confound the
 /// comparison, because the arithmetic cost drifts as training
 /// progresses (the Adam trajectory differs iteration to iteration).
 ///
-/// Generic over the element type so the `precision/*` pair times the
+/// Generic over the element type so the `precision/*` pairs time the
 /// *identical* workload at both dtypes: data synthesis and splits stay
 /// f64 and features are cast once up front, exactly as
 /// `train_snapshot --dtype` does.
-fn train_step_workload<T: GraphScalar>(seed: u64) -> impl FnMut() -> f64 {
-    let mut rng = Rng::from_seed(seed);
-    let ds = hap_data::imdb_b(16, &mut rng);
+fn step_workload<T: GraphScalar>(
+    mut rng: Rng,
+    ds: hap_data::ClassificationDataset,
+    hidden: usize,
+    clusters: &[usize],
+    batch_size: usize,
+    batched: bool,
+) -> impl FnMut() -> f64 {
     let features: Vec<Tensor<T>> = ds.samples.iter().map(|s| s.features.cast()).collect();
     let mut store = ParamStore::<T>::new();
-    let cfg = HapConfig::new(ds.feature_dim, 8).with_clusters(&[4, 2]);
+    let cfg = HapConfig::new(ds.feature_dim, hidden).with_clusters(clusters);
     let model = HapModel::new(&mut store, &cfg, &mut rng);
     let clf = HapClassifier::new(&mut store, model, ds.num_classes, &mut rng);
-    let mut adam = Adam::new(0.01);
-    let mut tape = Tape::new();
+    let train_cfg = TrainConfig::default();
+    let mut stepper = Stepper::new(train_cfg.lr, train_cfg.grad_clip);
     let mut model_rng = Rng::from_seed(1);
-    let batch: Vec<usize> = (0..8).collect();
+    let batch: Vec<usize> = (0..batch_size).collect();
+    let group = if batched { batch_size } else { 1 };
 
     move || {
-        store.zero_grads();
-        for &i in &batch {
-            tape.reset();
-            let mut ctx = PoolCtx {
-                training: true,
-                rng: &mut model_rng,
-            };
-            let s = &ds.samples[i];
-            let loss = clf.loss(&mut tape, &s.graph, &features[i], s.label, &mut ctx);
-            tape.backward_with_seed(
-                loss,
-                Tensor::full(1, 1, T::from_f64(1.0 / batch.len() as f64)),
-            );
-        }
-        adam.step(&store);
-        store.grad_norm()
-    }
-}
-
-/// The same training step through `hap_train::train_batched`'s inner
-/// loop: one `tape.reset()`, all eight losses from a single
-/// `HapClassifier::batch_losses` call (shared block-diagonal level-0
-/// forward), summed into one scalar, one backward seeded `1/B`. Per-loss
-/// values are byte-identical to the per-sample loop; this case measures
-/// what sharing the forward and the backward buys.
-fn train_step_batched_workload(seed: u64) -> impl FnMut() -> f64 {
-    let mut rng = Rng::from_seed(seed);
-    let ds = hap_data::imdb_b(16, &mut rng);
-    let mut store = ParamStore::new();
-    let cfg = HapConfig::new(ds.feature_dim, 8).with_clusters(&[4, 2]);
-    let model = HapModel::new(&mut store, &cfg, &mut rng);
-    let clf = HapClassifier::new(&mut store, model, ds.num_classes, &mut rng);
-    let mut adam = Adam::new(0.01);
-    let mut tape = Tape::new();
-    let mut model_rng = Rng::from_seed(1);
-    let batch: Vec<usize> = (0..8).collect();
-
-    move || {
-        store.zero_grads();
-        tape.reset();
-        let mut ctx = PoolCtx {
-            training: true,
-            rng: &mut model_rng,
-        };
-        let items: Vec<(&Graph, &Tensor, usize)> = batch
-            .iter()
-            .map(|&i| {
-                let s = &ds.samples[i];
-                (&s.graph, &s.features, s.label)
-            })
-            .collect();
-        let losses = clf
-            .batch_losses(&mut tape, &items, &mut ctx)
-            .expect("batch losses");
-        let mut total = None;
-        for loss in losses {
-            total = Some(match total {
-                Some(t) => tape.add(t, loss),
-                None => loss,
-            });
-        }
-        let total = total.expect("non-empty batch");
-        tape.backward_with_seed(total, Tensor::full(1, 1, 1.0 / batch.len() as f64));
-        adam.step(&store);
-        store.grad_norm()
+        let mut loss_sum = 0.0;
+        stepper.step(
+            &store,
+            &batch,
+            group,
+            &mut |tape, samples, ctx| {
+                if batched {
+                    let items: Vec<(&Graph, &Tensor<T>, usize)> = samples
+                        .iter()
+                        .map(|&i| (&ds.samples[i].graph, &features[i], ds.samples[i].label))
+                        .collect();
+                    clf.batch_losses(tape, &items, ctx).expect("batch losses")
+                } else {
+                    samples
+                        .iter()
+                        .map(|&i| {
+                            let s = &ds.samples[i];
+                            clf.loss(tape, &s.graph, &features[i], s.label, ctx)
+                        })
+                        .collect()
+                }
+            },
+            &mut model_rng,
+            &mut loss_sum,
+        );
+        loss_sum
     }
 }
 
@@ -589,15 +577,15 @@ fn train_step_batched_workload(seed: u64) -> impl FnMut() -> f64 {
 fn train_step(bench: &mut Bench, seed: u64) {
     bench.run_pair(
         "train/train_step/batch=8",
-        train_step_workload::<f64>(seed),
+        train_step_workload::<f64>(seed, false),
         "train/train_step_batched/batch=8",
-        train_step_batched_workload(seed),
+        train_step_workload::<f64>(seed, true),
     );
 
     hap_obs::set_level(hap_obs::Level::Trace);
     bench.run(
         "train/train_step/batch=8/obs",
-        train_step_workload::<f64>(seed),
+        train_step_workload::<f64>(seed, false),
     );
     hap_obs::set_level(hap_obs::Level::Off);
     hap_obs::reset();
@@ -606,8 +594,8 @@ fn train_step(bench: &mut Bench, seed: u64) {
 /// f32-vs-f64 pairs over the same inputs (f32 operands are one-time
 /// casts of the f64 ones). Interleaved so the dtype ratio — the number
 /// the generic-scalar refactor exists to improve — is immune to host
-/// drift. `scripts/bench_check.sh` reads the train-step pair and fails
-/// below 2×.
+/// drift. `scripts/bench_check.sh` reads the matmul and COLLAB
+/// train-step pairs and fails below 1.6× and 1.25×.
 fn precision(bench: &mut Bench, seed: u64) {
     let mut rng = Rng::from_seed(seed);
     let a64 = Tensor::<f64>::rand_uniform(200, 200, -1.0, 1.0, &mut rng);
@@ -622,9 +610,9 @@ fn precision(bench: &mut Bench, seed: u64) {
     );
     bench.run_pair(
         "precision/train_step/batch=8/f64",
-        train_step_workload::<f64>(seed),
+        train_step_workload::<f64>(seed, false),
         "precision/train_step/batch=8/f32",
-        train_step_workload::<f32>(seed),
+        train_step_workload::<f32>(seed, false),
     );
     bench.run_pair(
         "precision/train_step_collab/batch=4/f64",
@@ -634,44 +622,18 @@ fn precision(bench: &mut Bench, seed: u64) {
     );
 }
 
-/// The compute-bound training step: COLLAB-scale graphs (40–110 nodes,
-/// paper avg 74) at hidden width 32, where the per-node GEMMs dominate
-/// and the tape's fixed bookkeeping does not. This is the pair
-/// `bench_check.sh` gates at ≥2×: on the IMDB-scale micro step above
+/// The compute-bound training step: `hap_train::train`'s per-sample
+/// `Stepper::step` on a 4-sample batch of COLLAB-scale graphs (40–110
+/// nodes, paper avg 74) at hidden width 32, where the per-node GEMMs
+/// dominate and the tape's fixed bookkeeping does not. This is the pair
+/// `bench_check.sh` gates at ≥1.25×: on the IMDB-scale micro step above
 /// (~20-node graphs, width 8) the arithmetic is too small for lane width
 /// to matter and the dtype ratio sits near 1.1× — see the EXPERIMENTS.md
 /// "Precision" table for both numbers side by side.
 fn collab_step_workload<T: GraphScalar>(seed: u64) -> impl FnMut() -> f64 {
     let mut rng = Rng::from_seed(seed);
     let ds = hap_data::collab(8, 1.0, &mut rng);
-    let features: Vec<Tensor<T>> = ds.samples.iter().map(|s| s.features.cast()).collect();
-    let mut store = ParamStore::<T>::new();
-    let cfg = HapConfig::new(ds.feature_dim, 32).with_clusters(&[16, 8]);
-    let model = HapModel::new(&mut store, &cfg, &mut rng);
-    let clf = HapClassifier::new(&mut store, model, ds.num_classes, &mut rng);
-    let mut adam = Adam::new(0.01);
-    let mut tape = Tape::new();
-    let mut model_rng = Rng::from_seed(1);
-    let batch: Vec<usize> = (0..4).collect();
-
-    move || {
-        store.zero_grads();
-        for &i in &batch {
-            tape.reset();
-            let mut ctx = PoolCtx {
-                training: true,
-                rng: &mut model_rng,
-            };
-            let s = &ds.samples[i];
-            let loss = clf.loss(&mut tape, &s.graph, &features[i], s.label, &mut ctx);
-            tape.backward_with_seed(
-                loss,
-                Tensor::full(1, 1, T::from_f64(1.0 / batch.len() as f64)),
-            );
-        }
-        adam.step(&store);
-        store.grad_norm()
-    }
+    step_workload::<T>(rng, ds, 32, &[16, 8], 4, false)
 }
 
 fn main() {

@@ -44,4 +44,4 @@ pub use flat_coarsen::FlatCoarsen;
 pub use gcont::GCont;
 pub use moa::Moa;
 pub use model::{AblationKind, HapConfig, HapModel};
-pub use tasks::{HapClassifier, HapMatcher, HapSimilarity, PairScore};
+pub use tasks::{HapClassifier, HapMatcher, HapSimilarity, PairScore, SIMILARITY_SCALE};

@@ -272,9 +272,15 @@ impl<T: GraphScalar> HapClassifier<T> {
     }
 }
 
+/// Scale `s` in the similarity kernel `s^k = exp(-s · d^k)` (Eq. 22),
+/// the paper's default. [`HapMatcher`] scores pairs with it, and so does
+/// any caller that turns embedding distances into similarities.
+pub const SIMILARITY_SCALE: f64 = 0.5;
+
 /// Per-level similarity scores of a graph pair.
 pub struct PairScore {
-    /// `s^k = exp(-scale · d^k)` per coarsening level (Eq. 22).
+    /// `s^k = exp(-s · d^k)` per coarsening level (Eq. 22), with
+    /// `s` = [`SIMILARITY_SCALE`].
     pub per_level: Vec<f64>,
 }
 
@@ -300,13 +306,12 @@ impl PairScore {
 /// from negative pairs), as any runnable implementation must.
 pub struct HapMatcher<T: GraphScalar = f64> {
     model: HapModel<T>,
-    scale: f64,
 }
 
 impl<T: GraphScalar> HapMatcher<T> {
-    /// Wraps a hierarchy with the paper's default `scale = 0.5`.
+    /// Wraps a hierarchy; pairs are scored with [`SIMILARITY_SCALE`].
     pub fn new(model: HapModel<T>) -> Self {
-        Self { model, scale: 0.5 }
+        Self { model }
     }
 
     /// The underlying hierarchy.
@@ -329,7 +334,7 @@ impl<T: GraphScalar> HapMatcher<T> {
             .zip(e2)
             .map(|(a, b)| {
                 let d = euclidean(tape, a, b);
-                let nd = tape.scale(d, -self.scale);
+                let nd = tape.scale(d, -SIMILARITY_SCALE);
                 tape.exp(nd)
             })
             .collect()

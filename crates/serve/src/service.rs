@@ -17,7 +17,7 @@
 
 use crate::cache::LruCache;
 use crate::json::Json;
-use hap_core::{HapClassifier, HapError};
+use hap_core::{HapClassifier, HapError, SIMILARITY_SCALE};
 use hap_graph::{
     degree_one_hot, label_one_hot, wl_cache_key_from_signature, EdgeDelta, Graph, GraphScalar,
 };
@@ -49,8 +49,6 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// WL refinement rounds used for cache keys.
     pub wl_iterations: usize,
-    /// Scale `s` in the similarity kernel `exp(-s · d)`.
-    pub similarity_scale: f64,
     /// Size of the seeded retrieval corpus served by `POST /search`
     /// (0 disables the route; the index is built at startup).
     pub search_corpus: usize,
@@ -66,7 +64,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             cache_capacity: 1024,
             wl_iterations: 3,
-            similarity_scale: 0.5,
             search_corpus: 0,
             search_seed: 77,
             search_budget: 128,
@@ -277,7 +274,8 @@ impl<T: GraphScalar> ModelService<T> {
     }
 
     /// Scores a pair of graphs by per-level euclidean distance between
-    /// their hierarchy embeddings, mapped through `exp(-s·d)`.
+    /// their hierarchy embeddings, mapped through `exp(-s·d)` with
+    /// `s` = [`SIMILARITY_SCALE`], the scale `HapMatcher` trains with.
     ///
     /// # Errors
     /// [`HapError`] from either forward pass.
@@ -298,7 +296,7 @@ impl<T: GraphScalar> ModelService<T> {
                 .map(|(&x, &y)| (x - y) * (x - y))
                 .sum::<T>()
                 .to_f64();
-            per_level.push((-self.cfg.similarity_scale * d2.sqrt()).exp());
+            per_level.push((-SIMILARITY_SCALE * d2.sqrt()).exp());
         }
         let mean = per_level.iter().sum::<f64>() / per_level.len() as f64;
         Ok(Similarity { per_level, mean })

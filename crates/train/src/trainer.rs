@@ -6,7 +6,7 @@ use hap_nn::{Adam, Optimizer};
 use hap_pooling::PoolCtx;
 use hap_rand::Rng;
 use hap_rand::SliceRandom;
-use hap_tensor::Scalar;
+use hap_tensor::{Scalar, Tensor};
 
 /// Training hyper-parameters. The defaults mirror Sec. 6.1.3 (Adam,
 /// lr 0.01) at quick-experiment scale.
@@ -66,24 +66,144 @@ pub type BatchLossFn<'a, T = f64> =
 /// Evaluates one sample: `(sample_index, ctx) → correct?`.
 pub type EvalFn<'a> = dyn FnMut(usize, &mut PoolCtx<'_>) -> bool + 'a;
 
-/// How a mini-batch turns into gradients: one tape+backward per sample
-/// (the original loop), or one shared tape with a single backward through
-/// the summed batch loss.
-enum Stepper<'a, 'b, T: Scalar> {
-    PerSample(&'b mut LossFn<'a, T>),
-    Batched(&'b mut BatchLossFn<'a, T>),
+/// The training step: the Adam state, one persistent tape, the clip
+/// bound and the running sample counter. [`train`], [`train_batched`]
+/// and the micro-benchmarks all update parameters through
+/// [`Stepper::step`].
+pub struct Stepper<T: Scalar> {
+    adam: Adam<T>,
+    // One tape for the whole run: `reset()` between groups keeps the
+    // node bookkeeping's capacity and parks gradient buffers for reuse
+    // instead of reallocating them every step.
+    tape: Tape<T>,
+    grad_clip: Option<f64>,
+    sample_step: u64,
+}
+
+impl<T: Scalar> Stepper<T> {
+    /// Adam at learning rate `lr`, an empty tape, and global-norm
+    /// gradient clipping at `grad_clip` (`None` = never clip).
+    pub fn new(lr: f64, grad_clip: Option<f64>) -> Self {
+        Stepper {
+            adam: Adam::new(lr),
+            tape: Tape::new(),
+            grad_clip,
+            sample_step: 0,
+        }
+    }
+
+    /// One optimiser step over `batch`.
+    ///
+    /// The batch is cut into groups of `group` samples. Each group gets
+    /// one `tape.reset()`, one `loss_fn` call (with `rng` as the
+    /// stochastic model components' source) and one backward through the
+    /// sum of its finite losses, seeded `1/batch.len()` so the
+    /// accumulated gradient is the batch mean. Then the gradient norm is
+    /// guarded, clipped to the bound, and Adam steps once.
+    ///
+    /// * `group = 1` is the per-sample loop of [`train`]; `group =
+    ///   batch.len()` is one shared tape and one backward, as in
+    ///   [`train_batched`]. Loss values agree bit for bit; the gradients
+    ///   agree in exact arithmetic but are summed in a different order.
+    /// * Each finite loss is added to `loss_sum` as it is computed. A
+    ///   non-finite one is skipped and reported: it would poison every
+    ///   parameter through backprop, so it contributes neither to
+    ///   `loss_sum` nor to the gradient.
+    /// * A non-finite gradient norm drops the whole update.
+    ///
+    /// # Panics
+    /// If `group` is 0, or `loss_fn` returns a different number of
+    /// losses than the group has samples.
+    pub fn step(
+        &mut self,
+        store: &ParamStore<T>,
+        batch: &[usize],
+        group: usize,
+        loss_fn: &mut BatchLossFn<'_, T>,
+        rng: &mut Rng,
+        loss_sum: &mut f64,
+    ) {
+        let _bt = hap_obs::time_scope("train.batch");
+        store.zero_grads();
+        for samples in batch.chunks(group) {
+            self.sample_step += samples.len() as u64;
+            hap_obs::set_step(self.sample_step);
+            self.tape.reset();
+            let mut ctx = PoolCtx {
+                training: true,
+                rng: &mut *rng,
+            };
+            let losses = loss_fn(&mut self.tape, samples, &mut ctx);
+            assert_eq!(
+                losses.len(),
+                samples.len(),
+                "loss closure must return one loss per sample"
+            );
+            // A finite run never skips, so its trajectory is
+            // byte-identical to an unguarded loop.
+            let mut total: Option<Var> = None;
+            for loss in losses {
+                let loss_val = self.tape.scalar(loss);
+                if !hap_obs::guard_scalar("train.loss", loss_val) {
+                    hap_obs::inc("train.skipped_samples");
+                    continue;
+                }
+                *loss_sum += loss_val;
+                hap_obs::inc("train.samples");
+                hap_obs::record("train.loss", loss_val);
+                total = Some(match total {
+                    Some(t) => self.tape.add(t, loss),
+                    None => loss,
+                });
+            }
+            if let Some(total) = total {
+                self.tape.backward_with_seed(
+                    total,
+                    Tensor::full(1, 1, T::from_f64(1.0 / batch.len() as f64)),
+                );
+            }
+        }
+        // The gradient norm is needed for clipping anyway; reuse it as
+        // the NaN sentinel (and compute it just for that when metrics
+        // are on). A non-finite norm means some gradient went NaN/∞ —
+        // applying Adam would corrupt the whole parameter store, so
+        // the batch is dropped instead and the event recorded.
+        let norm = (self.grad_clip.is_some() || hap_obs::enabled()).then(|| store.grad_norm());
+        let mut apply = true;
+        if let Some(norm) = norm {
+            hap_obs::record("train.grad_norm", norm);
+            if !hap_obs::guard_scalar("train.grad_norm", norm) {
+                hap_obs::inc("train.skipped_batches");
+                store.zero_grads();
+                apply = false;
+            } else if let Some(clip) = self.grad_clip.filter(|&clip| norm > clip) {
+                store.scale_grads(clip / norm);
+            }
+        }
+        if apply {
+            self.adam.step(store);
+        }
+        hap_obs::inc("train.batches");
+    }
 }
 
 /// Trains with Adam + gradient accumulation and returns the report.
 ///
 /// * `train_idx` / `val_idx` / `test_idx` index the task's sample storage;
 ///   the harness never sees the samples themselves.
+/// * Every sample gets its own tape and backward ([`Stepper::step`] with
+///   groups of one).
 /// * After every epoch the validation metric decides checkpointing; the
 ///   best checkpoint is restored before the final test evaluation.
 ///
-/// All randomness derives from `cfg.seed`: this delegates to
-/// [`train_with_rng`] with a root generator seeded from it, so the same
-/// config reproduces the same `TrainReport` bit-for-bit.
+/// All randomness derives from `cfg.seed`, so the same config reproduces
+/// the same `TrainReport` bit-for-bit. The root generator is never drawn
+/// from directly; it is split into three labelled streams
+/// (`fork("shuffle")`, `fork("model")`, `fork("eval")`) so epoch
+/// shuffling, stochastic model components (dropout masks, Gumbel noise)
+/// and evaluation passes are decorrelated and *independent*: extra draws
+/// in one concern (say, an extra eval pass) can never shift another
+/// stream and silently change the training trajectory.
 pub fn train<T: Scalar>(
     store: &ParamStore<T>,
     cfg: &TrainConfig,
@@ -93,42 +213,15 @@ pub fn train<T: Scalar>(
     loss_fn: &mut LossFn<'_, T>,
     eval_fn: &mut EvalFn<'_>,
 ) -> TrainReport {
-    let mut rng = Rng::from_seed(cfg.seed);
-    train_with_rng(
-        store, cfg, train_idx, val_idx, test_idx, loss_fn, eval_fn, &mut rng,
-    )
-}
-
-/// [`train`] with an explicit root generator instead of an internally
-/// constructed one — for callers that thread a single experiment-wide
-/// stream through data generation, parameter init and training.
-///
-/// The root is never drawn from directly; it is split into three labelled
-/// streams (`fork("shuffle")`, `fork("model")`, `fork("eval")`) so epoch
-/// shuffling, stochastic model components (dropout masks, Gumbel noise)
-/// and evaluation passes are decorrelated and *independent*: extra draws
-/// in one concern (say, an extra eval pass) can never shift another
-/// stream and silently change the training trajectory.
-#[allow(clippy::too_many_arguments)]
-pub fn train_with_rng<T: Scalar>(
-    store: &ParamStore<T>,
-    cfg: &TrainConfig,
-    train_idx: &[usize],
-    val_idx: &[usize],
-    test_idx: &[usize],
-    loss_fn: &mut LossFn<'_, T>,
-    eval_fn: &mut EvalFn<'_>,
-    rng: &mut Rng,
-) -> TrainReport {
     train_core(
         store,
         cfg,
         train_idx,
         val_idx,
         test_idx,
-        Stepper::PerSample(loss_fn),
+        1,
+        &mut |tape, samples, ctx| vec![loss_fn(tape, samples[0], ctx)],
         eval_fn,
-        rng,
     )
 }
 
@@ -136,7 +229,8 @@ pub fn train_with_rng<T: Scalar>(
 /// closure builds **all** of a batch's per-sample losses on one tape
 /// (e.g. via `HapClassifier::batch_losses`, which runs the level-0
 /// encoder once over a block-diagonal batch), and a single backward
-/// sweep through their sum produces the accumulated gradient.
+/// sweep through their sum produces the accumulated gradient
+/// ([`Stepper::step`] with one group per batch).
 ///
 /// Semantics versus [`train`]:
 /// * Per-sample loss *values* are byte-identical (the batched forward is
@@ -158,44 +252,20 @@ pub fn train_batched<T: Scalar>(
     batch_loss_fn: &mut BatchLossFn<'_, T>,
     eval_fn: &mut EvalFn<'_>,
 ) -> TrainReport {
-    let mut rng = Rng::from_seed(cfg.seed);
-    train_batched_with_rng(
-        store,
-        cfg,
-        train_idx,
-        val_idx,
-        test_idx,
-        batch_loss_fn,
-        eval_fn,
-        &mut rng,
-    )
-}
-
-/// [`train_batched`] with an explicit root generator (the batched
-/// counterpart of [`train_with_rng`]; same three-way stream split).
-#[allow(clippy::too_many_arguments)]
-pub fn train_batched_with_rng<T: Scalar>(
-    store: &ParamStore<T>,
-    cfg: &TrainConfig,
-    train_idx: &[usize],
-    val_idx: &[usize],
-    test_idx: &[usize],
-    batch_loss_fn: &mut BatchLossFn<'_, T>,
-    eval_fn: &mut EvalFn<'_>,
-    rng: &mut Rng,
-) -> TrainReport {
     train_core(
         store,
         cfg,
         train_idx,
         val_idx,
         test_idx,
-        Stepper::Batched(batch_loss_fn),
+        cfg.batch_size,
+        batch_loss_fn,
         eval_fn,
-        rng,
     )
 }
 
+/// The epoch loop behind [`train`] and [`train_batched`]; `group` is the
+/// [`Stepper::step`] group size.
 #[allow(clippy::too_many_arguments)]
 fn train_core<T: Scalar>(
     store: &ParamStore<T>,
@@ -203,15 +273,16 @@ fn train_core<T: Scalar>(
     train_idx: &[usize],
     val_idx: &[usize],
     test_idx: &[usize],
-    mut stepper: Stepper<'_, '_, T>,
+    group: usize,
+    loss_fn: &mut BatchLossFn<'_, T>,
     eval_fn: &mut EvalFn<'_>,
-    rng: &mut Rng,
 ) -> TrainReport {
     assert!(!train_idx.is_empty(), "empty training set");
+    let mut rng = Rng::from_seed(cfg.seed);
     let mut shuffle_rng = rng.fork("shuffle");
     let mut model_rng = rng.fork("model");
     let mut eval_rng = rng.fork("eval");
-    let mut adam = Adam::new(cfg.lr);
+    let mut stepper = Stepper::new(cfg.lr, cfg.grad_clip);
     let mut order = train_idx.to_vec();
 
     let mut best_val = f64::NEG_INFINITY;
@@ -221,137 +292,25 @@ fn train_core<T: Scalar>(
     let mut val_history = Vec::with_capacity(cfg.epochs);
     let mut epochs_run = 0;
 
-    // One tape for the whole run: `reset()` between samples keeps the node
-    // bookkeeping's capacity and parks gradient buffers for reuse instead
-    // of reallocating them every step.
-    let mut tape = Tape::new();
-    let mut sample_step: u64 = 0;
     for epoch in 0..cfg.epochs {
         epochs_run = epoch + 1;
         order.shuffle(&mut shuffle_rng);
         let mut epoch_loss = 0.0;
         for batch in order.chunks(cfg.batch_size) {
-            let _bt = hap_obs::time_scope("train.batch");
-            store.zero_grads();
-            match &mut stepper {
-                Stepper::PerSample(loss_fn) => {
-                    for &i in batch {
-                        sample_step += 1;
-                        hap_obs::set_step(sample_step);
-                        tape.reset();
-                        let mut ctx = PoolCtx {
-                            training: true,
-                            rng: &mut model_rng,
-                        };
-                        let loss = loss_fn(&mut tape, i, &mut ctx);
-                        let loss_val = tape.scalar(loss);
-                        // Skip-and-report recovery: a non-finite loss would
-                        // poison every parameter through backprop, so the
-                        // sample's gradient contribution is dropped (its
-                        // loss counts as 0 in the epoch mean) and the
-                        // provenance is recorded. A finite run takes this
-                        // branch never — trajectories are byte-identical to
-                        // the unguarded loop.
-                        if !hap_obs::guard_scalar("train.loss", loss_val) {
-                            hap_obs::inc("train.skipped_samples");
-                            continue;
-                        }
-                        epoch_loss += loss_val;
-                        if hap_obs::enabled() {
-                            hap_obs::inc("train.samples");
-                            hap_obs::record("train.loss", loss_val);
-                        }
-                        // scale the seed so the step is the batch *mean*
-                        tape.backward_with_seed(
-                            loss,
-                            hap_tensor::Tensor::full(1, 1, T::from_f64(1.0 / batch.len() as f64)),
-                        );
-                    }
-                }
-                Stepper::Batched(batch_loss_fn) => {
-                    sample_step += batch.len() as u64;
-                    hap_obs::set_step(sample_step);
-                    tape.reset();
-                    let mut ctx = PoolCtx {
-                        training: true,
-                        rng: &mut model_rng,
-                    };
-                    let losses = batch_loss_fn(&mut tape, batch, &mut ctx);
-                    assert_eq!(
-                        losses.len(),
-                        batch.len(),
-                        "batch loss closure must return one loss per sample"
-                    );
-                    // Same per-sample skip-and-report guard as the loop
-                    // above: a non-finite sample loss is excluded from the
-                    // summed objective, so it contributes neither to the
-                    // epoch mean nor to the gradient.
-                    let mut total: Option<Var> = None;
-                    for loss in losses {
-                        let loss_val = tape.scalar(loss);
-                        if !hap_obs::guard_scalar("train.loss", loss_val) {
-                            hap_obs::inc("train.skipped_samples");
-                            continue;
-                        }
-                        epoch_loss += loss_val;
-                        if hap_obs::enabled() {
-                            hap_obs::inc("train.samples");
-                            hap_obs::record("train.loss", loss_val);
-                        }
-                        total = Some(match total {
-                            Some(t) => tape.add(t, loss),
-                            None => loss,
-                        });
-                    }
-                    if let Some(total) = total {
-                        // one backward through the sum; seed scaled so the
-                        // step is the batch mean
-                        tape.backward_with_seed(
-                            total,
-                            hap_tensor::Tensor::full(1, 1, T::from_f64(1.0 / batch.len() as f64)),
-                        );
-                    }
-                }
-            }
-            // The gradient norm is needed for clipping anyway; reuse it as
-            // the NaN sentinel (and compute it just for that when metrics
-            // are on). A non-finite norm means some gradient went NaN/∞ —
-            // applying Adam would corrupt the whole parameter store, so
-            // the batch is dropped instead and the event recorded.
-            let norm = if cfg.grad_clip.is_some() || hap_obs::enabled() {
-                Some(store.grad_norm())
-            } else {
-                None
-            };
-            let mut skip_update = false;
-            if let Some(norm) = norm {
-                if hap_obs::enabled() {
-                    hap_obs::record("train.grad_norm", norm);
-                }
-                if !hap_obs::guard_scalar("train.grad_norm", norm) {
-                    hap_obs::inc("train.skipped_batches");
-                    store.zero_grads();
-                    skip_update = true;
-                } else if let Some(clip) = cfg.grad_clip {
-                    if norm > clip {
-                        store.scale_grads(clip / norm);
-                    }
-                }
-            }
-            if !skip_update {
-                adam.step(store);
-            }
-            if hap_obs::enabled() {
-                hap_obs::inc("train.batches");
-            }
+            stepper.step(
+                store,
+                batch,
+                group,
+                loss_fn,
+                &mut model_rng,
+                &mut epoch_loss,
+            );
         }
         train_losses.push(epoch_loss / order.len() as f64);
 
         let val = evaluate(val_idx, &mut eval_rng, eval_fn);
-        if hap_obs::enabled() {
-            hap_obs::inc("train.epochs");
-            hap_obs::record("train.val_metric", val);
-        }
+        hap_obs::inc("train.epochs");
+        hap_obs::record("train.val_metric", val);
         val_history.push(val);
         if cfg.log_every > 0 && epoch % cfg.log_every == 0 {
             eprintln!(

@@ -39,12 +39,14 @@ env -u HAP_THREADS cargo test -q --offline -p hap-autograd --lib -- gradcheck_f3
 HAP_THREADS=1 cargo test -q --offline -p hap-train --test determinism -- f32_
 env -u HAP_THREADS cargo test -q --offline -p hap-train --test determinism -- f32_
 
-# The per-sample training path (`hap_train::train`) is pinned end to end:
-# the default-scale design-choice ablation must print exactly the
-# committed table. The determinism tests above compare two fresh runs and
-# perfbench's train golden runs `train_batched`, so without this pin a
-# change to `train`'s trajectory would leave the committed paper tables
-# stale without failing anything.
+# The per-sample training path (`hap_train::train`, `Stepper::step` with
+# one sample per group) is pinned end to end: the default-scale
+# design-choice ablation must print exactly the committed table. The
+# determinism tests above compare two fresh runs, perfbench's train
+# golden runs `train_batched`, and the other committed paper tables are
+# not rerun here, so without this pin a change to `train`'s trajectory
+# would leave them stale without failing anything. The step itself is
+# pinned to the earlier loop by crates/train/tests/step_oracle.rs.
 ABLATION_TMP="$(mktemp)"
 cargo run --release --offline -q -p hap-bench --bin ablation_design_choices \
   > "$ABLATION_TMP" 2> /dev/null
