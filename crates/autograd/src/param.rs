@@ -192,7 +192,7 @@ impl<T: Scalar> ParamStore<T> {
         self.params
             .iter()
             .map(|p| {
-                let g = p.grad();
+                let g = p.inner.grad.borrow();
                 g.as_slice().iter().map(|&x| x * x).sum::<T>().to_f64()
             })
             .sum::<f64>()
@@ -298,13 +298,18 @@ impl<T: Scalar> ParamStore<T> {
         Ok(())
     }
 
-    /// Scales every gradient by `factor` (gradient clipping support).
+    /// Scales every gradient by `factor` (gradient clipping support), in
+    /// place.
+    ///
+    /// Each entry becomes `0.0 + x·s` (`s` is `factor` converted once), the
+    /// same bits as adding the scaled gradient into a zeroed one: a `−0.0`
+    /// product is stored as `+0.0`.
     pub fn scale_grads(&self, factor: f64) {
+        let s = T::from_f64(factor);
         for p in &self.params {
-            let scaled = p.grad().scale(factor);
-            let (r, c) = p.shape();
-            *p.inner.grad.borrow_mut() = Tensor::zeros(r, c);
-            p.accumulate_grad(&scaled);
+            for x in p.inner.grad.borrow_mut().as_mut_slice() {
+                *x = T::ZERO + *x * s;
+            }
         }
     }
 }
@@ -392,10 +397,22 @@ mod tests {
     #[test]
     fn grad_norm_and_scaling() {
         let mut store = ParamStore::new();
-        let p = store.new_param("a", Tensor::zeros(1, 2));
-        p.accumulate_grad(&Tensor::row_vector(&[3.0, 4.0]));
+        let p = store.new_param("a", Tensor::zeros(1, 4));
+        // A −0.0 entry, and a negative subnormal whose product with 0.5
+        // underflows to −0.0.
+        *p.inner.grad.borrow_mut() = Tensor::row_vector(&[3.0, 4.0, -0.0, -5e-324]);
         assert!((store.grad_norm() - 5.0).abs() < 1e-12);
+        // The formula `scale_grads` replaced: a scaled clone added into a
+        // zeroed gradient.
+        let expect = &Tensor::zeros(1, 4) + &p.grad().scale(0.5);
         store.scale_grads(0.5);
         assert!((store.grad_norm() - 2.5).abs() < 1e-12);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&p.grad()), bits(&expect));
+        assert_eq!(
+            bits(&p.grad())[2..],
+            [0.0f64.to_bits(); 2],
+            "−0.0 products store +0.0"
+        );
     }
 }

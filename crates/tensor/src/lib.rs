@@ -27,9 +27,9 @@
 //!   tolerances…) stay `f64` regardless of `T`: kernels accumulate in `T`
 //!   and convert at the boundary, so the `f64` instantiation is
 //!   bit-for-bit the pre-generic code.
-//! * Matrix products run through a packed, register-blocked GEMM
-//!   microkernel (see `ops.rs` module docs for the tiling scheme and the
-//!   bitwise contract it preserves).
+//! * Matrix products run through a register-blocked GEMM kernel,
+//!   compiled for AVX2 as well and picked at run time (see `ops.rs` module
+//!   docs for the tiling scheme and the bitwise contract it preserves).
 //! * Fallible construction and shape-sensitive operations come in two
 //!   flavours: `try_*` methods returning [`Result`]`<`[`Tensor`]`,`
 //!   [`ShapeError`]`>`, and panicking convenience wrappers (including the

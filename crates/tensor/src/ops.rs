@@ -6,45 +6,57 @@
 //! what the autograd layer uses internally — by the time a tape executes,
 //! shapes have already been validated at graph-construction time.
 //!
-//! # The GEMM microkernel
+//! # The GEMM kernel
 //!
-//! All three matrix products (`matmul`, `matmul_nt`, `matmul_tn`) share one
-//! packed, register-blocked kernel:
+//! All three matrix products (`matmul`, `matmul_nt`, `matmul_tn`) run one
+//! register-blocked block driver, which reads the right operand in place:
 //!
-//! * The right operand is packed once into **column panels** of width `NR`
-//!   (8 for `f64`, 16 for `f32` — one or two cache lines): panel `j₀` holds
-//!   rows `p = 0..k` of columns `j₀..j₀+NR` contiguously, so the inner loop
-//!   streams a dense panel instead of striding across the full matrix.
-//!   `matmul_nt` packs its panels straight out of the untransposed right
-//!   operand's rows, eliminating the materialised transpose the old kernel
-//!   needed; `matmul_tn` reuses the plain packing and swaps the *left*
-//!   accessor instead. Packing is pure data movement — no arithmetic — so
-//!   it cannot perturb results.
-//! * Each `MR × NR` output tile is accumulated in a register block
-//!   (`[[T; NR]; MR]` local array the autovectoriser keeps in SIMD
-//!   registers), initialised to zero and stored exactly once. Compared with
-//!   the previous ikj kernel, which re-read and re-wrote the full output
-//!   row from memory for every `p`, output traffic drops by a factor of the
-//!   depth `k`.
+//! * The output is walked in `MR × NR` tiles (`NR` is 8 for `f64` and 16
+//!   for `f32`, one 64-byte cache line of a right-operand row either way).
+//!   A tile keeps all `MR × NR` of its accumulators in SIMD registers over
+//!   the whole depth, under a fixed `MR`-row loop, and stores them once.
+//!   Tiles on the bottom and right edges run the same full block and store
+//!   only their live corner.
+//! * Row `p` of a tile's right-operand strip is the `NR` contiguous
+//!   entries at `b[p·m + j₀..]`, read where they lie: nothing is packed.
+//!   `matmul_tn` swaps in a transposed left accessor (`a[p·k + i]`), and
+//!   `matmul_nt` is one `transpose` of its right operand feeding
+//!   `matmul`, the composed form it is documented to equal.
+//! * The block driver is compiled twice: once for the build's baseline
+//!   target (SSE2 on x86-64), and once inside a
+//!   `#[target_feature(enable = "avx2")]` function that every call picks
+//!   when `is_x86_feature_detected!("avx2")` holds. Only `avx2` is
+//!   enabled, never `fma`, and there is no switch: a CPU without AVX2
+//!   runs the portable compile. AVX2 doubles the lanes per register, so a
+//!   tile's accumulators take eight of the sixteen registers instead of
+//!   spilling. On an AVX2 host the tests check the portable compile's
+//!   bits by calling it directly, but its speed is not measured there.
 //!
 //! **Bitwise contract** (what the committed determinism goldens pin): for
-//! every output element, contributions are accumulated in ascending `p`
-//! with exact zeros of the left operand skipped (`a[i][p] == 0.0 →` no
-//! add), starting from `0.0`, with no FMA contraction. That is precisely
-//! the arithmetic sequence of the old kernel — register accumulation and
-//! panel packing only change *where* values live, not which additions
-//! happen in which order — so `f64` results are byte-identical to the
-//! pre-microkernel goldens, and the CSR SpMM walk (which visits the same
-//! non-zeros in the same ascending order) stays byte-identical to the
-//! dense product.
+//! every output element, contributions are accumulated in ascending `p`,
+//! starting from `+0.0`, with no FMA contraction, and the contribution of
+//! an exact zero of the left operand (`a[i][p] == 0.0`) is skipped. A full
+//! tile whose right operand is all finite (one scan per call) adds that
+//! zero's product instead of branching on it: the product is `±0.0`, and
+//! an accumulator that starts at `+0.0` is never `−0.0` (round-to-nearest
+//! gives `−0.0` only for `−0.0 + −0.0`), so adding `±0.0` leaves its bits
+//! as the skip would. A right operand holding `±∞` or NaN keeps the
+//! skipping tile, since `0 · ∞` is a NaN that the skip never adds. Tiling
+//! and the vector width change only where values live, not which
+//! additions happen in which order, so results are the same bits on any
+//! x86-64 CPU, with or without AVX2, and at any `HAP_THREADS` (a NaN
+//! result is NaN, but Rust leaves its sign and payload unspecified); and
+//! the CSR SpMM walk (which visits the same non-zeros in the same
+//! ascending order) stays byte-identical to the dense product.
 
 use crate::{Dtype, Scalar, ShapeError, Tensor};
 use std::ops::{Add, Mul, Neg, Sub};
 
 /// Multiply–add count above which `matmul` switches to the row-blocked
-/// parallel path. Below it, thread hand-off costs more than the work:
-/// `n·k·m = 100_000` is ~50 µs of scalar FMA, a few times the pool's
-/// dispatch latency.
+/// parallel path. Below it, thread hand-off costs more than the work. The
+/// value was set when `n·k·m = 100_000` took about 50 µs; on the AVX2
+/// tile it takes about 15 µs (2-vCPU Xeon host), and the crossover has
+/// not been measured again.
 pub(crate) const PAR_MATMUL_FLOPS: usize = 100_000;
 
 /// Element count above which elementwise kernels (`map`, `zip_with`,
@@ -55,18 +67,7 @@ const PAR_ELEMWISE_LEN: usize = 32_768;
 /// Register-tile height: rows of the output accumulated simultaneously.
 const MR: usize = 4;
 
-/// Register-tile / packing-panel width for `T`: 8 `f64`s or 16 `f32`s —
-/// 64 bytes either way, so a panel row is exactly one cache line and the
-/// accumulator block is `MR` cache lines of SIMD registers.
-#[inline(always)]
-fn nr_width<T: Scalar>() -> usize {
-    match T::DTYPE {
-        Dtype::F32 => 16,
-        Dtype::F64 => 8,
-    }
-}
-
-/// Left-operand accessor: lets the one microkernel serve both the plain
+/// Left-operand accessor: lets the one block driver serve both the plain
 /// (`a[i·lda + p]`) and transposed (`a[p·lda + i]`) left layouts without a
 /// copy. Monomorphised away — `at` compiles to a single indexed load.
 trait Lhs<T: Scalar>: Sync {
@@ -88,7 +89,7 @@ impl<T: Scalar> Lhs<T> for LhsRows<'_, T> {
 
 /// Transposed left operand (for `Aᵀ · B`): element `(i, p)` of `Aᵀ` at
 /// `a[p * lda + i]` — reads a contiguous run `a[p·lda + i..i+MR]` per
-/// microkernel step, never materialising the transpose.
+/// tile step, never materialising the transpose.
 struct LhsCols<'a, T> {
     a: &'a [T],
     lda: usize,
@@ -101,176 +102,166 @@ impl<T: Scalar> Lhs<T> for LhsCols<'_, T> {
     }
 }
 
-/// Packs `b` (`k × m`, row-major) into column panels of width `nr`:
-/// the panel starting at column `j₀` (width `w = min(nr, m - j₀)`) occupies
-/// `packed[k·j₀ .. k·(j₀+w)]`, row `p`'s `w` entries contiguous at offset
-/// `p·w` within the panel. Pure data movement.
-fn pack_panels<T: Scalar>(b: &[T], k: usize, m: usize, nr: usize) -> Vec<T> {
-    let mut packed = Vec::with_capacity(k * m);
-    let mut j0 = 0;
-    while j0 < m {
-        let w = nr.min(m - j0);
-        for p in 0..k {
-            packed.extend_from_slice(&b[p * m + j0..p * m + j0 + w]);
-        }
-        j0 += w;
-    }
-    packed
-}
-
-/// Packs `rhsᵀ` panels directly from `rhs` (`m × k`, row-major) — the
-/// `matmul_nt` path. Output layout is identical to
-/// `pack_panels(&rhs.transpose(), k, m, nr)` but reads each `rhs` row once,
-/// contiguously, instead of building the intermediate transpose.
-fn pack_panels_t<T: Scalar>(rhs: &[T], m: usize, k: usize, nr: usize) -> Vec<T> {
-    let mut packed = vec![T::ZERO; k * m];
-    let mut j0 = 0;
-    while j0 < m {
-        let w = nr.min(m - j0);
-        let base = k * j0;
-        for (jj, j) in (j0..j0 + w).enumerate() {
-            let row = &rhs[j * k..(j + 1) * k];
-            for (p, &v) in row.iter().enumerate() {
-                packed[base + p * w + jj] = v;
-            }
-        }
-        j0 += w;
-    }
-    packed
-}
-
-/// Full-width microkernel: accumulates the `mr × W` output tile at
-/// `(gi0, j0)` over `p = 0..depth` in a register block, then stores it.
-///
-/// The zero-skip (`av == 0 → no add`) and ascending-`p` order reproduce the
-/// old streaming kernel's per-element arithmetic sequence exactly.
-// The tile coordinates are the kernel's loop state; bundling them into a
-// struct would add a layer without changing a single operation.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn micro_tile<T: Scalar, L: Lhs<T>, const W: usize>(
-    lhs: &L,
+/// The operands of one dense product: output element `(i, j)` is the sum
+/// over `p = 0..depth` of `lhs.at(i, p) · b[p·m + j]`, where `b` is the
+/// `depth × m` right operand, row-major, read in place.
+struct Gemm<'a, T, L> {
+    lhs: L,
     depth: usize,
-    gi0: usize,
-    mr: usize,
-    panel: &[T],
-    out: &mut [T],
+    b: &'a [T],
     m: usize,
-    li0: usize,
-    j0: usize,
-) {
-    let mut acc = [[T::ZERO; W]; MR];
-    for p in 0..depth {
-        let bp: &[T; W] = panel[p * W..p * W + W]
-            .try_into()
-            .expect("panel row is exactly W wide");
-        for (r, acc_r) in acc.iter_mut().take(mr).enumerate() {
-            let av = lhs.at(gi0 + r, p);
-            if av == T::ZERO {
-                continue; // adjacency matrices are mostly zeros
-            }
-            for (a, &bv) in acc_r.iter_mut().zip(bp) {
-                *a += av * bv;
-            }
-        }
-    }
-    for (r, acc_r) in acc.iter().take(mr).enumerate() {
-        out[(li0 + r) * m + j0..(li0 + r) * m + j0 + W].copy_from_slice(acc_r);
-    }
+    /// Every entry of `b` is finite, so a full tile may add a zero left
+    /// entry's `±0.0` product instead of skipping it (module docs).
+    finite: bool,
 }
 
-/// Remainder microkernel for the rightmost panel (`w < NR`); identical
-/// arithmetic sequence, dynamic width.
-#[allow(clippy::too_many_arguments)] // same tile coordinates as `micro_tile`
-fn micro_edge<T: Scalar, L: Lhs<T>>(
-    lhs: &L,
-    depth: usize,
-    gi0: usize,
-    mr: usize,
-    w: usize,
-    panel: &[T],
-    out: &mut [T],
-    m: usize,
-    li0: usize,
-    j0: usize,
-) {
-    // Widest panel of either dtype is 16; the accumulator block lives on
-    // the stack regardless of the live width.
-    let mut acc = [[T::ZERO; 16]; MR];
-    for p in 0..depth {
-        let bp = &panel[p * w..p * w + w];
-        for (r, acc_r) in acc.iter_mut().take(mr).enumerate() {
-            let av = lhs.at(gi0 + r, p);
-            if av == T::ZERO {
-                continue;
-            }
-            for (a, &bv) in acc_r.iter_mut().zip(bp) {
-                *a += av * bv;
-            }
+impl<'a, T: Scalar, L: Lhs<T>> Gemm<'a, T, L> {
+    fn new(lhs: L, depth: usize, b: &'a [T], m: usize) -> Self {
+        let finite = b.iter().all(|x| x.is_finite());
+        Self {
+            lhs,
+            depth,
+            b,
+            m,
+            finite,
         }
     }
-    for (r, acc_r) in acc.iter().take(mr).enumerate() {
-        out[(li0 + r) * m + j0..(li0 + r) * m + j0 + w].copy_from_slice(&acc_r[..w]);
-    }
-}
 
-/// The shared GEMM block driver: fills the output rows in `out` (a block
-/// of whole rows starting at global row `row0`, as carved out by the
-/// sequential or `hap-par` row-chunked path) by walking `MR`-row bands and
-/// `NR`-wide packed panels. Because each output element is accumulated by
-/// exactly one microkernel invocation in the fixed ascending-`p` order,
-/// results are byte-identical whether row blocks run sequentially or on
-/// `hap-par` workers.
-fn gemm_block<T: Scalar, L: Lhs<T>>(
-    lhs: &L,
-    depth: usize,
-    m: usize,
-    packed: &[T],
-    row0: usize,
-    out: &mut [T],
-) {
-    let nr = nr_width::<T>();
-    let rows = out.len() / m;
-    let mut i0 = 0;
-    while i0 < rows {
-        let mr = MR.min(rows - i0);
-        let mut j0 = 0;
-        while j0 < m {
-            let w = nr.min(m - j0);
-            let panel = &packed[depth * j0..depth * (j0 + w)];
-            if w == nr {
-                match nr {
-                    8 => micro_tile::<T, L, 8>(lhs, depth, row0 + i0, mr, panel, out, m, i0, j0),
-                    _ => micro_tile::<T, L, 16>(lhs, depth, row0 + i0, mr, panel, out, m, i0, j0),
+    /// Fills `out` (zeros on entry), row-chunked on the `hap-par` pool
+    /// above the work threshold, each output row owned by one worker.
+    fn run(&self, out: &mut Tensor<T>) {
+        let (rows, m) = (out.rows(), self.m);
+        if m == 0 {
+            return;
+        }
+        if rows * self.depth * m >= PAR_MATMUL_FLOPS && hap_par::threads() > 1 {
+            let chunk_len = hap_par::row_chunk_len(rows, m);
+            let rows_per_chunk = chunk_len / m;
+            hap_par::par_chunks_mut(out.as_mut_slice(), chunk_len, |ci, chunk| {
+                self.block_dispatched(ci * rows_per_chunk, chunk);
+            });
+        } else {
+            self.block_dispatched(0, out.as_mut_slice());
+        }
+    }
+
+    /// Runs [`Gemm::block`] in its AVX2 compile when the CPU has AVX2, and
+    /// in its portable compile otherwise.
+    fn block_dispatched(&self, row0: usize, out: &mut [T]) {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: `block_avx2` requires a CPU with AVX2, which
+            // `is_x86_feature_detected!("avx2")` has just confirmed.
+            return unsafe { self.block_avx2(row0, out) };
+        }
+        self.block(row0, out);
+    }
+
+    /// [`Gemm::block`] compiled with AVX2 code generation. The body is the
+    /// same source, so it performs the same operations in the same order:
+    /// only the register width differs.
+    ///
+    /// # Safety
+    /// The CPU running it must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn block_avx2(&self, row0: usize, out: &mut [T]) {
+        self.block(row0, out);
+    }
+
+    /// The block driver: fills `out`, a block of whole output rows
+    /// starting at global row `row0`, tile by tile. Each output element is
+    /// accumulated by exactly one tile in the fixed ascending-`p` order,
+    /// so results are byte-identical whether row blocks run sequentially
+    /// or on `hap-par` workers.
+    #[inline(always)]
+    fn block(&self, row0: usize, out: &mut [T]) {
+        // Tile width `NR`: 8 `f64`s or 16 `f32`s, 64 bytes either way, so
+        // a tile row of `b` is one cache line and the accumulator block
+        // is `MR` cache lines of SIMD registers.
+        match T::DTYPE {
+            Dtype::F64 => self.block_w::<8>(row0, out),
+            Dtype::F32 => self.block_w::<16>(row0, out),
+        }
+    }
+
+    #[inline(always)]
+    fn block_w<const W: usize>(&self, row0: usize, out: &mut [T]) {
+        let m = self.m;
+        let rows = out.len() / m;
+        let mut i0 = 0;
+        while i0 < rows {
+            let mr = MR.min(rows - i0);
+            let mut j0 = 0;
+            while j0 < m {
+                let w = W.min(m - j0);
+                let (gi0, tile_out) = (row0 + i0, &mut out[i0 * m + j0..]);
+                // Three inlined calls, so that the full tile and the bottom
+                // edge each see constant strip widths.
+                if mr == MR && w == W && self.finite {
+                    self.tile::<W, false>(gi0, MR, j0, W, tile_out);
+                } else if w == W {
+                    self.tile::<W, true>(gi0, mr, j0, W, tile_out);
+                } else {
+                    self.tile::<W, true>(gi0, mr, j0, w, tile_out);
                 }
-            } else {
-                micro_edge(lhs, depth, row0 + i0, mr, w, panel, out, m, i0, j0);
+                j0 += w;
             }
-            j0 += w;
+            i0 += mr;
         }
-        i0 += mr;
     }
-}
 
-/// Runs `gemm_block` over the whole output, row-chunked on the `hap-par`
-/// pool above the work threshold (each output row owned by one worker).
-fn gemm_dispatch<T: Scalar, L: Lhs<T>>(
-    lhs: &L,
-    depth: usize,
-    m: usize,
-    packed: &[T],
-    flops: usize,
-    out: &mut Tensor<T>,
-) {
-    let rows = out.rows();
-    if flops >= PAR_MATMUL_FLOPS && hap_par::threads() > 1 {
-        let chunk_len = hap_par::row_chunk_len(rows, m);
-        let rows_per_chunk = chunk_len / m;
-        hap_par::par_chunks_mut(out.as_mut_slice(), chunk_len, |ci, out_chunk| {
-            gemm_block(lhs, depth, m, packed, ci * rows_per_chunk, out_chunk);
-        });
-    } else {
-        gemm_block(lhs, depth, m, packed, 0, out.as_mut_slice());
+    /// One tile of `mr ≤ MR` output rows (from global row `gi0`) and
+    /// `w ≤ W` columns (from `j0`), written at the head of `out` with row
+    /// stride `m`. It always runs the full `MR × W` register block and
+    /// stores only the live `mr × w` corner: a bottom-edge tile reads zero
+    /// left entries for its missing rows, which the skip passes over.
+    /// `SKIP` branches past zero left entries; without it their `±0.0`
+    /// products are added, which needs a finite `b` (module docs).
+    #[inline(always)]
+    fn tile<const W: usize, const SKIP: bool>(
+        &self,
+        gi0: usize,
+        mr: usize,
+        j0: usize,
+        w: usize,
+        out: &mut [T],
+    ) {
+        let m = self.m;
+        let mut acc = [[T::ZERO; W]; MR];
+        for p in 0..self.depth {
+            // A right-edge tile (`w < W`) reads a full window, which runs on
+            // into the next row of `b`; the sums of those extra lanes are
+            // never stored. Only at the end of `b`, where no next row
+            // remains, is the strip zero-padded. Full-width tiles index
+            // directly, which keeps that fallback out of their loop.
+            let start = p * m + j0;
+            let window = if w == W {
+                Some(&self.b[start..start + W])
+            } else {
+                self.b.get(start..start + W)
+            };
+            let bp: [T; W] = match window {
+                Some(window) => window.try_into().expect("window is W wide"),
+                None => std::array::from_fn(|c| if c < w { self.b[start + c] } else { T::ZERO }),
+            };
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let av = if r < mr {
+                    self.lhs.at(gi0 + r, p)
+                } else {
+                    T::ZERO
+                };
+                if SKIP && av == T::ZERO {
+                    continue; // adjacency matrices are mostly zeros
+                }
+                for (a, &bv) in acc_r.iter_mut().zip(&bp) {
+                    *a += av * bv;
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().take(mr).enumerate() {
+            out[r * m..][..w].copy_from_slice(&acc_r[..w]);
+        }
     }
 }
 
@@ -300,11 +291,11 @@ impl<T: Scalar> Tensor<T> {
     /// assert!(msg.contains("matmul") && msg.contains("(2, 3)"), "got: {msg}");
     /// ```
     ///
-    /// Runs the packed register-blocked microkernel (see the module docs);
-    /// above a fixed work threshold the output is computed as row blocks
-    /// on the [`hap_par`] pool. Each output element is accumulated by one
-    /// worker in the fixed ascending-`p` order, so results are
-    /// byte-identical at every `HAP_THREADS` setting.
+    /// Runs the register-blocked GEMM kernel (see the module docs); above a
+    /// fixed work threshold the output is computed as row blocks on the
+    /// [`hap_par`] pool. Each output element is accumulated by one worker
+    /// in the fixed ascending-`p` order, so results are byte-identical at
+    /// every `HAP_THREADS` setting.
     pub fn try_matmul(&self, rhs: &Tensor<T>) -> Result<Tensor<T>, ShapeError> {
         if self.cols() != rhs.rows() {
             return Err(ShapeError::binary(
@@ -316,21 +307,11 @@ impl<T: Scalar> Tensor<T> {
         }
         let (n, k, m) = (self.rows(), self.cols(), rhs.cols());
         let mut out = Tensor::zeros(n, m);
-        if m == 0 {
-            return Ok(out);
-        }
-        let (a, b) = (self.as_slice(), rhs.as_slice());
-        let lhs = LhsRows { a, lda: k };
-        // A single panel (m ≤ NR) is already in packed layout: row-major b
-        // with w = m contiguous entries per row. Borrow it copy-free.
-        let packed_buf;
-        let packed: &[T] = if m <= nr_width::<T>() {
-            b
-        } else {
-            packed_buf = pack_panels(b, k, m, nr_width::<T>());
-            &packed_buf
+        let lhs = LhsRows {
+            a: self.as_slice(),
+            lda: k,
         };
-        gemm_dispatch(&lhs, k, m, packed, n * k * m, &mut out);
+        Gemm::new(lhs, k, rhs.as_slice(), m).run(&mut out);
         Ok(out)
     }
 
@@ -346,14 +327,12 @@ impl<T: Scalar> Tensor<T> {
         self.try_matmul(rhs).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fused product against a transposed right operand: `self · rhsᵀ`.
+    /// Product against a transposed right operand: `self · rhsᵀ`.
     ///
     /// An `n × k` left operand requires an `m × k` right operand (both
-    /// column counts agree) and produces an `n × m` result. The packing
-    /// stage reads `rhs` rows directly into `rhsᵀ`'s column panels —
-    /// unlike the pre-microkernel kernel there is no materialised
-    /// transpose, but the arithmetic sequence is unchanged, so the result
-    /// is byte-identical to `self.matmul(&rhs.transpose())`:
+    /// column counts agree) and produces an `n × m` result. It is one
+    /// `transpose` of `rhs` feeding the [`Tensor::try_matmul`] kernel, so
+    /// the result is byte-identical to `self.matmul(&rhs.transpose())`:
     ///
     /// ```
     /// use hap_tensor::Tensor;
@@ -385,16 +364,7 @@ impl<T: Scalar> Tensor<T> {
                 "inner dimensions (both column counts) must agree",
             ));
         }
-        let (n, k, m) = (self.rows(), self.cols(), rhs.rows());
-        let mut out = Tensor::zeros(n, m);
-        if m == 0 {
-            return Ok(out);
-        }
-        let (a, b) = (self.as_slice(), rhs.as_slice());
-        let lhs = LhsRows { a, lda: k };
-        let packed = pack_panels_t(b, m, k, nr_width::<T>());
-        gemm_dispatch(&lhs, k, m, &packed, n * k * m, &mut out);
-        Ok(out)
+        Ok(self.matmul(&rhs.transpose()))
     }
 
     /// Panicking variant of [`Tensor::try_matmul_nt`].
@@ -410,12 +380,12 @@ impl<T: Scalar> Tensor<T> {
     ///
     /// An `n × k` left operand requires an `n × m` right operand (row
     /// counts agree) and produces a `k × m` result — without ever
-    /// materialising `selfᵀ`: the microkernel swaps in the transposed
+    /// materialising `selfᵀ`: the kernel swaps in the transposed
     /// left-operand accessor (`a[p·k + i]`, a contiguous `MR`-run per
-    /// step) and reuses the plain right-operand packing. Summation order
-    /// and the zero-skip condition (`a[p, i] == 0.0`, i.e. the transposed
-    /// left element) match the composed form exactly, so the result is
-    /// byte-identical to `self.transpose().matmul(rhs)`:
+    /// step) and reads `rhs` in place like [`Tensor::try_matmul`].
+    /// Summation order and the zero-skip condition (`a[p, i] == 0.0`, i.e.
+    /// the transposed left element) match the composed form exactly, so
+    /// the result is byte-identical to `self.transpose().matmul(rhs)`:
     ///
     /// ```
     /// use hap_tensor::Tensor;
@@ -449,19 +419,11 @@ impl<T: Scalar> Tensor<T> {
         }
         let (n, k, m) = (self.rows(), self.cols(), rhs.cols());
         let mut out = Tensor::zeros(k, m);
-        if m == 0 {
-            return Ok(out);
-        }
-        let (a, b) = (self.as_slice(), rhs.as_slice());
-        let lhs = LhsCols { a, lda: k };
-        let packed_buf;
-        let packed: &[T] = if m <= nr_width::<T>() {
-            b
-        } else {
-            packed_buf = pack_panels(b, n, m, nr_width::<T>());
-            &packed_buf
+        let lhs = LhsCols {
+            a: self.as_slice(),
+            lda: k,
         };
-        gemm_dispatch(&lhs, n, m, packed, n * k * m, &mut out);
+        Gemm::new(lhs, n, rhs.as_slice(), m).run(&mut out);
         Ok(out)
     }
 
@@ -974,6 +936,7 @@ impl<T: Scalar> Neg for &Tensor<T> {
 
 #[cfg(test)]
 mod tests {
+    use super::{Gemm, Lhs, LhsCols, LhsRows};
     use crate::testutil::assert_close;
     use crate::{Scalar, Tensor};
 
@@ -989,7 +952,7 @@ mod tests {
 
     /// The pre-microkernel streaming reference: per output row, ascending
     /// `p` with the zero-skip, accumulating in the output buffer. This is
-    /// the arithmetic-sequence oracle the packed kernel must reproduce
+    /// the arithmetic-sequence oracle the kernel must reproduce
     /// bit-for-bit.
     fn reference_matmul<T: Scalar>(a: &Tensor<T>, b: &Tensor<T>) -> Tensor<T> {
         assert_eq!(a.cols(), b.rows());
@@ -1010,11 +973,126 @@ mod tests {
         out
     }
 
+    /// `lhs · b` through the portable compile of the block driver, called
+    /// directly: the code a CPU without AVX2 runs, checked on any host.
+    fn portable<T: Scalar, L: Lhs<T>>(
+        lhs: L,
+        depth: usize,
+        b: &Tensor<T>,
+        rows: usize,
+    ) -> Tensor<T> {
+        let m = b.cols();
+        let mut out = Tensor::zeros(rows, m);
+        if m > 0 {
+            Gemm::new(lhs, depth, b.as_slice(), m).block(0, out.as_mut_slice());
+        }
+        out
+    }
+
+    /// `a · b` through the portable driver.
+    fn portable_matmul<T: Scalar>(a: &Tensor<T>, b: &Tensor<T>) -> Tensor<T> {
+        let lhs = LhsRows {
+            a: a.as_slice(),
+            lda: a.cols(),
+        };
+        portable(lhs, a.cols(), b, a.rows())
+    }
+
+    /// `aᵀ · b` through the portable driver.
+    fn portable_matmul_tn<T: Scalar>(a: &Tensor<T>, b: &Tensor<T>) -> Tensor<T> {
+        let lhs = LhsCols {
+            a: a.as_slice(),
+            lda: a.cols(),
+        };
+        portable(lhs, a.rows(), b, a.cols())
+    }
+
+    /// Same bits, element by element, except that any NaN matches any
+    /// NaN: Rust leaves the sign and payload of a NaN that arithmetic
+    /// produces unspecified, and x86 returns the first NaN operand of an
+    /// addition, whose operand order the compiler may swap.
     fn bits_eq<T: Scalar>(tag: &str, a: &Tensor<T>, b: &Tensor<T>) {
         assert_eq!(a.shape(), b.shape(), "{tag}: shape");
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-            assert_eq!(x.to_bits_u64(), y.to_bits_u64(), "{tag}: {x} vs {y}");
+            if !(x.is_nan() && y.is_nan()) {
+                assert_eq!(x.to_bits_u64(), y.to_bits_u64(), "{tag}: {x} vs {y}");
+            }
         }
+    }
+
+    /// Shapes `(n, k, m)` of `a · b` straddling every tile boundary: under,
+    /// at and over `MR` (4) rows and both `NR` widths (8 for f64, 16 for
+    /// f32) of columns, `k = 0`, one-row and one-column operands, and
+    /// `n = 200`, whose 222k multiply–adds take the `hap-par` path.
+    const SHAPES: [(usize, usize, usize); 19] = [
+        (1, 1, 1),
+        (3, 5, 7),
+        (4, 8, 8),
+        (5, 9, 8),
+        (4, 6, 9),
+        (4, 7, 16),
+        (8, 5, 17),
+        (13, 17, 19),
+        (16, 16, 16),
+        (17, 33, 23),
+        (12, 10, 33),
+        (1, 40, 50),
+        (50, 40, 1),
+        (9, 3, 31),
+        (7, 0, 9),
+        (4, 0, 16),
+        (1, 9, 1),
+        (6, 1, 40),
+        (200, 30, 37),
+    ];
+
+    /// The special values the operands carry: ±0.0, a subnormal of each
+    /// dtype (1e-310 in f64, 1e-40 in f32), ±∞ and NaN.
+    const SPECIALS: [f64; 7] = [
+        0.0,
+        -0.0,
+        1e-310,
+        1e-40,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+
+    /// Operands `a` (`n × k`) and `b` (`k × m`) of three kinds, all with
+    /// exact zeros in `a`:
+    /// * `0`: every entry finite;
+    /// * `1`: `a` also holds every special value and `b` stays finite, so
+    ///   full tiles add zero left entries' products instead of skipping;
+    /// * `2`: both hold them, and row `k / 2` of `b` is `±∞`/NaN while
+    ///   column `k / 2` of `a` is zero in all but every fifth row, so only
+    ///   the skip keeps most outputs from being NaN.
+    fn operands(n: usize, k: usize, m: usize, kind: usize) -> (Tensor, Tensor) {
+        let special = |i: usize, j: usize, every: usize| {
+            let h = i * 31 + j * 17 + 5;
+            (kind > 0 && h % every == 0).then(|| SPECIALS[(h / every) % SPECIALS.len()])
+        };
+        let a = from_fn(n, k, |i, j| {
+            if kind == 2 && j == k / 2 {
+                return if i % 5 == 0 { 1.5 } else { 0.0 };
+            }
+            special(i, j, 7).unwrap_or(if (i + 2 * j) % 5 == 0 {
+                0.0
+            } else {
+                (i as f64 - 0.7 * j as f64) * 0.31
+            })
+        });
+        let b = from_fn(k, m, |i, j| {
+            if kind == 2 && i == k / 2 {
+                return [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][j % 3];
+            }
+            let v = (i as f64 * 1.3 - j as f64) * 0.17 + 0.05;
+            if kind == 2 {
+                special(j, i, 11).unwrap_or(v)
+            } else {
+                v
+            }
+        });
+        (a, b)
     }
 
     #[test]
@@ -1042,43 +1120,18 @@ mod tests {
 
     #[test]
     fn microkernel_matches_streaming_reference_bitwise() {
-        // Shapes straddling every tile boundary: under/over MR (4) rows,
-        // under/at/over NR (8 for f64, 16 for f32) columns, thin and fat,
-        // with exact zeros sprinkled to exercise the skip path.
-        let shapes = [
-            (1, 1, 1),
-            (3, 5, 7),
-            (4, 8, 8),
-            (5, 9, 8),
-            (4, 6, 9),
-            (13, 17, 19),
-            (16, 16, 16),
-            (17, 33, 23),
-            (1, 40, 50),
-            (50, 40, 1),
-            (9, 3, 31),
-        ];
-        for &(n, k, m) in &shapes {
-            let a = from_fn(n, k, |i, j| {
-                if (i + 2 * j) % 5 == 0 {
-                    0.0
-                } else {
-                    (i as f64 - 0.7 * j as f64) * 0.31
-                }
-            });
-            let b = from_fn(k, m, |i, j| (i as f64 * 1.3 - j as f64) * 0.17 + 0.05);
-            bits_eq(
-                &format!("f64 ({n},{k},{m})"),
-                &a.matmul(&b),
-                &reference_matmul(&a, &b),
-            );
-            let a32: Tensor<f32> = a.cast();
-            let b32: Tensor<f32> = b.cast();
-            bits_eq(
-                &format!("f32 ({n},{k},{m})"),
-                &a32.matmul(&b32),
-                &reference_matmul(&a32, &b32),
-            );
+        fn check<T: Scalar>(tag: &str, a: &Tensor<T>, b: &Tensor<T>) {
+            let expect = reference_matmul(a, b);
+            bits_eq(&format!("{tag} dispatched"), &a.matmul(b), &expect);
+            bits_eq(&format!("{tag} portable"), &portable_matmul(a, b), &expect);
+        }
+        for &(n, k, m) in &SHAPES {
+            for kind in 0..3 {
+                let (a, b) = operands(n, k, m, kind);
+                check(&format!("f64 kind {kind} ({n},{k},{m})"), &a, &b);
+                let (a32, b32): (Tensor<f32>, Tensor<f32>) = (a.cast(), b.cast());
+                check(&format!("f32 kind {kind} ({n},{k},{m})"), &a32, &b32);
+            }
         }
     }
 
@@ -1109,48 +1162,47 @@ mod tests {
 
     #[test]
     fn matmul_nt_matches_composed_bitwise() {
-        for &(n, k, m) in &[(1, 1, 1), (2, 3, 4), (7, 5, 9), (20, 16, 12), (11, 9, 21)] {
-            let a = from_fn(n, k, |i, j| {
-                // sprinkle exact zeros to exercise the skip path
-                if (i + j) % 3 == 0 {
-                    0.0
-                } else {
-                    (i as f64 - j as f64) * 0.37
-                }
-            });
-            let b = from_fn(m, k, |i, j| (i * 2 + j) as f64 * 0.11 - 1.0);
-            let fused = a.matmul_nt(&b);
+        fn check<T: Scalar>(tag: &str, a: &Tensor<T>, b: &Tensor<T>) {
             let composed = a.matmul(&b.transpose());
-            bits_eq(&format!("f64 nt ({n},{k},{m})"), &fused, &composed);
-            let (a32, b32): (Tensor<f32>, Tensor<f32>) = (a.cast(), b.cast());
+            bits_eq(&format!("{tag} dispatched"), &a.matmul_nt(b), &composed);
             bits_eq(
-                &format!("f32 nt ({n},{k},{m})"),
-                &a32.matmul_nt(&b32),
-                &a32.matmul(&b32.transpose()),
+                &format!("{tag} portable"),
+                &portable_matmul(a, &b.transpose()),
+                &composed,
             );
+        }
+        for &(n, k, m) in &SHAPES {
+            for kind in 0..3 {
+                // `a · bᵀ` with `b` stored `m × k`.
+                let (a, bt) = operands(n, k, m, kind);
+                let b = bt.transpose();
+                check(&format!("f64 nt kind {kind} ({n},{k},{m})"), &a, &b);
+                let (a32, b32): (Tensor<f32>, Tensor<f32>) = (a.cast(), b.cast());
+                check(&format!("f32 nt kind {kind} ({n},{k},{m})"), &a32, &b32);
+            }
         }
     }
 
     #[test]
     fn matmul_tn_matches_composed_bitwise() {
-        for &(n, k, m) in &[(1, 1, 1), (3, 2, 4), (5, 7, 9), (16, 20, 12), (9, 11, 21)] {
-            let a = from_fn(n, k, |i, j| {
-                if (i * j) % 4 == 0 {
-                    0.0
-                } else {
-                    (i as f64 + j as f64) * 0.23
-                }
-            });
-            let b = from_fn(n, m, |i, j| (j as f64 - i as f64) * 0.19 + 0.5);
-            let fused = a.matmul_tn(&b);
-            let composed = a.transpose().matmul(&b);
-            bits_eq(&format!("f64 tn ({n},{k},{m})"), &fused, &composed);
-            let (a32, b32): (Tensor<f32>, Tensor<f32>) = (a.cast(), b.cast());
+        fn check<T: Scalar>(tag: &str, a: &Tensor<T>, b: &Tensor<T>) {
+            let composed = a.transpose().matmul(b);
+            bits_eq(&format!("{tag} dispatched"), &a.matmul_tn(b), &composed);
             bits_eq(
-                &format!("f32 tn ({n},{k},{m})"),
-                &a32.matmul_tn(&b32),
-                &a32.transpose().matmul(&b32),
+                &format!("{tag} portable"),
+                &portable_matmul_tn(a, b),
+                &composed,
             );
+        }
+        for &(n, k, m) in &SHAPES {
+            for kind in 0..3 {
+                // `aᵀ · b` with `a` stored `k × n`.
+                let (at, b) = operands(n, k, m, kind);
+                let a = at.transpose();
+                check(&format!("f64 tn kind {kind} ({n},{k},{m})"), &a, &b);
+                let (a32, b32): (Tensor<f32>, Tensor<f32>) = (a.cast(), b.cast());
+                check(&format!("f32 tn kind {kind} ({n},{k},{m})"), &a32, &b32);
+            }
         }
     }
 

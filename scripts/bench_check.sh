@@ -76,16 +76,18 @@ EOF
 
 # f32 fast-path gate: the precision/* cases run f64 and f32 interleaved
 # (Bench::run_pair) on identical inputs, so the ratio is host-drift-free.
-# The build targets baseline SSE2, where an XMM register holds exactly
-# twice as many f32 lanes as f64 and the microkernel's instruction
-# stream is otherwise identical per tile — so 2.0× is the *theoretical
-# ceiling* for pure GEMM (measured ≈1.93×), and the train step, which
-# also pays dtype-independent tape bookkeeping, sits below it (measured
-# ≈1.58× on the compute-bound COLLAB-scale workload, ≈1.16× at IMDB
-# scale where bookkeeping dominates). The floors below are set safely
-# under the measured ratios to catch a broken fast path (a ratio near
-# 1.0 means f32 stopped being vectorised or fell off the packed kernel)
-# without flaking on scheduler noise.
+# The GEMM kernel runs at the host's vector width (its AVX2 compile where
+# the CPU has AVX2, the SSE2 baseline otherwise). At either width a
+# register holds exactly twice as many f32 lanes as f64 and the tile's
+# instruction stream is otherwise identical, so 2.0× is the *theoretical
+# ceiling* for pure GEMM (measured 1.74–2.02× on the AVX2 tile). The
+# train step also pays dtype-independent tape bookkeeping and sits below
+# it: 1.20–1.23× on the COLLAB-scale workload in --full mode with the
+# AVX2 tile (1.32–1.44× on the SSE2 kernel it replaced, whose f64 GEMM
+# took a larger share of the step), and about 1.0× at IMDB scale. The
+# floors catch a broken fast path (a ratio near 1.0 means f32 stopped
+# being vectorised); the COLLAB floor fails with the AVX2 tile
+# (EXPERIMENTS.md "Precision").
 python3 - "$current" <<'EOF' || failed+=("f32 fast path >= 1.60x matmul / 1.25x COLLAB step")
 import json, sys
 results = {r["name"]: r["median_ns"] for r in json.load(open(sys.argv[1]))["results"]}

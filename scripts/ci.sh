@@ -32,7 +32,7 @@ env -u HAP_THREADS cargo test -q --offline -p hap-train --test determinism
 # (crates/autograd/src/gradcheck.rs), and an f32 training run is both
 # bit-reproducible against itself and tracks the f64 trajectory within
 # single-precision drift (crates/train/tests/determinism.rs) — at both
-# threading modes, since the packed microkernel's parallel dispatch is
+# threading modes, since the GEMM kernel's parallel dispatch is
 # dtype-generic and a lane-width bug could surface in only one dtype.
 HAP_THREADS=1 cargo test -q --offline -p hap-autograd --lib -- gradcheck_f32
 env -u HAP_THREADS cargo test -q --offline -p hap-autograd --lib -- gradcheck_f32
@@ -62,6 +62,16 @@ rm -f "$ABLATION_TMP"
 # only exercise the shapes a training run happens to hit.
 HAP_THREADS=1 cargo test -q --offline -p hap-integration --test par_determinism
 env -u HAP_THREADS cargo test -q --offline -p hap-integration --test par_determinism
+
+# The GEMM kernel is compiled twice, portably and for AVX2, and each call
+# picks one at run time. These tests run every case through the public
+# (dispatched) API and through the portable driver called directly, so an
+# AVX2 host still checks the bits a CPU without AVX2 computes; their
+# n = 200 case takes the hap-par path, hence both threading modes.
+GEMM_TESTS=(microkernel_matches_streaming_reference_bitwise
+  matmul_nt_matches_composed_bitwise matmul_tn_matches_composed_bitwise)
+HAP_THREADS=1 cargo test -q --offline -p hap-tensor --lib -- "${GEMM_TESTS[@]}"
+env -u HAP_THREADS cargo test -q --offline -p hap-tensor --lib -- "${GEMM_TESTS[@]}"
 
 # Observability must be a pure observer: a Level::Trace run (every timer
 # and finiteness scan live) must be byte-identical to a Level::Off run,
