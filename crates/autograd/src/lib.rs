@@ -41,4 +41,4 @@ pub use gradcheck::{
 };
 pub use op::{Op, GATHER_PAD};
 pub use param::{Param, ParamStore};
-pub use tape::{Tape, Var};
+pub use tape::{Tape, Var, PROFILE_ONE_PASS_IN};

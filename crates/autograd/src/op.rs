@@ -140,51 +140,69 @@ pub enum Op<T: Scalar = f64> {
     SegmentSoftmax(Arc<Vec<usize>>),
 }
 
-impl<T: Scalar> Op<T> {
-    /// Short operator name for debugging output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Op::Constant => "constant",
-            Op::Leaf(_) => "param",
-            Op::MatMul => "matmul",
-            Op::MatMulNT => "matmul_nt",
-            Op::MatMulTN => "matmul_tn",
-            Op::Add => "add",
-            Op::Sub => "sub",
-            Op::Hadamard => "hadamard",
-            Op::AddRow => "add_row",
-            Op::AddCol => "add_col",
-            Op::MulCol => "mul_col",
-            Op::Scale(_) => "scale",
-            Op::Shift(_) => "shift",
-            Op::Transpose => "transpose",
-            Op::Relu => "relu",
-            Op::LeakyRelu(_) => "leaky_relu",
-            Op::Sigmoid => "sigmoid",
-            Op::Tanh => "tanh",
-            Op::SoftmaxRows => "softmax_rows",
-            Op::LogSoftmaxRows => "log_softmax_rows",
-            Op::Exp => "exp",
-            Op::Ln => "ln",
-            Op::Sqrt => "sqrt",
-            Op::PowConst(_) => "pow_const",
-            Op::HStack => "hstack",
-            Op::VStack => "vstack",
-            Op::GatherRows(_) => "gather_rows",
-            Op::GatherEntries(_) => "gather_entries",
-            Op::SumAll => "sum_all",
-            Op::MeanAll => "mean_all",
-            Op::ColSums => "col_sums",
-            Op::ColMeans => "col_means",
-            Op::ColMaxes(_) => "col_maxes",
-            Op::RowSums => "row_sums",
-            Op::Spmm(_) => "spmm",
-            Op::MatMulCsr(_) => "matmul_csr",
-            Op::SegmentSums(_) => "segment_sums",
-            Op::SegmentMeans(_) => "segment_means",
-            Op::SegmentSoftmax(_) => "segment_softmax",
+/// One list of every variant's short name, expanded into [`Op::name`]
+/// and the timing scopes of the tape's per-op profile.
+macro_rules! op_names {
+    ($($pat:pat => $name:literal,)*) => {
+        impl<T: Scalar> Op<T> {
+            /// Short operator name for debugging output.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $($pat => $name,)*
+                }
+            }
+
+            /// The forward and backward timing scopes of this op
+            /// (`tape.fwd.<name>`, `tape.bwd.<name>`).
+            pub(crate) fn scopes(&self) -> (&'static str, &'static str) {
+                match self {
+                    $($pat => (concat!("tape.fwd.", $name), concat!("tape.bwd.", $name)),)*
+                }
+            }
         }
-    }
+    };
+}
+
+op_names! {
+    Op::Constant => "constant",
+    Op::Leaf(_) => "param",
+    Op::MatMul => "matmul",
+    Op::MatMulNT => "matmul_nt",
+    Op::MatMulTN => "matmul_tn",
+    Op::Add => "add",
+    Op::Sub => "sub",
+    Op::Hadamard => "hadamard",
+    Op::AddRow => "add_row",
+    Op::AddCol => "add_col",
+    Op::MulCol => "mul_col",
+    Op::Scale(_) => "scale",
+    Op::Shift(_) => "shift",
+    Op::Transpose => "transpose",
+    Op::Relu => "relu",
+    Op::LeakyRelu(_) => "leaky_relu",
+    Op::Sigmoid => "sigmoid",
+    Op::Tanh => "tanh",
+    Op::SoftmaxRows => "softmax_rows",
+    Op::LogSoftmaxRows => "log_softmax_rows",
+    Op::Exp => "exp",
+    Op::Ln => "ln",
+    Op::Sqrt => "sqrt",
+    Op::PowConst(_) => "pow_const",
+    Op::HStack => "hstack",
+    Op::VStack => "vstack",
+    Op::GatherRows(_) => "gather_rows",
+    Op::GatherEntries(_) => "gather_entries",
+    Op::SumAll => "sum_all",
+    Op::MeanAll => "mean_all",
+    Op::ColSums => "col_sums",
+    Op::ColMeans => "col_means",
+    Op::ColMaxes(_) => "col_maxes",
+    Op::RowSums => "row_sums",
+    Op::Spmm(_) => "spmm",
+    Op::MatMulCsr(_) => "matmul_csr",
+    Op::SegmentSums(_) => "segment_sums",
+    Op::SegmentMeans(_) => "segment_means",
+    Op::SegmentSoftmax(_) => "segment_softmax",
 }
 
 impl<T: Scalar> std::fmt::Debug for Op<T> {

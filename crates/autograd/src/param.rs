@@ -80,29 +80,29 @@ impl<T: Scalar> Param<T> {
         self.inner.grad.borrow().clone()
     }
 
-    /// Adds `delta` into the accumulated gradient.
+    /// Replaces the accumulated gradient: for tests that need gradient
+    /// bits no accumulation produces, such as `−0.0`.
+    pub fn set_grad(&self, grad: Tensor<T>) {
+        assert_eq!(self.shape(), grad.shape(), "set_grad: shape mismatch");
+        *self.inner.grad.borrow_mut() = grad;
+    }
+
+    /// Adds `delta` into the accumulated gradient, in place: the bits of
+    /// `&*g + delta`.
     pub(crate) fn accumulate_grad(&self, delta: &Tensor<T>) {
-        let mut g = self.inner.grad.borrow_mut();
-        *g = &*g + delta;
+        self.inner.grad.borrow_mut().add_in_place(delta);
     }
 
-    /// Resets the accumulated gradient to zero.
+    /// Resets the accumulated gradient to `+0.0`, in place.
     pub fn zero_grad(&self) {
-        let (r, c) = self.shape();
-        *self.inner.grad.borrow_mut() = Tensor::zeros(r, c);
+        self.inner.grad.borrow_mut().as_mut_slice().fill(T::ZERO);
     }
 
-    /// Applies an in-place update `value <- f(value, grad)`.
-    ///
-    /// Used by optimizers so they can read value and gradient coherently
-    /// without cloning twice.
-    pub fn update_with(&self, f: impl FnOnce(&Tensor<T>, &Tensor<T>) -> Tensor<T>) {
-        let new = {
-            let v = self.inner.value.borrow();
-            let g = self.inner.grad.borrow();
-            f(&v, &g)
-        };
-        self.set_value(new);
+    /// Runs `f(value, grad)`, which updates the value in place from the
+    /// accumulated gradient: an optimizer step clones neither.
+    pub fn update_with(&self, f: impl FnOnce(&mut Tensor<T>, &Tensor<T>)) {
+        let g = self.inner.grad.borrow();
+        f(&mut self.inner.value.borrow_mut(), &g);
     }
 
     /// Whether two handles refer to the same underlying parameter.

@@ -3,7 +3,9 @@
 use crate::op::{Op, GATHER_PAD};
 use crate::param::Param;
 use hap_tensor::{CsrMatrix, Scalar, Tensor};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Handle to a value recorded on a [`Tape`].
 ///
@@ -16,9 +18,9 @@ pub struct Var(pub(crate) usize);
 struct Node<T: Scalar> {
     value: Tensor<T>,
     op: Op<T>,
-    /// Indices of parent nodes, in operand order.
+    /// Indices of parent nodes, in operand order (`usize::MAX` where the
+    /// op has fewer than two).
     parents: [usize; 2],
-    n_parents: u8,
 }
 
 /// A define-by-run computation graph.
@@ -44,30 +46,50 @@ struct Node<T: Scalar> {
 /// // d loss / d w = 2·w·x² = 24
 /// assert_eq!(w.grad()[(0, 0)], 24.0);
 /// ```
+///
+/// A trainer reuses one tape across steps with [`Tape::reset`]. Forward
+/// values and gradients are plain allocations owned by the tape, and
+/// `reset` drops them all; only the node and gradient vectors keep their
+/// capacity.
+///
+/// At [`hap_obs::Level::Trace`], one pass in [`PROFILE_ONE_PASS_IN`]
+/// (from `new` or `reset` to the next reset, across all tapes) is timed
+/// node by node, one clock read each: a node is charged the time since
+/// the previous node of its sweep, in histogram `time.tape.fwd.<op>` or
+/// `time.tape.bwd.<op>` ([`Op::name`]). A forward node's time thus
+/// includes its caller's work since the previous node (MOA's column
+/// selection lands on `gather_entries`). The `reset` that ends a profiled
+/// pass is timed as `time.tape.reset`. Below `Trace` this costs one
+/// relaxed atomic load per pass.
 pub struct Tape<T: Scalar = f64> {
     nodes: Vec<Node<T>>,
     /// Gradients from the most recent `backward` call, parallel to `nodes`.
     grads: Vec<Option<Tensor<T>>>,
-    /// Recycled *gradient* buffers, keyed by length: merged deltas parked
-    /// by [`Tape::accumulate`] mid-backward and final gradients parked by
-    /// [`Tape::reset`] / the next backward's sweep. Gradient shapes repeat
-    /// within and across steps, so the backward pass stops paying an
-    /// allocation per propagated delta.
-    ///
-    /// Deliberately *not* fed from forward node values: parking the whole
-    /// tape was measured slower than letting `reset` free forward buffers —
-    /// the allocator's LIFO reuse hands the next forward pass warm blocks,
-    /// while a big cold pool just inflated the footprint (microbench
-    /// `coarsen_forward_backward/n=100` ~2× worse with full-tape pooling).
-    spare: std::collections::HashMap<usize, Vec<Vec<T>>>,
-    /// Total scalars parked in `spare`, bounded by [`SPARE_ELEM_LIMIT`].
-    spare_elems: usize,
+    /// In a profiled pass, when the last node was recorded (see above).
+    clock: Option<Instant>,
 }
 
-/// Upper bound on pooled elements (4M scalars = 32 MiB at `f64`): several times one
-/// backward pass's gradient footprint on the paper's graph sizes, while
-/// keeping a long-lived tape from hoarding memory.
-const SPARE_ELEM_LIMIT: usize = 4 << 20;
+/// At [`hap_obs::Level::Trace`], one tape pass in this many is profiled
+/// ([`Tape`]'s per-op profile).
+pub const PROFILE_ONE_PASS_IN: u64 = 32;
+
+/// Passes started at `Level::Trace`, across all tapes and threads.
+static TRACED_PASSES: AtomicU64 = AtomicU64::new(0);
+
+/// The profile clock of the pass that starts now: the time, if the pass
+/// is profiled.
+fn profile_next_pass() -> Option<Instant> {
+    let profiled = hap_obs::trace_enabled()
+        && TRACED_PASSES.fetch_add(1, Ordering::Relaxed) % PROFILE_ONE_PASS_IN == 0;
+    profiled.then(Instant::now)
+}
+
+/// Charges the time since `last` to timing scope `scope` and returns now.
+fn lap(scope: &'static str, last: Instant) -> Instant {
+    let now = Instant::now();
+    hap_obs::record_duration(scope, now - last);
+    now
+}
 
 impl<T: Scalar> Default for Tape<T> {
     fn default() -> Self {
@@ -81,76 +103,24 @@ impl<T: Scalar> Tape<T> {
         Self {
             nodes: Vec::new(),
             grads: Vec::new(),
-            spare: std::collections::HashMap::new(),
-            spare_elems: 0,
+            clock: profile_next_pass(),
         }
     }
 
-    /// Clears the tape for a fresh forward pass while keeping its storage.
+    /// Clears the tape for a fresh forward pass.
     ///
-    /// The node and gradient vectors retain their capacity, and gradient
-    /// buffers are parked in the size-keyed pool the next backward pass
-    /// draws from. Forward node values are *freed*, on purpose: their
-    /// blocks come straight back from the allocator, still warm, when the
-    /// next step's forward pass reallocates the same shapes (see the
-    /// `spare` field comments for the measurement behind this split).
-    /// A trainer calls `reset` between steps instead of building a new
-    /// `Tape`. Results are unaffected: recycled buffers are fully
-    /// overwritten before use.
+    /// Drops every forward value and gradient of the last pass; the node
+    /// and gradient vectors keep their capacity. A trainer calls `reset`
+    /// between steps instead of building a new `Tape`. Results do not
+    /// depend on it: a reset tape computes the same bits as a new one.
     pub fn reset(&mut self) {
+        let start = self.clock.map(|_| Instant::now());
         self.nodes.clear();
-        while let Some(slot) = self.grads.pop() {
-            if let Some(g) = slot {
-                self.recycle(g);
-            }
+        self.grads.clear();
+        if let Some(start) = start {
+            hap_obs::record_duration("tape.reset", start.elapsed());
         }
-    }
-
-    /// Parks a tensor's buffer for reuse, subject to the pool size bound.
-    fn recycle(&mut self, t: Tensor<T>) {
-        let len = t.len();
-        if len == 0 || self.spare_elems + len > SPARE_ELEM_LIMIT {
-            return;
-        }
-        self.spare_elems += len;
-        self.spare.entry(len).or_default().push(t.into_vec());
-    }
-
-    /// Takes a pooled buffer of exactly `len` elements, if one is parked.
-    fn take_buf(&mut self, len: usize) -> Option<Vec<T>> {
-        let bufs = self.spare.get_mut(&len)?;
-        let buf = bufs.pop()?;
-        self.spare_elems -= len;
-        Some(buf)
-    }
-
-    /// `t.clone()` drawing the destination buffer from the pool when a
-    /// same-sized one is parked.
-    fn pooled_clone(&mut self, t: &Tensor<T>) -> Tensor<T> {
-        match self.take_buf(t.len()) {
-            Some(mut buf) => {
-                buf.copy_from_slice(t.as_slice());
-                Tensor::from_vec(t.rows(), t.cols(), buf)
-            }
-            None => t.clone(),
-        }
-    }
-
-    /// `Tensor::full(rows, cols, value)` drawing from the pool when
-    /// possible.
-    fn pooled_full(&mut self, rows: usize, cols: usize, value: T) -> Tensor<T> {
-        match self.take_buf(rows * cols) {
-            Some(mut buf) => {
-                buf.fill(value);
-                Tensor::from_vec(rows, cols, buf)
-            }
-            None => Tensor::full(rows, cols, value),
-        }
-    }
-
-    /// `Tensor::zeros(rows, cols)` drawing from the pool when possible.
-    fn pooled_zeros(&mut self, rows: usize, cols: usize) -> Tensor<T> {
-        self.pooled_full(rows, cols, T::ZERO)
+        self.clock = profile_next_pass();
     }
 
     /// Number of recorded nodes.
@@ -164,6 +134,9 @@ impl<T: Scalar> Tape<T> {
     }
 
     fn push(&mut self, value: Tensor<T>, op: Op<T>, parents: &[usize]) -> Var {
+        if let Some(last) = &mut self.clock {
+            *last = lap(op.scopes().0, *last);
+        }
         debug_assert!(parents.len() <= 2);
         debug_assert!(parents.iter().all(|&p| p < self.nodes.len()));
         let mut ps = [usize::MAX; 2];
@@ -174,7 +147,6 @@ impl<T: Scalar> Tape<T> {
             value,
             op,
             parents: ps,
-            n_parents: parents.len() as u8,
         });
         Var(self.nodes.len() - 1)
     }
@@ -595,22 +567,22 @@ impl<T: Scalar> Tape<T> {
             seed.shape(),
             "backward seed shape must match output shape"
         );
-        // Reuse the gradient vector across sweeps: recycle buffers from a
-        // previous backward pass instead of dropping them, then grow the
-        // (capacity-retaining) vector back to the node count.
-        while let Some(slot) = self.grads.pop() {
-            if let Some(g) = slot {
-                self.recycle(g);
-            }
-        }
+        self.grads.clear();
         self.grads.resize_with(self.nodes.len(), || None);
         self.grads[output.0] = Some(seed);
 
+        if let Some(last) = &mut self.clock {
+            *last = Instant::now();
+        }
         for i in (0..=output.0).rev() {
             let Some(g) = self.grads[i].take() else {
                 continue;
             };
-            self.propagate(i, &g);
+            let node = &self.nodes[i];
+            node.propagate(&self.nodes, &g, &mut self.grads);
+            if let Some(last) = &mut self.clock {
+                *last = lap(node.op.scopes().1, *last);
+            }
             self.grads[i] = Some(g);
         }
     }
@@ -626,278 +598,245 @@ impl<T: Scalar> Tape<T> {
             }
         }
     }
+}
 
-    fn accumulate(&mut self, idx: usize, delta: Tensor<T>) {
-        // In-place add is byte-identical to `&*g + &delta` and lets the
-        // spent delta's buffer go back to the pool.
-        let slot = &mut self.grads[idx];
-        if let Some(g) = slot {
-            g.add_in_place(&delta);
-        } else {
-            *slot = Some(delta);
-            return;
-        }
-        self.recycle(delta);
+/// Adds `delta` into the gradient slot `idx`, in place when the slot is
+/// already filled: `add_in_place` gives the bits of `&*g + &delta`.
+fn accumulate<T: Scalar>(grads: &mut [Option<Tensor<T>>], idx: usize, delta: Tensor<T>) {
+    match &mut grads[idx] {
+        Some(g) => g.add_in_place(&delta),
+        slot => *slot = Some(delta),
     }
+}
 
-    fn parent_value(&self, node: usize, k: usize) -> &Tensor<T> {
-        &self.nodes[self.nodes[node].parents[k]].value
+/// [`accumulate`] of a borrowed delta: copies it only into an empty slot.
+fn accumulate_ref<T: Scalar>(grads: &mut [Option<Tensor<T>>], idx: usize, delta: &Tensor<T>) {
+    match &mut grads[idx] {
+        Some(g) => g.add_in_place(delta),
+        slot => *slot = Some(delta.clone()),
     }
+}
 
-    fn propagate(&mut self, i: usize, g: &Tensor<T>) {
-        let (p0, p1) = (self.nodes[i].parents[0], self.nodes[i].parents[1]);
-        let n_parents = self.nodes[i].n_parents;
-        let op = self.nodes[i].op.clone();
-        match op {
+impl<T: Scalar> Node<T> {
+    /// Adds this node's contribution, given its own gradient `g`, into
+    /// its parents' gradient slots. `nodes` is the whole tape, so that
+    /// the op is borrowed in place rather than cloned per sweep.
+    fn propagate(&self, nodes: &[Node<T>], g: &Tensor<T>, grads: &mut [Option<Tensor<T>>]) {
+        let [p0, p1] = self.parents;
+        let parent = |k: usize| &nodes[self.parents[k]].value;
+        let y = &self.value;
+        match &self.op {
             Op::Constant => {}
             Op::Leaf(param) => param.accumulate_grad(g),
             Op::MatMul => {
                 // Fused kernels: same summation order and zero-skip as the
                 // former `g.matmul(&Bᵀ)` / `Aᵀ.matmul(g)`, minus two
                 // transpose allocations per node per sweep.
-                let da = g.matmul_nt(self.parent_value(i, 1));
-                let db = self.parent_value(i, 0).matmul_tn(g);
-                self.accumulate(p0, da);
-                self.accumulate(p1, db);
+                accumulate(grads, p0, g.matmul_nt(parent(1)));
+                accumulate(grads, p1, parent(0).matmul_tn(g));
             }
             Op::MatMulNT => {
                 // C = A·Bᵀ: dA = G·B, dB = Gᵀ·A
-                let da = g.matmul(self.parent_value(i, 1));
-                let db = g.matmul_tn(self.parent_value(i, 0));
-                self.accumulate(p0, da);
-                self.accumulate(p1, db);
+                accumulate(grads, p0, g.matmul(parent(1)));
+                accumulate(grads, p1, g.matmul_tn(parent(0)));
             }
             Op::MatMulTN => {
                 // C = Aᵀ·B: dA = B·Gᵀ, dB = A·G
-                let da = self.parent_value(i, 1).matmul_nt(g);
-                let db = self.parent_value(i, 0).matmul(g);
-                self.accumulate(p0, da);
-                self.accumulate(p1, db);
+                accumulate(grads, p0, parent(1).matmul_nt(g));
+                accumulate(grads, p1, parent(0).matmul(g));
             }
             Op::Add => {
-                let d0 = self.pooled_clone(g);
-                self.accumulate(p0, d0);
-                let d1 = self.pooled_clone(g);
-                self.accumulate(p1, d1);
+                accumulate_ref(grads, p0, g);
+                accumulate_ref(grads, p1, g);
             }
             Op::Sub => {
-                let d0 = self.pooled_clone(g);
-                self.accumulate(p0, d0);
-                self.accumulate(p1, g.scale(-1.0));
+                accumulate_ref(grads, p0, g);
+                accumulate(grads, p1, g.scale(-1.0));
             }
             Op::Hadamard => {
-                let da = g.hadamard(self.parent_value(i, 1));
-                let db = g.hadamard(self.parent_value(i, 0));
-                self.accumulate(p0, da);
-                self.accumulate(p1, db);
+                accumulate(grads, p0, g.hadamard(parent(1)));
+                accumulate(grads, p1, g.hadamard(parent(0)));
             }
             Op::AddRow => {
-                let d0 = self.pooled_clone(g);
-                self.accumulate(p0, d0);
-                self.accumulate(p1, g.col_sums());
+                accumulate_ref(grads, p0, g);
+                accumulate(grads, p1, g.col_sums());
             }
             Op::AddCol => {
-                let d0 = self.pooled_clone(g);
-                self.accumulate(p0, d0);
-                self.accumulate(p1, g.row_sums());
+                accumulate_ref(grads, p0, g);
+                accumulate(grads, p1, g.row_sums());
             }
             Op::MulCol => {
-                let dc = g.hadamard(self.parent_value(i, 0)).row_sums();
-                let c = self.parent_value(i, 1).clone(); // N×1 gate
-                let mut dx = self.pooled_clone(g);
+                let dc = g.hadamard(parent(0)).row_sums();
+                let c = parent(1); // N×1 gate
+                let mut dx = g.clone();
                 for r in 0..dx.rows() {
                     let s = c[(r, 0)];
                     for e in dx.row_mut(r) {
                         *e *= s;
                     }
                 }
-                self.accumulate(p0, dx);
-                self.accumulate(p1, dc);
+                accumulate(grads, p0, dx);
+                accumulate(grads, p1, dc);
             }
-            Op::Scale(s) => self.accumulate(p0, g.scale(s)),
-            Op::Shift(_) => {
-                let d0 = self.pooled_clone(g);
-                self.accumulate(p0, d0);
-            }
-            Op::Transpose => self.accumulate(p0, g.transpose()),
+            Op::Scale(s) => accumulate(grads, p0, g.scale(*s)),
+            Op::Shift(_) => accumulate_ref(grads, p0, g),
+            Op::Transpose => accumulate(grads, p0, g.transpose()),
             Op::Relu => {
-                let x = self.parent_value(i, 0);
-                let mask = x.map(|e| if e > T::ZERO { T::ONE } else { T::ZERO });
-                self.accumulate(p0, g.hadamard(&mask));
+                let mask = parent(0).map(|e| if e > T::ZERO { T::ONE } else { T::ZERO });
+                accumulate(grads, p0, g.hadamard(&mask));
             }
             Op::LeakyRelu(alpha) => {
-                let alpha_t = T::from_f64(alpha);
-                let x = self.parent_value(i, 0);
-                let mask = x.map(move |e| if e >= T::ZERO { T::ONE } else { alpha_t });
-                self.accumulate(p0, g.hadamard(&mask));
+                let alpha_t = T::from_f64(*alpha);
+                let mask = parent(0).map(move |e| if e >= T::ZERO { T::ONE } else { alpha_t });
+                accumulate(grads, p0, g.hadamard(&mask));
             }
             Op::Sigmoid => {
-                let y = &self.nodes[i].value;
                 let dy = y.map(|e| e * (T::ONE - e));
-                self.accumulate(p0, g.hadamard(&dy));
+                accumulate(grads, p0, g.hadamard(&dy));
             }
             Op::Tanh => {
-                let y = &self.nodes[i].value;
                 let dy = y.map(|e| T::ONE - e * e);
-                self.accumulate(p0, g.hadamard(&dy));
+                accumulate(grads, p0, g.hadamard(&dy));
             }
             Op::SoftmaxRows => {
-                let (rows, cols) = self.nodes[i].value.shape();
-                let mut dx = self.pooled_zeros(rows, cols);
-                let y = &self.nodes[i].value;
+                let (rows, cols) = y.shape();
+                let mut dx = Tensor::zeros(rows, cols);
                 for r in 0..rows {
                     let dot: T = g.row(r).iter().zip(y.row(r)).map(|(&a, &b)| a * b).sum();
                     for c in 0..cols {
                         dx[(r, c)] = y[(r, c)] * (g[(r, c)] - dot);
                     }
                 }
-                self.accumulate(p0, dx);
+                accumulate(grads, p0, dx);
             }
             Op::LogSoftmaxRows => {
                 // y = x - lse(x); dx = g - softmax(x) * rowsum(g)
-                let sm = self.parent_value(i, 0).softmax_rows();
-                let mut dx = self.pooled_clone(g);
+                let sm = parent(0).softmax_rows();
+                let mut dx = g.clone();
                 for r in 0..dx.rows() {
                     let gs: T = g.row(r).iter().copied().sum();
                     for c in 0..dx.cols() {
                         dx[(r, c)] -= sm[(r, c)] * gs;
                     }
                 }
-                self.accumulate(p0, dx);
+                accumulate(grads, p0, dx);
             }
-            Op::Exp => {
-                let y = &self.nodes[i].value;
-                self.accumulate(p0, g.hadamard(y));
-            }
+            Op::Exp => accumulate(grads, p0, g.hadamard(y)),
             Op::Ln => {
-                let x = self.parent_value(i, 0);
-                let inv = x.map(|e| T::ONE / e);
-                self.accumulate(p0, g.hadamard(&inv));
+                let inv = parent(0).map(|e| T::ONE / e);
+                accumulate(grads, p0, g.hadamard(&inv));
             }
             Op::Sqrt => {
-                let y = &self.nodes[i].value;
                 let half = T::from_f64(0.5);
                 let dy = y.map(move |e| half / e);
-                self.accumulate(p0, g.hadamard(&dy));
+                accumulate(grads, p0, g.hadamard(&dy));
             }
             Op::PowConst(p) => {
-                let x = self.parent_value(i, 0);
-                let pt = T::from_f64(p);
-                let dy = x.map(move |e| pt * e.powf(p - 1.0));
-                self.accumulate(p0, g.hadamard(&dy));
+                let (p, pt) = (*p, T::from_f64(*p));
+                let dy = parent(0).map(move |e| pt * e.powf(p - 1.0));
+                accumulate(grads, p0, g.hadamard(&dy));
             }
             Op::HStack => {
-                let ca = self.parent_value(i, 0).cols();
-                let da = g.slice_cols(0, ca);
-                let db = g.slice_cols(ca, g.cols());
-                self.accumulate(p0, da);
-                self.accumulate(p1, db);
+                let ca = parent(0).cols();
+                accumulate(grads, p0, g.slice_cols(0, ca));
+                accumulate(grads, p1, g.slice_cols(ca, g.cols()));
             }
             Op::VStack => {
-                let ra = self.parent_value(i, 0).rows();
-                let da = g.slice_rows(0, ra);
-                let db = g.slice_rows(ra, g.rows());
-                self.accumulate(p0, da);
-                self.accumulate(p1, db);
+                let ra = parent(0).rows();
+                accumulate(grads, p0, g.slice_rows(0, ra));
+                accumulate(grads, p1, g.slice_rows(ra, g.rows()));
             }
             Op::GatherRows(indices) => {
-                let (rows, cols) = self.parent_value(i, 0).shape();
-                let mut dx = self.pooled_zeros(rows, cols);
+                let (rows, cols) = parent(0).shape();
+                let mut dx = Tensor::zeros(rows, cols);
                 for (gi, &src) in indices.iter().enumerate() {
                     for (d, &gv) in dx.row_mut(src).iter_mut().zip(g.row(gi)) {
                         *d += gv;
                     }
                 }
-                self.accumulate(p0, dx);
+                accumulate(grads, p0, dx);
             }
             Op::GatherEntries(src) => {
-                let (rows, cols) = self.parent_value(i, 0).shape();
-                let mut dx = self.pooled_zeros(rows, cols);
+                let (rows, cols) = parent(0).shape();
+                let mut dx = Tensor::zeros(rows, cols);
                 let d = dx.as_mut_slice();
                 for (&s, &gv) in src.iter().zip(g.as_slice()) {
                     if s != GATHER_PAD {
                         d[s] += gv;
                     }
                 }
-                self.accumulate(p0, dx);
+                accumulate(grads, p0, dx);
             }
             Op::SumAll => {
-                let (rows, cols) = self.parent_value(i, 0).shape();
-                let dx = self.pooled_full(rows, cols, g[(0, 0)]);
-                self.accumulate(p0, dx);
+                let (rows, cols) = parent(0).shape();
+                accumulate(grads, p0, Tensor::full(rows, cols, g[(0, 0)]));
             }
             Op::MeanAll => {
-                let (rows, cols) = self.parent_value(i, 0).shape();
-                let dx =
-                    self.pooled_full(rows, cols, g[(0, 0)] / T::from_f64((rows * cols) as f64));
-                self.accumulate(p0, dx);
+                let (rows, cols) = parent(0).shape();
+                let mean = g[(0, 0)] / T::from_f64((rows * cols) as f64);
+                accumulate(grads, p0, Tensor::full(rows, cols, mean));
             }
             Op::ColSums => {
-                let (rows, cols) = self.parent_value(i, 0).shape();
-                let mut dx = self.pooled_zeros(rows, cols);
+                let (rows, cols) = parent(0).shape();
+                let mut dx = Tensor::zeros(rows, cols);
                 for r in 0..rows {
                     dx.row_mut(r).copy_from_slice(g.row(0));
                 }
-                self.accumulate(p0, dx);
+                accumulate(grads, p0, dx);
             }
             Op::ColMeans => {
-                let (rows, cols) = self.parent_value(i, 0).shape();
+                let (rows, cols) = parent(0).shape();
                 let n = T::from_f64(rows as f64);
-                let mut dx = self.pooled_zeros(rows, cols);
+                let mut dx = Tensor::zeros(rows, cols);
                 for r in 0..rows {
                     for (d, &gv) in dx.row_mut(r).iter_mut().zip(g.row(0)) {
                         *d = gv / n;
                     }
                 }
-                self.accumulate(p0, dx);
+                accumulate(grads, p0, dx);
             }
             Op::ColMaxes(argmax) => {
-                let (rows, cols) = self.parent_value(i, 0).shape();
-                let mut dx = self.pooled_zeros(rows, cols);
+                let (rows, cols) = parent(0).shape();
+                let mut dx = Tensor::zeros(rows, cols);
                 for (c, &r) in argmax.iter().enumerate() {
                     dx[(r, c)] += g[(0, c)];
                 }
-                self.accumulate(p0, dx);
+                accumulate(grads, p0, dx);
             }
             Op::RowSums => {
-                let (rows, cols) = self.parent_value(i, 0).shape();
-                let mut dx = self.pooled_zeros(rows, cols);
+                let (rows, cols) = parent(0).shape();
+                let mut dx = Tensor::zeros(rows, cols);
                 for r in 0..rows {
-                    let gv = g[(r, 0)];
-                    for d in dx.row_mut(r) {
-                        *d = gv;
-                    }
+                    dx.row_mut(r).fill(g[(r, 0)]);
                 }
-                self.accumulate(p0, dx);
+                accumulate(grads, p0, dx);
             }
             Op::Spmm(s) => {
                 // dH = Sᵀ·G = S·G by the symmetry contract. Byte-identical
                 // to the dense path's `matmul_tn(S, G)` backward: that
                 // kernel skips S's zeros and accumulates ascending, which
                 // is again the CSR row walk.
-                let dh = s.spmm(g);
-                self.accumulate(p0, dh);
+                accumulate(grads, p0, s.spmm(g));
             }
             Op::MatMulCsr(s) => {
                 // dX = G·Sᵀ = G·S by the symmetry contract; the dense
                 // path's `matmul_nt(G, S)` adds the same non-zero terms in
                 // the same ascending order.
-                let dx = s.spmm_left(g);
-                self.accumulate(p0, dx);
+                accumulate(grads, p0, s.spmm_left(g));
             }
             Op::SegmentSums(offsets) => {
-                let (rows, cols) = self.parent_value(i, 0).shape();
-                let mut dx = self.pooled_zeros(rows, cols);
+                let (rows, cols) = parent(0).shape();
+                let mut dx = Tensor::zeros(rows, cols);
                 for b in 0..offsets.len() - 1 {
                     for r in offsets[b]..offsets[b + 1] {
                         dx.row_mut(r).copy_from_slice(g.row(b));
                     }
                 }
-                self.accumulate(p0, dx);
+                accumulate(grads, p0, dx);
             }
             Op::SegmentMeans(offsets) => {
-                let (rows, cols) = self.parent_value(i, 0).shape();
-                let mut dx = self.pooled_zeros(rows, cols);
+                let (rows, cols) = parent(0).shape();
+                let mut dx = Tensor::zeros(rows, cols);
                 for b in 0..offsets.len() - 1 {
                     let n = T::from_f64((offsets[b + 1] - offsets[b]) as f64);
                     for r in offsets[b]..offsets[b + 1] {
@@ -906,14 +845,13 @@ impl<T: Scalar> Tape<T> {
                         }
                     }
                 }
-                self.accumulate(p0, dx);
+                accumulate(grads, p0, dx);
             }
             Op::SegmentSoftmax(offsets) => {
                 // Softmax Jacobian down each (segment, column):
                 // dx = y ∘ (g − Σ_segment y∘g).
-                let (rows, cols) = self.nodes[i].value.shape();
-                let mut dx = self.pooled_zeros(rows, cols);
-                let y = &self.nodes[i].value;
+                let (rows, cols) = y.shape();
+                let mut dx = Tensor::zeros(rows, cols);
                 for b in 0..offsets.len() - 1 {
                     let seg = offsets[b]..offsets[b + 1];
                     let mut dots = vec![T::ZERO; cols];
@@ -928,10 +866,9 @@ impl<T: Scalar> Tape<T> {
                         }
                     }
                 }
-                self.accumulate(p0, dx);
+                accumulate(grads, p0, dx);
             }
         }
-        debug_assert!(n_parents as usize <= 2);
     }
 }
 
@@ -1189,8 +1126,8 @@ mod tests {
 
     #[test]
     fn reset_then_smaller_graph_is_correct() {
-        // The pool must not leak stale values into a later, differently
-        // shaped computation.
+        // Nothing from the first pass may leak into a later, differently
+        // shaped computation on the reset tape.
         let mut t = Tape::new();
         let x = t.constant(Tensor::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]));
         let y = t.hadamard(x, x);

@@ -6,7 +6,8 @@
 //! classifier on the synthetic IMDB-B corpus, scores one batched GED
 //! sweep, then writes everything `hap-obs` accumulated to `--out`
 //! (default `results/metrics.json`) in the same flat hand-rolled JSON
-//! style as `results/microbench.json`.
+//! style as `results/microbench.json`. After training it prints the
+//! autograd tape's top ops by time to standard error.
 //!
 //! ```text
 //! cargo run --release -p hap-bench --bin metrics-dump \
@@ -68,6 +69,19 @@ fn parse_args() -> Args {
     args
 }
 
+/// Prints the autograd tape's `top` ops by time (its sampled passes).
+fn print_tape_profile(top: usize) {
+    let mut ops = hap_obs::timings();
+    ops.retain(|(name, _)| name.starts_with("tape."));
+    ops.sort_by(|a, b| b.1.sum.total_cmp(&a.1.sum));
+    let total: f64 = ops.iter().map(|(_, h)| h.sum).sum();
+    eprintln!("tape profile ({:.2} ms in sampled passes):", total / 1e6);
+    for (name, h) in ops.iter().take(top) {
+        let (n, ms, pct) = (h.count, h.sum / 1e6, 100.0 * h.sum / total);
+        eprintln!("  {name:<28} {n:>7}x {ms:>8.2} ms {pct:>5.1}%");
+    }
+}
+
 fn main() {
     let args = parse_args();
     // Force full instrumentation regardless of the environment: this
@@ -117,6 +131,7 @@ fn main() {
         "trained {} epochs, best val {:.3}, test {:.3}",
         report.epochs_run, report.best_val, report.test_metric
     );
+    print_tape_profile(10);
 
     // One batched GED sweep so the `ged.*` metric family is populated.
     let corpus = hap_data::aids_like(16, &mut data_rng);

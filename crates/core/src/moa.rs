@@ -4,6 +4,7 @@ use hap_autograd::{Param, ParamStore, Tape, Var, GATHER_PAD};
 use hap_nn::xavier_uniform;
 use hap_rand::Rng;
 use hap_tensor::{Scalar, Tensor};
+use std::cmp::Reverse;
 
 /// The cross-level attention mechanism between rows (source nodes) and
 /// columns (target clusters) of the GCont matrix `C`:
@@ -61,37 +62,30 @@ impl<T: Scalar> Moa<T> {
     /// zero-padded), returning an `N'×N'` matrix whose row `j` is `Ĉ_j`.
     /// The matrix is one [`Tape::gather_entries`] node over `C`, so the
     /// tape does not grow with `N'`.
+    ///
+    /// Order: value descending by [`Scalar::total_cmp`] (an upstream NaN
+    /// sorts above `+∞` and surfaces as a NaN logit), then row ascending.
+    /// The `N'` largest are selected before only they are sorted.
     fn reduced_columns(&self, tape: &mut Tape<T>, c: Var) -> Var {
         let (n, nc) = tape.shape(c);
         debug_assert_eq!(nc, self.clusters);
         let vals = tape.value(c);
-        let vals = &vals;
+        let vals = vals.as_slice();
 
         // Row `j` of `src` holds the flat indices of column `j`'s entries
-        // in descending order; past `N` it stays `GATHER_PAD` (the zero
-        // padding). Rows are independent, so large graphs fill them in
-        // parallel — each row is owned by one worker and the stable sort
-        // is deterministic, so the result matches the sequential path
-        // bit-for-bit.
-        let fill = move |j: usize, row: &mut [usize]| {
-            let mut order: Vec<usize> = (0..n).collect();
-            // `total_cmp` instead of `partial_cmp(..).expect(..)`: a NaN
-            // produced upstream (exploding GCont weights) used to panic the
-            // comparator here, far from its source. The total order sorts
-            // NaN above +∞, so a poisoned column degrades to a NaN logit
-            // that the hap-obs sentinel can attribute — identical ordering
-            // for finite inputs.
-            order.sort_by(|&a, &b| vals[(b, j)].total_cmp(&vals[(a, j)]));
-            for (slot, &r) in row.iter_mut().zip(&order) {
-                *slot = r * nc + j;
-            }
-        };
+        // in that order; past `N` it stays `GATHER_PAD` (the zero padding).
         let mut src = vec![GATHER_PAD; nc * nc];
-        if n >= 256 && nc >= 2 && hap_par::threads() > 1 {
-            hap_par::par_chunks_mut(&mut src, nc, fill);
-        } else {
-            for (j, row) in src.chunks_mut(nc).enumerate() {
-                fill(j, row);
+        let mut order: Vec<(Reverse<i64>, usize)> = Vec::with_capacity(n);
+        for (j, row) in src.chunks_mut(nc).enumerate() {
+            order.clear();
+            order.extend((0..n).map(|r| (Reverse(vals[r * nc + j].total_key()), r)));
+            if n > nc {
+                order.select_nth_unstable(nc - 1);
+                order.truncate(nc);
+            }
+            order.sort_unstable();
+            for (slot, &(_, r)) in row.iter_mut().zip(&order) {
+                *slot = r * nc + j;
             }
         }
         tape.gather_entries(c, nc, nc, src) // N'×N'
@@ -267,9 +261,11 @@ mod tests {
     }
 
     /// The column reduction as it was built before the single
-    /// `gather_entries` node: per cluster a gather, a transpose, a second
-    /// gather and a second transpose, then `N'−1` row stacks. Kept
-    /// verbatim as the oracle for the one-node form.
+    /// `gather_entries` node: per cluster a stable sort of the whole
+    /// column, a gather, a transpose, a second gather and a second
+    /// transpose, then `N'−1` row stacks. Kept as the oracle for the
+    /// one-node form (its parallel sort branch, bitwise the sequential
+    /// one, is gone with the production one).
     fn reduced_columns_oracle<T: Scalar>(clusters: usize, tape: &mut Tape<T>, c: Var) -> Var {
         let (n, nc) = tape.shape(c);
         debug_assert_eq!(nc, clusters);
@@ -283,14 +279,7 @@ mod tests {
             order.truncate(clusters);
             order
         };
-        let mut orders: Vec<Vec<usize>> = vec![Vec::new(); nc];
-        if n >= 256 && nc >= 2 && hap_par::threads() > 1 {
-            hap_par::par_chunks_mut(&mut orders, 1, |j, slot| slot[0] = compute_order(j));
-        } else {
-            for (j, slot) in orders.iter_mut().enumerate() {
-                *slot = compute_order(j);
-            }
-        }
+        let orders: Vec<Vec<usize>> = (0..nc).map(compute_order).collect();
 
         let mut rows: Vec<Var> = Vec::with_capacity(nc);
         for (j, order) in orders.into_iter().enumerate() {
@@ -336,10 +325,25 @@ mod tests {
         (widen(t.value(r)), widen(t.grad(cv)))
     }
 
-    fn one_node_reduction_matches_oracle<T: Scalar>() {
-        // N < N' (zero padding), N = N', N > N', and N ≥ 256 (the
-        // parallel sort path when the pool has more than one thread).
-        for (n, nc, seed) in [(3, 5, 21), (4, 4, 22), (9, 3, 23), (300, 4, 24)] {
+    /// Any NaN matches any NaN in a gradient: Rust leaves the sign and
+    /// payload of an arithmetic NaN unspecified. Values are copies, so
+    /// they are compared bit for bit, NaNs included.
+    fn same_grad_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// `specials` are written down column 1 (and, reversed, column 2)
+    /// twice over, so each of them also ties with itself.
+    fn one_node_reduction_matches_oracle<T: Scalar>(specials: &[T]) {
+        // N < N' (zero padding), N = N', N > N', N ≥ 256, and N ≫ N'.
+        for (n, nc, seed) in [
+            (3, 5, 21),
+            (4, 4, 22),
+            (9, 3, 23),
+            (300, 4, 24),
+            (40, 3, 27),
+            (64, 4, 28),
+        ] {
             let mut rng = Rng::from_seed(seed);
             let mut store = ParamStore::<T>::new();
             let moa = Moa::<T>::new(&mut store, "moa", nc, &mut rng);
@@ -350,18 +354,26 @@ mod tests {
                 c[(r, 0)] = T::from_f64(0.25);
             }
             c[(n - 1, 0)] = T::from_f64(-0.0);
+            if n >= 2 * specials.len() && nc >= 3 {
+                for (k, &v) in specials.iter().chain(specials).enumerate() {
+                    let r = k * n / (2 * specials.len());
+                    c[(r, 1)] = v;
+                    c[(n - 1 - r, 2)] = v;
+                }
+            }
             let w = Tensor::<T>::rand_uniform(nc, nc, 0.5, 2.0, &mut rng);
 
             let got = reduce_bits(&c, &w, |t, cv| moa.reduced_columns(t, cv));
             let want = reduce_bits(&c, &w, |t, cv| reduced_columns_oracle(nc, t, cv));
             for (what, g, e) in [("value", &got.0, &want.0), ("dC", &got.1, &want.1)] {
                 assert_eq!(g.len(), e.len(), "{what} n={n} nc={nc}");
-                for (i, (a, b)) in g.iter().zip(e).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{what} n={n} nc={nc} entry {i}: {a} vs {b}"
-                    );
+                for (i, (&a, &b)) in g.iter().zip(e).enumerate() {
+                    let same = if what == "value" {
+                        a.to_bits() == b.to_bits()
+                    } else {
+                        same_grad_bits(a, b)
+                    };
+                    assert!(same, "{what} n={n} nc={nc} entry {i}: {a} vs {b}");
                 }
             }
         }
@@ -369,8 +381,40 @@ mod tests {
 
     #[test]
     fn one_node_reduction_matches_the_per_column_chain_bitwise() {
-        one_node_reduction_matches_oracle::<f64>();
-        one_node_reduction_matches_oracle::<f32>();
+        // NaNs of both signs and two payloads, ±∞, ±0.0, subnormals of
+        // both signs and the extremes. Two NaNs with different bits, and
+        // +0.0 against −0.0, are distinct in the total order, so the
+        // reduced columns' bits show whether the order was kept.
+        one_node_reduction_matches_oracle::<f64>(&[
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            f64::from_bits(0x7ffc_0000_0000_0000),
+            f64::from_bits(0xfff8_0000_0000_0002),
+            f64::from_bits(0xfffc_0000_0000_0000),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE / 2.0,
+            f64::MAX,
+            f64::MIN,
+        ]);
+        one_node_reduction_matches_oracle::<f32>(&[
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0x7fe0_0000),
+            f32::from_bits(0xffc0_0002),
+            f32::from_bits(0xffe0_0000),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1e-45,
+            -1e-45,
+            f32::MIN_POSITIVE / 2.0,
+            f32::MAX,
+            f32::MIN,
+        ]);
     }
 
     #[test]

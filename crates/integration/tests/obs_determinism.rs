@@ -78,6 +78,10 @@ fn full_trace_instrumentation_does_not_perturb_training() {
         0,
         "Level::Off must record nothing"
     );
+    assert!(
+        hap_obs::timings().is_empty(),
+        "Level::Off must time nothing"
+    );
 
     // Same experiment with every probe live.
     hap_obs::set_level(hap_obs::Level::Trace);
@@ -100,6 +104,31 @@ fn full_trace_instrumentation_does_not_perturb_training() {
     assert!(
         hap_obs::histogram("time.core.coarsen").is_some(),
         "phase timers missing under Level::Trace"
+    );
+    // The tape's per-op profile: the sampled passes time every node,
+    // forward and backward.
+    for scope in [
+        "tape.fwd.matmul",
+        "tape.bwd.matmul",
+        "tape.bwd.gather_entries",
+    ] {
+        let h = hap_obs::histogram(&format!("time.{scope}"));
+        assert!(
+            h.is_some_and(|h| h.count > 0),
+            "{scope} missing under Level::Trace"
+        );
+    }
+    let ops = |kind: &str| -> u64 {
+        let prefix = format!("tape.{kind}.");
+        hap_obs::timings()
+            .iter()
+            .filter(|(name, _)| name.starts_with(&prefix))
+            .map(|(_, h)| h.count)
+            .sum()
+    };
+    assert!(
+        ops("bwd") > 0 && ops("bwd") <= ops("fwd"),
+        "a backward sweep visits at most the recorded nodes"
     );
     assert_eq!(
         hap_obs::counter("train.skipped_samples"),

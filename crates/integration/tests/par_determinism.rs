@@ -8,10 +8,11 @@
 //! tests run the hot paths once in forced-sequential mode and once on a
 //! 4-worker pool and compare every output bit pattern.
 //!
-//! All problem sizes are chosen *above* the parallel crossover thresholds
-//! (e.g. `n = 200` attention = 40 000-element score matrices, matmuls with
-//! ≥ 100 000 multiply–adds), so the parallel code path genuinely executes
-//! regardless of the host's core count.
+//! Each kernel has cases *above* its parallel crossover (`n = 200`
+//! attention = 40 000-element score matrices, dense products from 640 000
+//! multiply–adds, CSR SpMM from `nnz·m = 250 000`), so the parallel code
+//! path genuinely executes regardless of the host's core count. Older
+//! cases from before those thresholds moved stay beside them.
 
 use hap_autograd::{ParamStore, Tape};
 use hap_core::{HapCoarsen, Moa};
@@ -58,6 +59,24 @@ fn matmul_is_byte_identical_across_thread_counts() {
     let b = Tensor::rand_uniform(80, 60, -1.0, 1.0, &mut rng);
     let (seq, par) = seq_and_par(|| a.matmul(&b));
     assert_bits_equal("matmul", &seq, &par);
+    // 200×40·40×100 = 800k multiply-adds: above the 640k crossover.
+    let a = Tensor::rand_uniform(200, 40, -1.0, 1.0, &mut rng);
+    let b = Tensor::rand_uniform(40, 100, -1.0, 1.0, &mut rng);
+    let (seq, par) = seq_and_par(|| a.matmul(&b));
+    assert_bits_equal("matmul 200x40x100", &seq, &par);
+}
+
+#[test]
+fn csr_spmm_is_byte_identical_across_thread_counts() {
+    // A 300-node graph with ~14k stored entries times 32 columns: about
+    // 450k multiply-adds, above SpMM's 250k crossover.
+    let mut rng = Rng::from_seed(18);
+    let g = generators::erdos_renyi_connected(300, 0.15, &mut rng);
+    let csr = std::sync::Arc::clone(g.csr_adjacency_cached().matrix());
+    let h = Tensor::rand_uniform(300, 32, -1.0, 1.0, &mut rng);
+    assert!(csr.nnz() * 32 >= 250_000, "case must cross the crossover");
+    let (seq, par) = seq_and_par(|| csr.spmm(&h));
+    assert_bits_equal("csr spmm", &seq, &par);
 }
 
 #[test]
@@ -70,13 +89,14 @@ fn fused_transposed_matmuls_match_composed_path_bitwise() {
     // training goldens. Shapes cover below- and above-crossover sizes, tall,
     // wide, and degenerate single-row/column cases.
     let mut rng = Rng::from_seed(17);
-    let shapes: [(usize, usize, usize); 6] = [
+    let shapes: [(usize, usize, usize); 7] = [
         (1, 1, 1),
         (3, 5, 2),
         (64, 64, 64),
         (120, 80, 60),
         (7, 300, 150),
         (200, 16, 200),
+        (160, 50, 120),
     ];
     for (n, k, m) in shapes {
         // NT: (n×k) · (m×k)ᵀ.
@@ -160,7 +180,9 @@ fn self_attention_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn moa_forward_is_byte_identical_across_thread_counts() {
-    // n = 300 ≥ 256 crosses the parallel column-order crossover in MOA.
+    // n = 300: MOA's column selection is sequential, and its products are
+    // below the pool's crossover, so this pins that nothing in the
+    // forward depends on the thread count.
     let (seq, par) = seq_and_par(|| {
         let mut rng = Rng::from_seed(14);
         let mut store = ParamStore::new();

@@ -24,7 +24,7 @@
 //! Every property must additionally hold across thread counts
 //! (`HAP_THREADS=1` vs a multi-worker pool), because the sparse kernel
 //! has its own parallel row-block dispatch. Problem sizes below include
-//! cases above the `nnz·m ≥ 100 000` parallel crossover so the parallel
+//! cases above the `nnz·m ≥ 250 000` parallel crossover so the parallel
 //! code path genuinely executes.
 
 use hap_autograd::{Param, ParamStore, Tape, Var};
@@ -109,9 +109,14 @@ fn spmm_is_bitwise_equal_to_dense_matmul_across_thread_counts() {
 fn spmm_backward_matches_dense_tape_path_across_thread_counts() {
     // Tape-level differential: y = S·H·W through `tape.spmm` vs through a
     // dense constant + matmul. Value and dH must agree bit-for-bit at
-    // both thread settings.
-    let n = 220;
-    let m = 24;
+    // both thread settings. The second size (about 580k multiply-adds)
+    // takes SpMM's parallel path.
+    for (n, m) in [(220, 24), (300, 64)] {
+        spmm_backward_case(n, m);
+    }
+}
+
+fn spmm_backward_case(n: usize, m: usize) {
     let dense = random_symmetric(n, 0.1, 7);
     let csr = Arc::new(CsrMatrix::from_dense(&dense));
     let mut rng = Rng::from_seed(8);

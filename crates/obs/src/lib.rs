@@ -433,10 +433,25 @@ pub fn time_scope(name: &'static str) -> TimeScope {
 impl Drop for TimeScope {
     fn drop(&mut self) {
         if let Some((t0, name)) = self.start.take() {
-            let ns = t0.elapsed().as_secs_f64() * 1e9;
-            registry().timings.entry(name).or_default().record(ns);
+            record_duration(name, t0.elapsed());
         }
     }
+}
+
+/// Records `d` into histogram `time.<name>`, as a [`TimeScope`] does on
+/// drop. Not level-gated: callers read the clock only at [`Level::Trace`].
+pub fn record_duration(name: &'static str, d: std::time::Duration) {
+    let ns = d.as_secs_f64() * 1e9;
+    registry().timings.entry(name).or_default().record(ns);
+}
+
+/// Every timing histogram, as `(scope, histogram)` in scope order.
+pub fn timings() -> Vec<(&'static str, Histogram)> {
+    registry()
+        .timings
+        .iter()
+        .map(|(&k, h)| (k, h.clone()))
+        .collect()
 }
 
 // --------------------------------------------------------------------

@@ -14,6 +14,10 @@
 //! reduces across threads — there is deliberately no parallel sum/fold — so
 //! floating-point summation order cannot depend on scheduling.
 //!
+//! Consumers: `hap-tensor`'s dense products (from 640 000 multiply–adds),
+//! CSR SpMM (from 250 000) and large elementwise kernels, batched GED and
+//! retrieval; each threshold is a measured crossover (EXPERIMENTS.md).
+//!
 //! ## The `HAP_THREADS` contract
 //!
 //! The effective thread count, returned by [`threads`], resolves in this

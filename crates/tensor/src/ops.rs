@@ -52,12 +52,16 @@
 use crate::{Dtype, Scalar, ShapeError, Tensor};
 use std::ops::{Add, Mul, Neg, Sub};
 
-/// Multiply–add count above which `matmul` switches to the row-blocked
-/// parallel path. Below it, thread hand-off costs more than the work. The
-/// value was set when `n·k·m = 100_000` took about 50 µs; on the AVX2
-/// tile it takes about 15 µs (2-vCPU Xeon host), and the crossover has
-/// not been measured again.
-pub(crate) const PAR_MATMUL_FLOPS: usize = 100_000;
+/// Multiply–add count (`n·k·m`) from which the dense products run their
+/// row blocks on the `hap-par` pool: the crossover measured on the AVX2
+/// tile (2-vCPU host, f64; EXPERIMENTS.md "Gradient pool and pool
+/// threshold"). Every product of the `train` workload (at most 0.36M)
+/// stays on the calling thread; `n = 200` (8M) is parallel.
+pub(crate) const PAR_MATMUL_FLOPS: usize = 640_000;
+
+/// The same crossover for CSR SpMM (`nnz·m`), lower because its indirect
+/// loads make a multiply–add about three times dearer.
+pub(crate) const PAR_SPMM_FLOPS: usize = 250_000;
 
 /// Element count above which elementwise kernels (`map`, `zip_with`,
 /// `softmax_rows`) use the parallel path. An `n = 200` attention score

@@ -143,6 +143,15 @@ pub trait Scalar:
     /// NaN-tolerant comparator for sorts that must not panic on poisoned
     /// data.
     fn total_cmp(&self, other: &Self) -> std::cmp::Ordering;
+    /// An integer in the order of [`Scalar::total_cmp`], NaNs and signed
+    /// zeros included: sorts by it compare integers, not floats.
+    fn total_key(self) -> i64 {
+        // Sign-extend the bit pattern to 64 bits, then flip the magnitude
+        // bits of negatives, as `total_cmp` does.
+        let shift = 64 - 8 * Self::BYTES as u32;
+        let bits = ((self.to_bits_u64() << shift) as i64) >> shift;
+        bits ^ (((bits >> 63) as u64) >> 1) as i64
+    }
     /// Raw bit pattern, zero-extended to 64 bits — for bitwise-equality
     /// assertions and content hashing across dtypes.
     fn to_bits_u64(self) -> u64;
@@ -359,5 +368,55 @@ mod tests {
         let vals = [0.0, -0.0, 1.0, -3.75, 1.0e-30, f64::INFINITY];
         le_roundtrip::<f64>(&vals);
         le_roundtrip::<f32>(&vals);
+    }
+
+    fn total_key_orders_as_total_cmp<T: Scalar>(values: &[T]) {
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    a.total_key().cmp(&b.total_key()),
+                    a.total_cmp(b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn total_key_matches_total_cmp_on_every_class() {
+        total_key_orders_as_total_cmp(&[
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            f64::from_bits(0x7ffc_0000_0000_0000),
+            f64::from_bits(0xfff8_0000_0000_0002),
+            f64::from_bits(0xfff0_0000_0000_0001), // signalling, negative
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            1.0,
+            -1.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            -5e-324,
+            0.0,
+            -0.0,
+        ]);
+        total_key_orders_as_total_cmp(&[
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0x7fe0_0000),
+            f32::from_bits(0xffc0_0002),
+            f32::from_bits(0xff80_0001),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            1.0,
+            -1.0,
+            f32::MIN_POSITIVE,
+            1e-45,
+            -1e-45,
+            0.0,
+            -0.0,
+        ]);
     }
 }

@@ -13,7 +13,7 @@
 //! ([`crate::Scalar`]): the kernels are generic and monomorphise to the
 //! same arithmetic per dtype.
 
-use crate::ops::PAR_MATMUL_FLOPS;
+use crate::ops::PAR_SPMM_FLOPS;
 use crate::{Scalar, ShapeError, Tensor};
 
 /// A sparse matrix in compressed-sparse-row form.
@@ -286,8 +286,9 @@ impl<T: Scalar> CsrMatrix<T> {
     ///
     /// Byte-identical to `self.to_dense().matmul(rhs)`: the dense kernel
     /// skips zero left-entries and accumulates the rest in ascending
-    /// column order, which is exactly the CSR row walk. Above the same
-    /// work threshold as the dense product, output row blocks run on the
+    /// column order, which is exactly the CSR row walk. From `nnz · m =
+    /// 250 000` multiply–adds (SpMM's own pool crossover, measured lower
+    /// than the dense product's), output row blocks run on the
     /// [`hap_par`] pool; each output row is owned by one worker and
     /// accumulated in the sequential order, so results are byte-identical
     /// at every `HAP_THREADS` setting.
@@ -311,7 +312,7 @@ impl<T: Scalar> CsrMatrix<T> {
         let b = rhs.as_slice();
         // Parallel crossover uses the *actual* multiply–add count
         // (nnz · m), the sparse analogue of the dense n·k·m heuristic.
-        if self.nnz() * m >= PAR_MATMUL_FLOPS && hap_par::threads() > 1 {
+        if self.nnz() * m >= PAR_SPMM_FLOPS && hap_par::threads() > 1 {
             let chunk_len = hap_par::row_chunk_len(self.rows, m);
             let rows_per_chunk = chunk_len / m;
             hap_par::par_chunks_mut(out.as_mut_slice(), chunk_len, |ci, out_chunk| {

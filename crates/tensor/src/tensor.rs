@@ -226,11 +226,6 @@ impl<T: Scalar> Tensor<T> {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its row-major buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Row `r` as a slice.
     ///
     /// # Panics
