@@ -191,30 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn gradcheck_matmul_tn() {
-        // y = Xᵀ · W with X the differentiated input
-        let w = rand_input(4, 2, 15);
-        check_unary_op(rand_input(4, 3, 16), 1e-6, |t, x| {
-            let w = t.constant(w.clone());
-            let y = t.matmul_tn(x, w);
-            let sq = t.hadamard(y, y);
-            t.sum_all(sq)
-        });
-    }
-
-    #[test]
-    fn gradcheck_matmul_tn_rhs() {
-        // y = Aᵀ · X with X the differentiated input
-        let a = rand_input(4, 3, 17);
-        check_unary_op(rand_input(4, 2, 18), 1e-6, |t, x| {
-            let a = t.constant(a.clone());
-            let y = t.matmul_tn(a, x);
-            let sq = t.hadamard(y, y);
-            t.sum_all(sq)
-        });
-    }
-
-    #[test]
     fn gradcheck_add_sub_hadamard() {
         let b = rand_input(3, 3, 5);
         check_unary_op(rand_input(3, 3, 6), 1e-6, |t, x| {
@@ -353,10 +329,6 @@ mod tests {
             let m = t.row_sums(x);
             let sq = t.hadamard(m, m);
             t.sum_all(sq)
-        });
-        check_unary_op(rand_input(4, 3, 26), 1e-6, |t, x| {
-            let m = t.mean_all(x);
-            t.hadamard(m, m)
         });
     }
 

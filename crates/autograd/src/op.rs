@@ -37,9 +37,6 @@ pub enum Op<T: Scalar = f64> {
     /// Fused `C = A · Bᵀ` (`A`: `n×k`, `B`: `m×k`). Gradients:
     /// `dA = G·B`, `dB = Gᵀ·A`.
     MatMulNT,
-    /// Fused `C = Aᵀ · B` (`A`: `n×k`, `B`: `n×m`). Gradients:
-    /// `dA = B·Gᵀ`, `dB = A·G`.
-    MatMulTN,
     /// `C = A + B` (same shape). Gradients: `dA = G`, `dB = G`.
     Add,
     /// `C = A - B`. Gradients: `dA = G`, `dB = -G`.
@@ -100,8 +97,6 @@ pub enum Op<T: Scalar = f64> {
     /// Sum of all elements, producing a `1×1` scalar.
     /// Gradient: `dX = G[0,0] · 1`.
     SumAll,
-    /// Mean of all elements, producing `1×1`. Gradient: `G[0,0]/len · 1`.
-    MeanAll,
     /// Column sums `N×F → 1×F` (graph sum-pooling). Gradient: broadcast `G`
     /// to every row.
     ColSums,
@@ -168,7 +163,6 @@ op_names! {
     Op::Leaf(_) => "param",
     Op::MatMul => "matmul",
     Op::MatMulNT => "matmul_nt",
-    Op::MatMulTN => "matmul_tn",
     Op::Add => "add",
     Op::Sub => "sub",
     Op::Hadamard => "hadamard",
@@ -193,7 +187,6 @@ op_names! {
     Op::GatherRows(_) => "gather_rows",
     Op::GatherEntries(_) => "gather_entries",
     Op::SumAll => "sum_all",
-    Op::MeanAll => "mean_all",
     Op::ColSums => "col_sums",
     Op::ColMeans => "col_means",
     Op::ColMaxes(_) => "col_maxes",

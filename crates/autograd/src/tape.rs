@@ -151,12 +151,13 @@ impl<T: Scalar> Tape<T> {
         Var(self.nodes.len() - 1)
     }
 
-    /// The forward value of `v` (clone).
-    pub fn value(&self, v: Var) -> Tensor<T> {
-        self.nodes[v.0].value.clone()
+    /// The forward value of `v`, lent; clone it to keep it past the
+    /// tape's next mutation.
+    pub fn value(&self, v: Var) -> &Tensor<T> {
+        &self.nodes[v.0].value
     }
 
-    /// Shape of `v` without cloning.
+    /// Shape of `v`.
     pub fn shape(&self, v: Var) -> (usize, usize) {
         self.nodes[v.0].value.shape()
     }
@@ -201,16 +202,6 @@ impl<T: Scalar> Tape<T> {
     pub fn matmul_nt(&mut self, a: Var, b: Var) -> Var {
         let v = self.nodes[a.0].value.matmul_nt(&self.nodes[b.0].value);
         self.push(v, Op::MatMulNT, &[a.0, b.0])
-    }
-
-    /// Fused product against a transposed left operand: `aᵀ · b`,
-    /// recorded as a single node. Byte-identical to
-    /// `transpose(a)` + `matmul` (see [`Tensor::matmul_tn`]) but skips the
-    /// intermediate transpose node and its allocation — use it when the
-    /// transpose has no other consumer.
-    pub fn matmul_tn(&mut self, a: Var, b: Var) -> Var {
-        let v = self.nodes[a.0].value.matmul_tn(&self.nodes[b.0].value);
-        self.push(v, Op::MatMulTN, &[a.0, b.0])
     }
 
     /// Elementwise sum.
@@ -413,12 +404,6 @@ impl<T: Scalar> Tape<T> {
         // an exact round-trip, so this is the `T`-native total.
         let v = Tensor::from_vec(1, 1, vec![T::from_f64(self.nodes[x.0].value.sum())]);
         self.push(v, Op::SumAll, &[x.0])
-    }
-
-    /// Mean of all elements → `1×1`.
-    pub fn mean_all(&mut self, x: Var) -> Var {
-        let v = Tensor::from_vec(1, 1, vec![T::from_f64(self.nodes[x.0].value.mean())]);
-        self.push(v, Op::MeanAll, &[x.0])
     }
 
     /// Column sums `N×F → 1×F` (sum-pooling readout).
@@ -640,11 +625,6 @@ impl<T: Scalar> Node<T> {
                 accumulate(grads, p0, g.matmul(parent(1)));
                 accumulate(grads, p1, g.matmul_tn(parent(0)));
             }
-            Op::MatMulTN => {
-                // C = Aᵀ·B: dA = B·Gᵀ, dB = A·G
-                accumulate(grads, p0, parent(1).matmul_nt(g));
-                accumulate(grads, p1, parent(0).matmul(g));
-            }
             Op::Add => {
                 accumulate_ref(grads, p0, g);
                 accumulate_ref(grads, p1, g);
@@ -771,11 +751,6 @@ impl<T: Scalar> Node<T> {
                 let (rows, cols) = parent(0).shape();
                 accumulate(grads, p0, Tensor::full(rows, cols, g[(0, 0)]));
             }
-            Op::MeanAll => {
-                let (rows, cols) = parent(0).shape();
-                let mean = g[(0, 0)] / T::from_f64((rows * cols) as f64);
-                accumulate(grads, p0, Tensor::full(rows, cols, mean));
-            }
             Op::ColSums => {
                 let (rows, cols) = parent(0).shape();
                 let mut dx = Tensor::zeros(rows, cols);
@@ -883,7 +858,7 @@ mod tests {
         let a = t.constant(Tensor::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]));
         let b = t.constant(Tensor::eye(2));
         let c = t.matmul(a, b);
-        assert_close(&t.value(c), &t.value(a), 1e-12);
+        assert_close(t.value(c), t.value(a), 1e-12);
         let s = t.sum_all(c);
         assert_eq!(t.scalar(s), 10.0);
     }
@@ -1019,7 +994,7 @@ mod tests {
         let mut t = Tape::new();
         let x = t.constant(Tensor::from_rows(&[vec![1.0, 5.0], vec![3.0, 2.0]]));
         let y = t.col_maxes(x);
-        assert_close(&t.value(y), &Tensor::row_vector(&[3.0, 5.0]), 1e-12);
+        assert_close(t.value(y), &Tensor::row_vector(&[3.0, 5.0]), 1e-12);
         let loss = t.sum_all(y);
         t.backward(loss);
         assert_close(
@@ -1061,29 +1036,7 @@ mod tests {
         let c2 = tc.matmul(a2, bt);
         let loss2 = tc.sum_all(c2);
         tc.backward(loss2);
-        assert_bits_equal("value", &tf.value(c), &tc.value(c2));
-        assert_bits_equal("dA", &tf.grad(a), &tc.grad(a2));
-        assert_bits_equal("dB", &tf.grad(b), &tc.grad(b2));
-    }
-
-    #[test]
-    fn matmul_tn_matches_composed_transpose_matmul_bitwise() {
-        let av = Tensor::from_rows(&[vec![1.0, 0.0], vec![-3.0, 4.0], vec![0.5, 2.0]]);
-        let bv = Tensor::from_rows(&[vec![0.5, -1.5], vec![3.0, 0.0], vec![-0.25, 1.0]]);
-        // fused
-        let mut tf = Tape::new();
-        let (a, b) = (tf.constant(av.clone()), tf.constant(bv.clone()));
-        let c = tf.matmul_tn(a, b);
-        let loss = tf.sum_all(c);
-        tf.backward(loss);
-        // composed
-        let mut tc = Tape::new();
-        let (a2, b2) = (tc.constant(av), tc.constant(bv));
-        let at = tc.transpose(a2);
-        let c2 = tc.matmul(at, b2);
-        let loss2 = tc.sum_all(c2);
-        tc.backward(loss2);
-        assert_bits_equal("value", &tf.value(c), &tc.value(c2));
+        assert_bits_equal("value", tf.value(c), tc.value(c2));
         assert_bits_equal("dA", &tf.grad(a), &tc.grad(a2));
         assert_bits_equal("dB", &tf.grad(b), &tc.grad(b2));
     }
@@ -1187,7 +1140,7 @@ mod tests {
             let ld = td.sum_all(zd);
             td.backward(ld);
 
-            assert_bits_equal("spmm value", &ts.value(ys), &td.value(yd));
+            assert_bits_equal("spmm value", ts.value(ys), td.value(yd));
             assert_bits_equal("spmm dH", &ts.grad(hs), &td.grad(hd));
         }
     }
@@ -1226,7 +1179,7 @@ mod tests {
             let ld = td.sum_all(zd);
             td.backward(ld);
 
-            assert_bits_equal("matmul_csr value", &ts.value(ys), &td.value(yd));
+            assert_bits_equal("matmul_csr value", ts.value(ys), td.value(yd));
             assert_bits_equal("matmul_csr dX", &ts.grad(xs), &td.grad(xd));
         }
     }
@@ -1286,7 +1239,7 @@ mod tests {
         let lb = tb.sum_all(yb);
         tb.backward(lb);
 
-        assert_bits_equal("value", &ta.value(ya), &tb.value(yb));
+        assert_bits_equal("value", ta.value(ya), tb.value(yb));
         assert_bits_equal("grad", &ta.grad(xa), &tb.grad(xb));
     }
 }

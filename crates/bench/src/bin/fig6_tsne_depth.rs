@@ -10,12 +10,12 @@
 //! from one to two modules and stops improving (or degrades) at three.
 
 use hap_autograd::ParamStore;
-use hap_bench::{parse_args, RunScale};
+use hap_bench::{parse_args, train_config, RunScale};
 use hap_core::{HapClassifier, HapConfig, HapModel};
 use hap_pooling::PoolCtx;
 use hap_rand::Rng;
 use hap_tensor::Tensor;
-use hap_train::{train, TrainConfig};
+use hap_train::train;
 use hap_viz::{ascii_scatter, silhouette_score, tsne, write_csv, TsneConfig};
 use std::path::PathBuf;
 
@@ -46,15 +46,7 @@ fn main() {
             let model = HapModel::new(&mut store, &cfg, &mut rng);
             let clf = HapClassifier::new(&mut store, model, ds.num_classes, &mut rng);
             let (train_idx, val_idx, test_idx) = hap_data::split_811(ds.samples.len(), &mut rng);
-            let tcfg = TrainConfig {
-                epochs,
-                batch_size: 8,
-                lr: 0.003,
-                seed: seed ^ 0x5eed,
-                patience: None,
-                grad_clip: Some(5.0),
-                log_every: 0,
-            };
+            let tcfg = train_config(epochs, 0.003, seed);
             let report = train(
                 &store,
                 &tcfg,

@@ -15,8 +15,8 @@
 //! * `pooling/*` — latency of one forward pass per pooling baseline, the
 //!   cost side of the Table 3 comparison.
 //! * `ged/*` — the Fig. 5 GED solver family on ≤10-node pairs.
-//! * `*/seq` vs `*/par` — the `hap-par` wiring: the same workload pinned
-//!   to one thread and to a multi-worker pool (see EXPERIMENTS.md
+//! * `ged/batch_hungarian/*/{seq,par}` — batched GED pinned to one thread
+//!   and handing pairs to `hap-par`'s scoped threads (see EXPERIMENTS.md
 //!   "Parallelism" for how to read these and how to pin `HAP_THREADS`).
 //! * `sparse/spmm/*` — CSR SpMM vs the dense zero-skipping GEMM on the
 //!   same `Â`, swept over `n` and edge density up to the complete graph:
@@ -33,8 +33,8 @@
 //!   (`HapClassifier::try_embeddings`), the retrieval index build's path.
 //!   hap-serve embeds one graph at a time (`try_embedding`).
 //! * `precision/*` — f32-vs-f64 pairs ([`Bench::run_pair`]) for the two
-//!   headline hot paths: the `n=200` square GEMM (the packed microkernel
-//!   with twice the lanes per register at f32) and the full training
+//!   headline hot paths: the `n=200` square GEMM (the register-blocked
+//!   kernel with twice the lanes per register at f32) and the full training
 //!   step. The f32/f64 median ratio here is the "Precision" table in
 //!   EXPERIMENTS.md, and `scripts/bench_check.sh` gates the matmul pair
 //!   at ≥1.6× and the COLLAB-scale train-step pair at ≥1.25×.
@@ -99,7 +99,7 @@ fn coarsening(bench: &mut Bench, sizes: &[usize], seed: u64) {
                 rng: &mut rng,
             };
             let (a2, h2) = module.forward(&mut tape, AdjacencyRef::Fixed(&g), h, &mut ctx);
-            (tape.value(a2), tape.value(h2))
+            (tape.value(a2).clone(), tape.value(h2).clone())
         });
 
         // Steady state of the training loop: one persistent tape with
@@ -152,7 +152,7 @@ fn coarsen_level0(bench: &mut Bench, seed: u64) {
             rng: &mut rng,
         };
         let (a2, h2) = module.forward(&mut tape, a, h, &mut ctx);
-        (tape.value(a2), tape.value(h2))
+        (tape.value(a2).clone(), tape.value(h2).clone())
     };
     bench.run_pair(
         &format!("coarsen/level0/n={n}/dense"),
@@ -191,7 +191,7 @@ fn attention(bench: &mut Bench, sizes: &[usize], seed: u64) {
                 rng: &mut rng,
             };
             let out = ma.forward(&mut tape, a, h, &mut ctx);
-            tape.value(out)
+            tape.value(out).clone()
         });
 
         // MOA cross-level attention
@@ -203,7 +203,7 @@ fn attention(bench: &mut Bench, sizes: &[usize], seed: u64) {
             let h = tape.constant(x.clone());
             let cm = gcont.forward(&mut tape, h);
             let m = moa.forward(&mut tape, cm);
-            tape.value(m)
+            tape.value(m).clone()
         });
     }
 }
@@ -236,7 +236,7 @@ fn pooling(bench: &mut Bench, n: usize, seed: u64) {
                 rng: &mut rng,
             };
             let out = r.forward(&mut tape, a, h, &mut ctx);
-            tape.value(out)
+            tape.value(out).clone()
         });
     }
 
@@ -276,7 +276,7 @@ fn pooling(bench: &mut Bench, n: usize, seed: u64) {
                 rng: &mut rng,
             };
             let (a2, h2) = m.forward(&mut tape, AdjacencyRef::Fixed(&g), h, &mut ctx);
-            (tape.value(a2), tape.value(h2))
+            (tape.value(a2).clone(), tape.value(h2).clone())
         });
     }
 }
@@ -324,12 +324,12 @@ fn ged(bench: &mut Bench, seed: u64) {
     });
 }
 
-/// Seq-vs-par pairs for the two `hap-par`-wired hot paths. `seq` pins
-/// the pool to one thread (the exact pre-parallel code path); `par` uses
-/// `max(4, available_parallelism)` workers so the parallel kernels
-/// genuinely execute even on small hosts — on a 1-core machine the par
-/// rows therefore measure pool overhead, not speedup (see EXPERIMENTS.md
-/// "Parallelism").
+/// Seq-vs-par pairs for batched GED, which hands pairs to scoped
+/// threads through `hap-par`. `seq` pins the thread count to one (the
+/// sequential path); `par` uses `max(4, available_parallelism)` threads so
+/// the helpers genuinely start even on small hosts — on a 1-core machine
+/// the par rows therefore measure the fork-join's cost, not speedup (see
+/// EXPERIMENTS.md "Parallelism").
 fn parallelism(bench: &mut Bench, seed: u64) {
     let default_threads = hap_par::threads();
     let par_threads = std::thread::available_parallelism()
@@ -337,14 +337,16 @@ fn parallelism(bench: &mut Bench, seed: u64) {
         .max(4);
 
     let mut rng = Rng::from_seed(seed);
-    let ma = Tensor::<f64>::rand_uniform(200, 200, -1.0, 1.0, &mut rng);
-    let mb = Tensor::rand_uniform(200, 200, -1.0, 1.0, &mut rng);
+    // Two 200×200 draws that the removed `parallel/matmul*` cases used,
+    // kept so the corpus below is drawn from the same stream position.
+    let _ = Tensor::<f64>::rand_uniform(200, 200, -1.0, 1.0, &mut rng);
+    let _ = Tensor::<f64>::rand_uniform(200, 200, -1.0, 1.0, &mut rng);
 
     let corpus = hap_data::aids_like(16, &mut rng);
     let pairs: Vec<(&Graph, &Graph)> = (0..8)
         .map(|i| (&corpus[i].graph, &corpus[i + 8].graph))
         .collect();
-    // 64 pairs: above the Hungarian par crossover (8 pairs stays on the
+    // 64 pairs: at the Hungarian par crossover (8 pairs stays on the
     // sequential fallback by design — see `GedMethod::min_par_pairs`).
     let big_pairs: Vec<(&Graph, &Graph)> = (0..64)
         .map(|i| (&corpus[i % 16].graph, &corpus[(i * 7 + 5) % 16].graph))
@@ -353,13 +355,6 @@ fn parallelism(bench: &mut Bench, seed: u64) {
 
     for (mode, threads) in [("seq", 1), ("par", par_threads)] {
         hap_par::set_threads(threads);
-        bench.run(&format!("parallel/matmul/n=200/{mode}"), || ma.matmul(&mb));
-        bench.run(&format!("parallel/matmul_nt/n=200/{mode}"), || {
-            ma.matmul_nt(&mb)
-        });
-        bench.run(&format!("parallel/matmul_tn/n=200/{mode}"), || {
-            ma.matmul_tn(&mb)
-        });
         bench.run(&format!("ged/batch_hungarian/pairs=8/{mode}"), || {
             batch_ged(&pairs, GedMethod::Hungarian, &costs)
         });

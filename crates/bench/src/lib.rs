@@ -21,6 +21,6 @@ pub use runners::{
     classification_accuracy, hap_ablation_classifier, matching_accuracy_gmn,
     matching_accuracy_gmn_hap, matching_accuracy_hap, similarity_accuracy_ged,
     similarity_accuracy_gmn, similarity_accuracy_hap_ablation, similarity_accuracy_simgnn,
-    train_hap_matcher, ClassifierChoice, GedAlg, MatchEval, TrainedMatcher,
+    train_config, train_hap_matcher, ClassifierChoice, GedAlg, MatchEval, TrainedMatcher,
 };
 pub use table::TablePrinter;

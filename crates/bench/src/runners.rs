@@ -11,6 +11,39 @@ use hap_pooling::{BaselineKind, PoolCtx, PoolingClassifier};
 use hap_rand::Rng;
 use hap_tensor::Tensor;
 use hap_train::{train, TrainConfig};
+use std::cell::RefCell;
+use std::collections::HashMap;
+
+/// The training schedule of every experiment: mini-batches of 8, global
+/// gradient clipping at 5, no early stopping, silent, and the trainer's
+/// RNG seeded from the experiment seed.
+pub fn train_config(epochs: usize, lr: f64, seed: u64) -> TrainConfig {
+    TrainConfig {
+        epochs,
+        batch_size: 8,
+        lr,
+        seed: seed ^ 0x5eed,
+        patience: None,
+        grad_clip: Some(5.0),
+        log_every: 0,
+    }
+}
+
+/// The exact-GED similarity target of a corpus pair, for the pairwise
+/// objectives (SimGNN, GMN). Each unordered pair's GED is computed once:
+/// every epoch asks for the same pairs again.
+fn exact_similarity(corpus: &[GedGraph]) -> impl Fn(usize, usize) -> f64 + '_ {
+    let costs = EditCosts::uniform();
+    let geds = RefCell::new(HashMap::new());
+    move |i, j| {
+        let (gi, gj) = (&corpus[i].graph, &corpus[j].graph);
+        let ged = *geds
+            .borrow_mut()
+            .entry((i.min(j), i.max(j)))
+            .or_insert_with(|| exact_ged(gi, gj, &costs));
+        SimGnn::ged_to_similarity(ged, gi.n(), gj.n())
+    }
+}
 
 /// Which classifier fills a Table 3 / Table 5 row.
 #[derive(Clone, Copy, Debug)]
@@ -100,15 +133,7 @@ pub fn classification_accuracy(
         ClassifierChoice::Hap(_) => 0.003,
         ClassifierChoice::Baseline(_) => 0.01,
     };
-    let cfg = TrainConfig {
-        epochs,
-        batch_size: 8,
-        lr,
-        seed: seed ^ 0x5eed,
-        patience: None,
-        grad_clip: Some(5.0),
-        log_every: 0,
-    };
+    let cfg = train_config(epochs, lr, seed);
     let report = train(
         &store,
         &cfg,
@@ -161,15 +186,7 @@ pub fn hap_ablation_classifier(
     let model = HapModel::with_ablation(&mut store, &cfg, kind, &mut rng);
     let clf = HapClassifier::new(&mut store, model, ds.num_classes, &mut rng);
     let (train_idx, val_idx, test_idx) = hap_data::split_811(ds.samples.len(), &mut rng);
-    let tcfg = TrainConfig {
-        epochs,
-        batch_size: 8,
-        lr: 0.003,
-        seed: seed ^ 0x5eed,
-        patience: None,
-        grad_clip: Some(5.0),
-        log_every: 0,
-    };
+    let tcfg = train_config(epochs, 0.003, seed);
     let report = train(
         &store,
         &tcfg,
@@ -247,15 +264,7 @@ fn train_matcher_core(
     let split = (n as f64 * 0.9) as usize;
     let train_idx: Vec<usize> = (0..split).collect();
     let val_idx: Vec<usize> = (split..n).collect();
-    let cfg = TrainConfig {
-        epochs,
-        batch_size: 8,
-        lr,
-        seed: seed ^ 0x5eed,
-        patience: None,
-        grad_clip: Some(5.0),
-        log_every: 0,
-    };
+    let cfg = train_config(epochs, lr, seed);
     train(
         store,
         &cfg,
@@ -441,15 +450,7 @@ pub fn similarity_accuracy_hap_ablation(
     let model = HapModel::with_ablation(&mut store, &cfg, kind, &mut rng);
     let sim = HapSimilarity::new(model);
     let (train_idx, val_idx, test_idx) = triplet_split(triplets);
-    let tcfg = TrainConfig {
-        epochs,
-        batch_size: 8,
-        lr: 0.003,
-        seed: seed ^ 0x5eed,
-        patience: None,
-        grad_clip: Some(5.0),
-        log_every: 0,
-    };
+    let tcfg = train_config(epochs, 0.003, seed);
     let g = |i: usize| {
         (
             &corpus[triplets[i].a],
@@ -502,26 +503,9 @@ pub fn similarity_accuracy_gmn(
     let mut store = ParamStore::new();
     let in_dim = corpus[0].features.cols();
     let model = Gmn::new(&mut store, in_dim, hidden, 2, &mut rng);
-    let costs = EditCosts::uniform();
-    let cache = std::cell::RefCell::new(std::collections::HashMap::<(usize, usize), f64>::new());
-    let target = |i: usize, j: usize| {
-        let key = (i.min(j), i.max(j));
-        let ged = *cache
-            .borrow_mut()
-            .entry(key)
-            .or_insert_with(|| exact_ged(&corpus[i].graph, &corpus[j].graph, &costs));
-        SimGnn::ged_to_similarity(ged, corpus[i].graph.n(), corpus[j].graph.n())
-    };
+    let target = exact_similarity(corpus);
     let (train_idx, val_idx, test_idx) = triplet_split(triplets);
-    let tcfg = TrainConfig {
-        epochs,
-        batch_size: 8,
-        lr: 0.01,
-        seed: seed ^ 0x5eed,
-        patience: None,
-        grad_clip: Some(5.0),
-        log_every: 0,
-    };
+    let tcfg = train_config(epochs, 0.01, seed);
     let report = train(
         &store,
         &tcfg,
@@ -568,28 +552,9 @@ pub fn similarity_accuracy_simgnn(
     let mut store = ParamStore::new();
     let in_dim = corpus[0].features.cols();
     let model = SimGnn::new(&mut store, in_dim, hidden, &mut rng);
-    let costs = EditCosts::uniform();
-    // pairwise targets derived from the triplets' (a,b) legs, with the
-    // exact GEDs cached (they are recomputed every epoch otherwise)
-    let cache = std::cell::RefCell::new(std::collections::HashMap::<(usize, usize), f64>::new());
-    let target = |i: usize, j: usize| {
-        let key = (i.min(j), i.max(j));
-        let ged = *cache
-            .borrow_mut()
-            .entry(key)
-            .or_insert_with(|| exact_ged(&corpus[i].graph, &corpus[j].graph, &costs));
-        SimGnn::ged_to_similarity(ged, corpus[i].graph.n(), corpus[j].graph.n())
-    };
+    let target = exact_similarity(corpus);
     let (train_idx, val_idx, test_idx) = triplet_split(triplets);
-    let tcfg = TrainConfig {
-        epochs,
-        batch_size: 8,
-        lr: 0.01,
-        seed: seed ^ 0x5eed,
-        patience: None,
-        grad_clip: Some(5.0),
-        log_every: 0,
-    };
+    let tcfg = train_config(epochs, 0.01, seed);
     let report = train(
         &store,
         &tcfg,

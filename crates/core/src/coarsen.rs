@@ -310,7 +310,7 @@ mod tests {
                 rng: &mut rng,
             };
             let (a2, _) = m.forward(&mut t, AdjacencyRef::Fixed(&g), h, &mut ctx);
-            t.value(a2)
+            t.value(a2).clone()
         };
         assert_close(&run(false, 1), &run(false, 2), 1e-12);
         let t1 = run(true, 1);
@@ -345,7 +345,7 @@ mod tests {
                 rng: &mut rng,
             };
             let (a2, h2) = m.forward(&mut t, AdjacencyRef::Fixed(g), h, &mut ctx);
-            (t.value(a2), t.value(h2))
+            (t.value(a2).clone(), t.value(h2).clone())
         };
         let (a_orig, h_orig) = run(&g, &x);
         let (a_perm, h_perm) = run(&gp, &xp);
@@ -392,5 +392,38 @@ mod tests {
         };
         let (a2, _) = m.forward(&mut t, AdjacencyRef::Fixed(&g), h, &mut ctx);
         assert!((t.value(a2).sum() - g.dense_adjacency().sum()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn readout_of_coarsened_features_is_the_mean_node_over_clusters() {
+        // Rows of M are distributions, so col_means(MᵀH) = Σᵢ Hᵢ / N' for
+        // any parameters: the level's mean readout cannot depend on the
+        // assignment beyond rounding (ROADMAP item 4). Soft sampling only
+        // touches A', so training mode holds too.
+        for seed in 0..8u64 {
+            let mut rng = Rng::from_seed(200 + seed);
+            let (dim, clusters) = ([3, 6, 16][seed as usize % 3], [2, 3, 8][seed as usize % 3]);
+            let (store, module) = module(dim, clusters, seed);
+            for p in store.iter() {
+                let (r, c) = p.shape();
+                p.set_value(Tensor::rand_uniform(r, c, -5.0, 5.0, &mut rng));
+            }
+            let n = [5, 12, 40, 90][seed as usize % 4];
+            let g = generators::erdos_renyi_connected(n, 0.2, &mut rng);
+            let x = Tensor::rand_uniform(n, dim, -3.0, 3.0, &mut rng);
+            let expect = x.col_sums().scale(1.0 / clusters as f64);
+            for training in [false, true] {
+                let mut t = Tape::new();
+                let h = t.constant(x.clone());
+                let mut ctx = PoolCtx {
+                    training,
+                    rng: &mut rng,
+                };
+                let (_, h2) = module.forward(&mut t, AdjacencyRef::Fixed(&g), h, &mut ctx);
+                let got = t.value(h2).col_means();
+                let tol = 1e-12 * x.map(f64::abs).col_sums().max().max(1.0);
+                assert_close(&got, &expect, tol);
+            }
+        }
     }
 }

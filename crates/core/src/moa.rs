@@ -180,8 +180,8 @@ mod tests {
         let cpv = t2.constant(cp);
         let m2 = moa.forward(&mut t2, cpv);
 
-        let expected = perm.apply_rows(&t1.value(m1));
-        assert_close(&expected, &t2.value(m2), 1e-10);
+        let expected = perm.apply_rows(t1.value(m1));
+        assert_close(&expected, t2.value(m2), 1e-10);
     }
 
     #[test]
@@ -321,8 +321,8 @@ mod tests {
         let loss = t.sum_all(z);
         t.backward(loss);
         // Widening to f64 is exact, so f32 bit patterns survive it.
-        let widen = |x: Tensor<T>| x.as_slice().iter().map(|v| v.to_f64()).collect();
-        (widen(t.value(r)), widen(t.grad(cv)))
+        let widen = |x: &Tensor<T>| x.as_slice().iter().map(|v| v.to_f64()).collect();
+        (widen(t.value(r)), widen(&t.grad(cv)))
     }
 
     /// Any NaN matches any NaN in a gradient: Rust leaves the sign and
@@ -445,5 +445,44 @@ mod tests {
         for r in 0..3 {
             assert!((mv[(r, 0)] - 1.0).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn every_node_ranks_the_clusters_alike() {
+        // Eq. 14's logit is LeakyReLU(rᵢ + cⱼ): for every node i it rises
+        // with the cluster term cⱼ, and the row softmax keeps that order,
+        // so all rows of M rank the clusters the same way, whatever C and
+        // `a` are ("static attention"; ROADMAP item 4). Pairs that round
+        // to equal weights in a row are excluded.
+        let mut compared = 0usize;
+        for seed in 0..16u64 {
+            let mut rng = Rng::from_seed(100 + seed);
+            let nc = [2, 3, 5, 8][seed as usize % 4];
+            let n = [1, 6, 25, 70][seed as usize / 4];
+            let (store, moa) = make_moa(nc, seed);
+            for p in store.iter() {
+                let (r, c) = p.shape();
+                p.set_value(Tensor::rand_uniform(r, c, -5.0, 5.0, &mut rng));
+            }
+            let scale = [0.1, 1.0, 10.0][seed as usize % 3];
+            let mut t = Tape::new();
+            let c = t.constant(Tensor::rand_uniform(n, nc, -scale, scale, &mut rng));
+            let m = moa.forward(&mut t, c);
+            let mv = t.value(m);
+            for j in 0..nc {
+                for k in 0..j {
+                    let signs: Vec<_> = (0..n)
+                        .map(|i| mv[(i, j)].partial_cmp(&mv[(i, k)]).unwrap())
+                        .filter(|o| o.is_ne())
+                        .collect();
+                    compared += signs.len();
+                    assert!(
+                        signs.windows(2).all(|w| w[0] == w[1]),
+                        "seed {seed}: rows order clusters {j} and {k} differently"
+                    );
+                }
+            }
+        }
+        assert!(compared > 2000, "only {compared} untied pairs compared");
     }
 }

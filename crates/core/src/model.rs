@@ -515,7 +515,7 @@ mod tests {
                     model
                         .embed_hierarchy(&mut t1, g, x, &mut ctx1)
                         .into_iter()
-                        .map(|v| t1.value(v))
+                        .map(|v| t1.value(v).clone())
                         .collect()
                 })
                 .collect();
@@ -537,7 +537,7 @@ mod tests {
                 for (k, (lt, bv)) in lv_loop.iter().zip(lv_batch).enumerate() {
                     assert_bits(
                         &format!("training={training} graph={b} level={k}"),
-                        &t2.value(*bv),
+                        t2.value(*bv),
                         lt,
                     );
                 }
@@ -586,7 +586,7 @@ mod tests {
             };
             let single = model.embed_hierarchy(&mut ts, g, x, &mut ctxs);
             assert_eq!(lv.len(), 1);
-            assert_bits("flat", &t.value(lv[0]), &ts.value(single[0]));
+            assert_bits("flat", t.value(lv[0]), ts.value(single[0]));
         }
     }
 
@@ -668,7 +668,7 @@ mod tests {
                 rng: &mut rng,
             };
             let e = model.embed(&mut t, g, x, &mut ctx);
-            t.value(e)
+            t.value(e).clone()
         };
         assert_close(&run(&g, &x), &run(&gp, &xp), 1e-8);
     }

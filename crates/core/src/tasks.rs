@@ -178,7 +178,7 @@ impl<T: GraphScalar> HapClassifier<T> {
         let mut tape = Tape::new();
         let logits = self.logits(&mut tape, graph, features, ctx);
         let v = tape.value(logits);
-        argmax_logits(&v, self.classes)
+        argmax_logits(v, self.classes)
     }
 
     /// The hierarchical graph embedding (for t-SNE visualisation,
@@ -217,7 +217,7 @@ impl<T: GraphScalar> HapClassifier<T> {
         for l in it {
             e = tape.hstack(e, l);
         }
-        Ok(tape.value(e))
+        Ok(tape.value(e).clone())
     }
 
     /// Hierarchical embeddings for a whole batch of graphs, materialised
@@ -248,7 +248,7 @@ impl<T: GraphScalar> HapClassifier<T> {
                 for l in it {
                     e = tape.hstack(e, l);
                 }
-                tape.value(e)
+                tape.value(e).clone()
             })
             .collect())
     }
@@ -261,7 +261,7 @@ impl<T: GraphScalar> HapClassifier<T> {
         let mut tape = Tape::new();
         let e = tape.constant(embedding.clone());
         let logits = self.head.forward(&mut tape, e);
-        tape.value(logits)
+        tape.value(logits).clone()
     }
 
     /// Predicted class from the logits

@@ -2,7 +2,7 @@
 //!
 //! Training the similarity head (Sec. 6.4) and the Fig. 5 baseline sweep
 //! both score thousands of independent pairs; each pair's distance lands
-//! in its own output slot, so dispatching pairs across the `hap-par` pool
+//! in its own output slot, so handing pairs to `hap-par`'s scoped threads
 //! changes nothing about any individual computation — batch results are
 //! byte-identical to a sequential loop at every thread count.
 
@@ -43,29 +43,32 @@ impl GedMethod {
         }
     }
 
-    /// Smallest batch worth dispatching on the pool for this method.
+    /// Smallest batch worth handing to scoped threads for this method.
     ///
-    /// Pool hand-off costs a few tens of microseconds; the cheap bipartite
-    /// approximations (~20 µs per pair) need a few dozen pairs to amortise
-    /// it, while the search-based methods are expensive enough per pair
-    /// that even two pairs win. Measured on `results/microbench.json`
-    /// (`ged/batch_hungarian/pairs=8` was *slower* parallel than
-    /// sequential before this crossover).
+    /// Starting the helper thread of one [`hap_par::par_chunks_mut`] call
+    /// costs about 40–75 µs on a 2-vCPU host (EXPERIMENTS.md
+    /// "Parallelism"). The cheap bipartite approximations (about 6 µs per
+    /// pair in `ged/batch_hungarian/*`) need dozens of pairs to amortise
+    /// it: at 64 pairs the scoped threads beat the loop by a median 7 %
+    /// in microbench's `ged/batch_hungarian/pairs=64/{seq,par}` (EXPERIMENTS.md
+    /// "Kernels on the calling thread"), and fewer pairs were not shown to
+    /// pay. The search-based methods are expensive enough per pair that
+    /// even two pairs win.
     fn min_par_pairs(self) -> usize {
         match self {
             GedMethod::Exact => 2,
             GedMethod::Beam(width) if width >= 8 => 2,
             GedMethod::Beam(_) => 16,
-            GedMethod::Hungarian | GedMethod::Vj => 32,
+            GedMethod::Hungarian | GedMethod::Vj => 64,
         }
     }
 }
 
 /// Computes the edit distance of every pair, in input order.
 ///
-/// Pairs are dispatched across the `hap-par` pool (one output slot per
-/// pair); small batches — below a per-method crossover — and
-/// `HAP_THREADS=1` run a plain sequential loop instead, with identical
+/// Pairs are handed to scoped threads by [`hap_par::par_chunks_mut`] (one
+/// output slot per pair); small batches — below a per-method crossover —
+/// and `HAP_THREADS=1` run a plain sequential loop instead, with identical
 /// results either way.
 ///
 /// ```

@@ -167,7 +167,7 @@ mod tests {
             let mut t = Tape::new();
             let h = t.constant(x);
             let out = enc.forward(&mut t, AdjacencyRef::Fixed(&g), h);
-            t.value(out)
+            t.value(out).clone()
         };
         let base = run(4); // signal far from node 0
         let near = run(2); // signal 2 hops from node 0

@@ -112,7 +112,7 @@ fn noise_draws_perturb_but_never_break_stochasticity() {
             rng: &mut rng,
         };
         let (a2, _) = module.forward(&mut tape, AdjacencyRef::Fixed(&g), h, &mut ctx);
-        tape.value(a2)
+        tape.value(a2).clone()
     };
     let m1 = run(1);
     let m2 = run(2);

@@ -1,18 +1,19 @@
-//! Differential determinism tests for the `hap-par` kernel layer.
+//! Differential determinism tests across thread counts.
 //!
 //! The workspace's parallelism contract (DESIGN.md "Thread-count
-//! invariance") is that every parallel kernel partitions work so each
-//! output cell is written by exactly one worker in the sequential kernel's
-//! arithmetic order — so `HAP_THREADS=1` and any multi-threaded setting
+//! invariance") is that `HAP_THREADS=1` and any multi-threaded setting
 //! produce **byte-identical** f64 results, not merely close ones. These
-//! tests run the hot paths once in forced-sequential mode and once on a
-//! 4-worker pool and compare every output bit pattern.
+//! tests run the hot paths once in forced-sequential mode and once with 4
+//! threads and compare every output bit pattern.
 //!
-//! Each kernel has cases *above* its parallel crossover (`n = 200`
-//! attention = 40 000-element score matrices, dense products from 640 000
-//! multiply–adds, CSR SpMM from `nnz·m = 250 000`), so the parallel code
-//! path genuinely executes regardless of the host's core count. Older
-//! cases from before those thresholds moved stay beside them.
+//! Only whole tasks go to other threads (`batch_ged` here; the retrieval
+//! scans in `crates/retrieval/tests/admissibility.rs`). Every tensor
+//! kernel runs on its calling thread, so the kernel cases below guard
+//! against kernel-level parallelism coming back without its bits. They
+//! stay sized above the thresholds where the removed row-blocked paths
+//! once started (`n = 200` attention, 40 000-element score matrices;
+//! dense products from 640 000 multiply–adds; CSR SpMM from
+//! `nnz·m = 250 000`; elementwise kernels from 32 768 elements).
 
 use hap_autograd::{ParamStore, Tape};
 use hap_core::{HapCoarsen, Moa};
@@ -27,7 +28,7 @@ use std::sync::Mutex;
 /// not interleave, so every test body runs under this lock.
 static THREAD_TOGGLE: Mutex<()> = Mutex::new(());
 
-/// Runs `f` under `HAP_THREADS=1` semantics and again on a 4-worker pool,
+/// Runs `f` under `HAP_THREADS=1` semantics and again with 4 threads,
 /// returning both results.
 fn seq_and_par<T>(mut f: impl FnMut() -> T) -> (T, T) {
     let _guard = THREAD_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
@@ -53,13 +54,12 @@ fn assert_bits_equal(what: &str, seq: &Tensor, par: &Tensor) {
 #[test]
 fn matmul_is_byte_identical_across_thread_counts() {
     let mut rng = Rng::from_seed(11);
-    // 120×80 · 80×60 = 576k multiply-adds — far above the parallel
-    // crossover.
+    // 120×80 · 80×60 = 576k multiply-adds.
     let a = Tensor::rand_uniform(120, 80, -1.0, 1.0, &mut rng);
     let b = Tensor::rand_uniform(80, 60, -1.0, 1.0, &mut rng);
     let (seq, par) = seq_and_par(|| a.matmul(&b));
     assert_bits_equal("matmul", &seq, &par);
-    // 200×40·40×100 = 800k multiply-adds: above the 640k crossover.
+    // 200×40·40×100 = 800k multiply-adds: above the 640k threshold.
     let a = Tensor::rand_uniform(200, 40, -1.0, 1.0, &mut rng);
     let b = Tensor::rand_uniform(40, 100, -1.0, 1.0, &mut rng);
     let (seq, par) = seq_and_par(|| a.matmul(&b));
@@ -69,12 +69,12 @@ fn matmul_is_byte_identical_across_thread_counts() {
 #[test]
 fn csr_spmm_is_byte_identical_across_thread_counts() {
     // A 300-node graph with ~14k stored entries times 32 columns: about
-    // 450k multiply-adds, above SpMM's 250k crossover.
+    // 450k multiply-adds, above SpMM's old 250k threshold.
     let mut rng = Rng::from_seed(18);
     let g = generators::erdos_renyi_connected(300, 0.15, &mut rng);
     let csr = std::sync::Arc::clone(g.csr_adjacency_cached().matrix());
     let h = Tensor::rand_uniform(300, 32, -1.0, 1.0, &mut rng);
-    assert!(csr.nnz() * 32 >= 250_000, "case must cross the crossover");
+    assert!(csr.nnz() * 32 >= 250_000, "case must cross the threshold");
     let (seq, par) = seq_and_par(|| csr.spmm(&h));
     assert_bits_equal("csr spmm", &seq, &par);
 }
@@ -86,7 +86,7 @@ fn fused_transposed_matmuls_match_composed_path_bitwise() {
     // byte-identical to `a.matmul(&b.transpose())` and `a.matmul_tn(&b)` to
     // `a.transpose().matmul(&b)` at *every* thread setting, so the autograd
     // tape can swap the composed pair for one fused node without perturbing
-    // training goldens. Shapes cover below- and above-crossover sizes, tall,
+    // training goldens. Shapes cover below- and above-threshold sizes, tall,
     // wide, and degenerate single-row/column cases.
     let mut rng = Rng::from_seed(17);
     let shapes: [(usize, usize, usize); 7] = [
@@ -180,9 +180,9 @@ fn self_attention_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn moa_forward_is_byte_identical_across_thread_counts() {
-    // n = 300: MOA's column selection is sequential, and its products are
-    // below the pool's crossover, so this pins that nothing in the
-    // forward depends on the thread count.
+    // n = 300: MOA's column selection and its products run on the calling
+    // thread, so this pins that nothing in the forward depends on the
+    // thread count.
     let (seq, par) = seq_and_par(|| {
         let mut rng = Rng::from_seed(14);
         let mut store = ParamStore::new();
@@ -191,7 +191,7 @@ fn moa_forward_is_byte_identical_across_thread_counts() {
         let mut t = Tape::new();
         let cv = t.constant(c);
         let m = moa.forward(&mut t, cv);
-        t.value(m)
+        t.value(m).clone()
     });
     assert_bits_equal("moa_forward", &seq, &par);
 }
@@ -218,7 +218,7 @@ fn coarsen_forward_and_backward_are_byte_identical_across_thread_counts() {
         let loss = t.sum_all(prod);
         t.backward(loss);
 
-        let mut outs = vec![t.value(a2), t.value(h2)];
+        let mut outs = vec![t.value(a2).clone(), t.value(h2).clone()];
         for p in store.iter() {
             outs.push(p.grad().clone());
         }

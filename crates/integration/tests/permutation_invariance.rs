@@ -50,7 +50,7 @@ fn coarsening_module_is_permutation_invariant() {
                 rng: &mut rng,
             };
             let (a2, h2) = module.forward(&mut tape, AdjacencyRef::Fixed(graph), h, &mut ctx);
-            (tape.value(a2), tape.value(h2))
+            (tape.value(a2).clone(), tape.value(h2).clone())
         };
         let (a1, h1) = run(&g, &x);
         let (a2, h2) = run(&gp, &xp);
@@ -78,7 +78,7 @@ fn full_model_embedding_is_permutation_invariant() {
                 rng: &mut rng,
             };
             let e = model.embed(&mut tape, graph, feats, &mut ctx);
-            tape.value(e)
+            tape.value(e).clone()
         };
         assert_close(&run(&g, &x), &run(&gp, &xp), 1e-7);
     });
@@ -105,7 +105,7 @@ fn flat_readout_baselines_are_permutation_invariant() {
                     rng: &mut rng,
                 };
                 let out = r.forward(&mut tape, a, h, &mut ctx);
-                tape.value(out)
+                tape.value(out).clone()
             };
             assert_close(&run(&g, &x), &run(&gp, &xp), 1e-10);
         }

@@ -22,10 +22,10 @@
 //!    `f32`.
 //!
 //! Every property must additionally hold across thread counts
-//! (`HAP_THREADS=1` vs a multi-worker pool), because the sparse kernel
-//! has its own parallel row-block dispatch. Problem sizes below include
-//! cases above the `nnz·m ≥ 250 000` parallel crossover so the parallel
-//! code path genuinely executes.
+//! (`HAP_THREADS=1` vs 4 threads). The sparse kernel runs on its calling
+//! thread; problem sizes below include cases above `nnz·m ≥ 250 000`,
+//! where a row-blocked parallel path once started, so that one coming
+//! back without its bits fails here.
 
 use hap_autograd::{Param, ParamStore, Tape, Var};
 use hap_core::{HapClassifier, HapCoarsen, HapConfig, HapModel};
@@ -41,7 +41,7 @@ use std::sync::Mutex;
 /// not interleave, so every test body runs under this lock.
 static THREAD_TOGGLE: Mutex<()> = Mutex::new(());
 
-/// Runs `f` under `HAP_THREADS=1` semantics and again on a 4-worker pool,
+/// Runs `f` under `HAP_THREADS=1` semantics and again with 4 threads,
 /// returning both results.
 fn seq_and_par<T>(mut f: impl FnMut() -> T) -> (T, T) {
     let _guard = THREAD_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
@@ -85,8 +85,8 @@ fn random_symmetric(n: usize, density: f64, seed: u64) -> Tensor {
 
 #[test]
 fn spmm_is_bitwise_equal_to_dense_matmul_across_thread_counts() {
-    // (n, density, m): the last case has nnz·m well above the parallel
-    // crossover; the first is the degenerate 1×1.
+    // (n, density, m): the last case has nnz·m well above 250 000; the
+    // first is the degenerate 1×1.
     for (n, density, m, seed) in [
         (1, 1.0, 1, 1),
         (30, 0.15, 8, 2),
@@ -137,7 +137,7 @@ fn spmm_backward_case(n: usize, m: usize) {
         let sq = tape.hadamard(y, y);
         let loss = tape.sum_all(sq);
         tape.backward(loss);
-        (tape.value(y), tape.grad(h))
+        (tape.value(y).clone(), tape.grad(h))
     };
 
     let (seq, par) = seq_and_par(|| (run(true), run(false)));
@@ -205,7 +205,7 @@ fn batched_embeddings_match_looped_across_thread_counts() {
 
 /// The graphs the fixed-graph differential tests sweep: the degenerate
 /// corners, Erdős–Rényi from sparse to dense (the densest above the
-/// SpMM parallel crossover at width 16), a weighted graph with self-loops
+/// old SpMM parallel threshold at width 16), a weighted graph with self-loops
 /// (so `Â`'s factor order shows in its bits), and a clique (density 1.0).
 fn sweep_graphs() -> Vec<(String, Graph)> {
     let mut rng = Rng::from_seed(31);
@@ -243,7 +243,7 @@ fn forward_backward<T: GraphScalar>(
     let sq = t.hadamard(out, out);
     let loss = t.sum_all(sq);
     t.backward(loss);
-    let mut res = vec![t.value(out), t.grad(h)];
+    let mut res = vec![t.value(out).clone(), t.grad(h)];
     res.extend(store.iter().map(Param::grad));
     res
 }
@@ -320,7 +320,7 @@ fn coarsen_level0<T: GraphScalar>(
     let lh = t.sum_all(sh);
     let loss = t.add(la, lh);
     t.backward(loss);
-    let mut res = vec![t.value(a2), t.value(h2), t.grad(h)];
+    let mut res = vec![t.value(a2).clone(), t.value(h2).clone(), t.grad(h)];
     res.extend(store.iter().map(Param::grad));
     res
 }
@@ -330,7 +330,7 @@ fn coarsen_level0_matches_dense_oracle<T: GraphScalar>() {
         let mut rng = Rng::from_seed(51);
         let mut store = ParamStore::<T>::new();
         // 16 clusters put the densest graphs' SpMM (nnz · 16) and the
-        // dense oracle's GEMM above the parallel crossover.
+        // dense oracle's GEMM above the old parallel thresholds.
         let module = HapCoarsen::new(&mut store, "hc", 16, 16, &mut rng);
         let x = Tensor::<T>::rand_uniform(g.n(), 16, -1.0, 1.0, &mut rng);
         for training in [false, true] {
@@ -507,7 +507,7 @@ fn gat_batch_matches_loop<T: GraphScalar>() {
         let mut tb = Tape::new();
         let h = tb.constant(batch.features().clone());
         let hb = enc.forward_batch(&mut tb, &batch, h);
-        let batched = tb.value(hb);
+        let batched = tb.value(hb).clone();
         let looped: Vec<Tensor<T>> = gs
             .iter()
             .zip(&xs)
@@ -515,7 +515,7 @@ fn gat_batch_matches_loop<T: GraphScalar>() {
                 let mut t = Tape::new();
                 let h = t.constant(x.clone());
                 let out = enc.forward(&mut t, AdjacencyRef::Fixed(g), h);
-                t.value(out)
+                t.value(out).clone()
             })
             .collect();
         (batch, batched, looped)

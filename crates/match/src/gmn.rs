@@ -347,7 +347,7 @@ mod tests {
             let mut t = Tape::new();
             let (h1, _h2) = gmn.encoder.encode_pair(&mut t, (&g, &x), partner);
             let e = gmn.readout(&mut t, h1);
-            t.value(e)
+            t.value(e).clone()
         };
         let e1 = embed_with((&p1, &xp1));
         let e2 = embed_with((&p2, &xp2));

@@ -1,22 +1,25 @@
 //! # hap-par
 //!
-//! A zero-external-dependency, std-only data-parallel kernel layer for the
-//! HAP workspace: a lazily-started scoped thread pool plus the three
-//! primitives the numeric crates build on — [`scope`], [`par_chunks_mut`]
-//! and [`par_join`].
+//! A zero-external-dependency, std-only way to hand whole tasks to other
+//! threads: [`par_chunks_mut`], one [`std::thread::scope`] per call, plus
+//! the thread count it and the HTTP server are sized by.
 //!
-//! The design constraint that shapes everything here is the workspace's
-//! determinism contract (DESIGN.md "Offline & determinism policy"): results
-//! must be **byte-identical at every thread count**. All consumers therefore
-//! partition work so that each output region (a block of matrix rows, a
-//! slot in a batch result vector) is written by exactly one worker with the
-//! same per-element arithmetic order as the sequential code. `hap-par` never
-//! reduces across threads — there is deliberately no parallel sum/fold — so
-//! floating-point summation order cannot depend on scheduling.
+//! The callers hand over whole tasks, hundreds of microseconds of work or
+//! more per call: the chunks of `GraphIndex::build`, the shard scans of
+//! the retrieval cascade and exhaustive search, and the pairs of
+//! `batch_ged` (from a per-method batch size). Every tensor kernel runs on
+//! its calling thread: HAP pools one small graph at a time, and no product
+//! of the benchmark workloads is large enough to pay for a fork-join,
+//! which costs tens of microseconds (EXPERIMENTS.md "Parallelism").
 //!
-//! Consumers: `hap-tensor`'s dense products (from 640 000 multiply–adds),
-//! CSR SpMM (from 250 000) and large elementwise kernels, batched GED and
-//! retrieval; each threshold is a measured crossover (EXPERIMENTS.md).
+//! The design constraint is the workspace's determinism contract
+//! (DESIGN.md "Offline & determinism policy"): results must be
+//! **byte-identical at every thread count**. A caller therefore gives each
+//! output region (a slot in a batch result vector, a shard's hits) to
+//! exactly one chunk, computed with the same arithmetic as the sequential
+//! code. `hap-par` never reduces across threads — there is deliberately no
+//! parallel sum/fold — so floating-point summation order cannot depend on
+//! scheduling.
 //!
 //! ## The `HAP_THREADS` contract
 //!
@@ -33,48 +36,23 @@
 //!    platform cannot report it.
 //!
 //! `HAP_THREADS=1` (or a 1-core machine) is the **sequential guarantee**:
-//! every primitive in this crate runs its closures inline on the calling
-//! thread, in order, without touching the pool — the exact code path of the
-//! pre-parallel workspace, so the golden determinism tests in
-//! `crates/train/tests/determinism.rs` pass bit-for-bit. Because consumers
-//! keep per-cell arithmetic order fixed, outputs are byte-identical between
-//! `HAP_THREADS=1` and any other setting as well; the differential tests in
-//! `crates/integration/tests/par_determinism.rs` enforce this.
-//!
-//! ## Pool mechanics
-//!
-//! Worker threads are spawned lazily on the first parallel [`scope`] and
-//! live for the remainder of the process (they park on a condvar when
-//! idle). Tasks are lifetime-erased closures pushed to one shared injector
-//! queue; a thread waiting for its scope to drain *helps* by executing
-//! queued tasks. Parallelism is one level deep: a scope opened while the
-//! thread is running a pool task (e.g. a parallel matmul inside a
-//! batched-GED or index-build task) runs its tasks inline, exactly the
-//! `HAP_THREADS=1` path. Nested scopes therefore never wait, so they
-//! cannot deadlock, and a helping thread never starts a second task
-//! inside the one it is running — task recursion, and the stack depth it
-//! costs, stays bounded at one. The outer level already spreads work over
-//! every thread. Panics inside tasks are caught, recorded, and re-raised
-//! on the thread that owns the scope once all of its tasks have settled.
+//! [`par_chunks_mut`] runs its chunks in order on the calling thread and
+//! starts no thread. Outputs are byte-identical between `HAP_THREADS=1` and
+//! any other setting; the differential tests in
+//! `crates/integration/tests/par_determinism.rs` and
+//! `crates/retrieval/tests/admissibility.rs` enforce this.
 
 #![deny(missing_docs)]
 
-use std::cell::Cell;
-use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
-
-// ---------------------------------------------------------------------
-// thread-count resolution
-// ---------------------------------------------------------------------
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// 0 means "not yet resolved"; any other value is the effective count.
 static THREAD_COUNT: AtomicUsize = AtomicUsize::new(0);
 
-/// The effective worker count for parallel primitives (callers included).
+/// The effective thread count for [`par_chunks_mut`] (the caller included)
+/// and the HTTP server's worker pool.
 ///
 /// Resolution order: [`set_threads`] override → `HAP_THREADS` environment
 /// variable (read once; must be an integer ≥ 1) → hardware parallelism.
@@ -105,26 +83,15 @@ fn threads_from_env() -> usize {
     }
 }
 
-thread_local! {
-    /// Whether this thread is running a pool task right now.
-    static IN_TASK: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether parallel primitives must run inline on this thread: the
-/// sequential mode, or a scope nested inside a running pool task.
-fn inline() -> bool {
-    threads() == 1 || IN_TASK.with(Cell::get)
-}
-
 /// Overrides the effective thread count for the rest of the process (or
 /// until the next call), taking precedence over `HAP_THREADS`.
 ///
 /// This exists for the seq-vs-par micro-benchmarks and the differential
 /// determinism tests, which compare both modes inside one process.
-/// Because every consumer of this crate produces byte-identical output at
-/// any thread count, flipping this concurrently with unrelated work is
-/// safe — but tests that *compare* modes should serialise themselves (see
-/// `crates/integration/tests/par_determinism.rs`).
+/// Because every caller of [`par_chunks_mut`] produces byte-identical
+/// output at any thread count, flipping this concurrently with unrelated
+/// work is safe — but tests that *compare* modes should serialise
+/// themselves (see `crates/integration/tests/par_determinism.rs`).
 ///
 /// # Panics
 /// Panics when `n == 0`.
@@ -133,223 +100,23 @@ pub fn set_threads(n: usize) {
     THREAD_COUNT.store(n, Ordering::Release);
 }
 
-// ---------------------------------------------------------------------
-// the shared pool
-// ---------------------------------------------------------------------
-
-/// A lifetime-erased task. Soundness: [`Scope::wait`] blocks until every
-/// task spawned on the scope has finished, so the erased borrows never
-/// outlive the data they point into (see the `transmute` in
-/// [`Scope::spawn`]).
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct Pool {
-    queue: Mutex<VecDeque<Job>>,
-    job_ready: Condvar,
-    spawned_workers: Mutex<usize>,
-}
-
-static POOL: OnceLock<Pool> = OnceLock::new();
-
-fn pool() -> &'static Pool {
-    POOL.get_or_init(|| Pool {
-        queue: Mutex::new(VecDeque::new()),
-        job_ready: Condvar::new(),
-        spawned_workers: Mutex::new(0),
-    })
-}
-
-/// Grows the worker set to at least `target` threads (callers of `scope`
-/// count as one extra executor, so `target` is `threads() - 1`).
-fn ensure_workers(target: usize) {
-    let p = pool();
-    let mut spawned = p.spawned_workers.lock().unwrap();
-    while *spawned < target {
-        *spawned += 1;
-        std::thread::Builder::new()
-            .name(format!("hap-par-{spawned}"))
-            .spawn(worker_loop)
-            .expect("spawn hap-par worker");
-    }
-}
-
-fn worker_loop() {
-    let p = pool();
-    loop {
-        let job = {
-            let mut q = p.queue.lock().unwrap();
-            loop {
-                if let Some(j) = q.pop_front() {
-                    break j;
-                }
-                q = p.job_ready.wait(q).unwrap();
-            }
-        };
-        // Jobs are pre-wrapped with catch_unwind by Scope::spawn, so a
-        // panicking task cannot take the worker down.
-        job();
-    }
-}
-
-fn try_pop_job() -> Option<Job> {
-    pool().queue.lock().unwrap().pop_front()
-}
-
-// ---------------------------------------------------------------------
-// scopes
-// ---------------------------------------------------------------------
-
-struct ScopeState {
-    pending: Mutex<usize>,
-    all_done: Condvar,
-    panicked: AtomicBool,
-}
-
-impl ScopeState {
-    fn complete_one(&self) {
-        let mut pending = self.pending.lock().unwrap();
-        *pending -= 1;
-        if *pending == 0 {
-            self.all_done.notify_all();
-        }
-    }
-}
-
-/// A fork-join scope handed to the closure of [`scope`]; tasks spawned on
-/// it may borrow data that outlives the `scope` call.
-pub struct Scope<'env> {
-    state: Arc<ScopeState>,
-    /// Invariant marker tying spawned closures to the caller's borrows.
-    _env: PhantomData<&'env mut &'env ()>,
-}
-
-impl<'env> Scope<'env> {
-    /// Spawns `f` onto the pool. With an effective thread count of 1, or
-    /// inside a running pool task, the closure runs inline, immediately,
-    /// on the calling thread — the sequential path of the crate docs.
-    ///
-    /// There are no join handles: results flow out through the mutable
-    /// borrows the closure holds (each task must own its output region).
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'env,
-    {
-        if inline() {
-            f();
-            return;
-        }
-        {
-            let mut pending = self.state.pending.lock().unwrap();
-            *pending += 1;
-        }
-        let state = Arc::clone(&self.state);
-        let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            let outer = IN_TASK.with(|t| t.replace(true));
-            if catch_unwind(AssertUnwindSafe(f)).is_err() {
-                state.panicked.store(true, Ordering::Release);
-            }
-            IN_TASK.with(|t| t.set(outer));
-            state.complete_one();
-        });
-        // SAFETY: lifetime erasure only. `Scope::wait` (always executed by
-        // `scope` before it returns, even when its closure panics) blocks
-        // until `pending == 0`, i.e. until this job has run to completion
-        // and been dropped — so the `'env` borrows inside the box never
-        // outlive their referents.
-        let job: Job = unsafe { std::mem::transmute(job) };
-        let p = pool();
-        p.queue.lock().unwrap().push_back(job);
-        p.job_ready.notify_one();
-    }
-
-    /// Blocks until every spawned task has finished, executing queued
-    /// tasks (from this or any other scope) while waiting. An inline
-    /// scope has nothing pending and returns at once, without helping.
-    fn wait(&self) {
-        loop {
-            if *self.state.pending.lock().unwrap() == 0 {
-                return;
-            }
-            while let Some(job) = try_pop_job() {
-                job();
-            }
-            let pending = self.state.pending.lock().unwrap();
-            if *pending == 0 {
-                return;
-            }
-            // A short timeout re-checks the injector queue: a task pushed
-            // between our drain above and this wait would otherwise be
-            // stranded if every other thread is also blocked (two-lock
-            // lost-wakeup race).
-            let _ = self
-                .state
-                .all_done
-                .wait_timeout(pending, Duration::from_micros(200))
-                .unwrap();
-        }
-    }
-}
-
-/// Runs `f` with a fork-join [`Scope`], returning its result after every
-/// spawned task has completed.
-///
-/// ```
-/// let mut halves = [0u64; 2];
-/// let (lo, hi) = halves.split_at_mut(1);
-/// hap_par::scope(|s| {
-///     s.spawn(|| lo[0] = (0..1000u64).sum());
-///     s.spawn(|| hi[0] = (1000..2000u64).sum());
-/// });
-/// assert_eq!(halves[0] + halves[1], (0..2000u64).sum());
-/// ```
-///
-/// # Panics
-/// Re-raises a panic from `f` itself; panics with a generic message when
-/// any spawned task panicked (after all tasks have settled).
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: FnOnce(&Scope<'env>) -> R,
-{
-    if !inline() {
-        ensure_workers(threads() - 1);
-    }
-    let s = Scope {
-        state: Arc::new(ScopeState {
-            pending: Mutex::new(0),
-            all_done: Condvar::new(),
-            panicked: AtomicBool::new(false),
-        }),
-        _env: PhantomData,
-    };
-    let result = catch_unwind(AssertUnwindSafe(|| f(&s)));
-    // Tasks may still borrow the caller's data: settle them before
-    // unwinding out of this frame, no matter how `f` exited.
-    s.wait();
-    match result {
-        Ok(r) => {
-            if s.state.panicked.load(Ordering::Acquire) {
-                panic!("a task spawned in hap_par::scope panicked");
-            }
-            r
-        }
-        Err(payload) => resume_unwind(payload),
-    }
-}
-
-// ---------------------------------------------------------------------
-// derived primitives
-// ---------------------------------------------------------------------
-
 /// Splits `data` into contiguous chunks of `chunk_len` elements (the last
-/// chunk may be shorter) and runs `f(chunk_index, chunk)` for each, in
-/// parallel when the effective thread count allows it.
+/// chunk may be shorter) and runs `f(chunk_index, chunk)` for each.
+///
+/// With more than one chunk and [`threads`] above 1, the call opens one
+/// [`std::thread::scope`]: the caller and `min(threads, chunks) − 1`
+/// helper threads claim chunks in index order from a shared iterator
+/// until none is left, so a slow chunk does not hold up the rest.
+/// Otherwise the chunks run in order on the calling thread. A call made
+/// inside a chunk works the same way, one level down.
 ///
 /// Chunk boundaries are a pure function of `data.len()` and `chunk_len`,
 /// and every element belongs to exactly one chunk — so any computation
-/// whose per-element result depends only on its own chunk is byte-identical
-/// at every thread count. This is the row-partitioning primitive behind
-/// `hap-tensor`'s parallel GEMM: callers pick `chunk_len` as a multiple of
-/// the row stride so each chunk is a block of whole rows.
+/// whose per-element result depends only on its own chunk is
+/// byte-identical at every thread count.
+///
+/// Starting the helpers costs tens of microseconds (EXPERIMENTS.md
+/// "Parallelism"), so hand over whole tasks, not microsecond kernels.
 ///
 /// ```
 /// let mut v = vec![0usize; 10];
@@ -362,70 +129,43 @@ where
 /// ```
 ///
 /// # Panics
-/// Panics when `chunk_len == 0`; propagates panics from `f`.
+/// Panics when `chunk_len == 0`. A panic in `f` re-raises on the caller:
+/// in sequential mode at once, and otherwise with its original payload
+/// once every other chunk has run.
 pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(chunk_len > 0, "par_chunks_mut: chunk_len must be > 0");
-    if inline() || data.len() <= chunk_len {
+    let helpers = threads()
+        .min(data.len().div_ceil(chunk_len))
+        .saturating_sub(1);
+    if helpers == 0 {
         for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
             f(i, chunk);
         }
         return;
     }
-    scope(|s| {
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            let f = &f;
-            s.spawn(move || f(i, chunk));
+    let chunks = Mutex::new(data.chunks_mut(chunk_len).enumerate());
+    let first_panic = Mutex::new(None);
+    let work = || loop {
+        let Some((i, chunk)) = chunks.lock().unwrap().next() else {
+            return;
+        };
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i, chunk))) {
+            first_panic.lock().unwrap().get_or_insert(payload);
         }
-    });
-}
-
-/// Runs two closures, potentially in parallel, and returns both results —
-/// `b` goes to the pool while `a` runs on the calling thread. Sequential
-/// order (`a` then `b`) is preserved under `HAP_THREADS=1` and inside a
-/// running pool task.
-///
-/// ```
-/// let (a, b) = hap_par::par_join(|| 2 + 2, || "done");
-/// assert_eq!((a, b), (4, "done"));
-/// ```
-pub fn par_join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if inline() {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-    let mut rb: Option<RB> = None;
-    let ra = {
-        let slot = &mut rb;
-        scope(move |s| {
-            s.spawn(move || *slot = Some(b()));
-            a()
-        })
     };
-    (
-        ra,
-        rb.expect("par_join: spawned task completed without a result"),
-    )
-}
-
-/// Chunk length that yields roughly `2 × threads()` chunks of whole rows
-/// for a `rows × row_stride` buffer — the over-decomposition the workspace
-/// kernels use so stragglers even out without per-element scheduling.
-/// Always a positive multiple of `row_stride` (assuming `row_stride > 0`).
-pub fn row_chunk_len(rows: usize, row_stride: usize) -> usize {
-    let blocks = threads() * 2;
-    let rows_per_chunk = rows.div_ceil(blocks.max(1)).max(1);
-    rows_per_chunk * row_stride.max(1)
+    std::thread::scope(|s| {
+        for _ in 0..helpers {
+            s.spawn(work);
+        }
+        work();
+    });
+    if let Some(payload) = first_panic.into_inner().unwrap() {
+        resume_unwind(payload);
+    }
 }
 
 #[cfg(test)]
@@ -439,21 +179,6 @@ mod tests {
 
     fn locked() -> std::sync::MutexGuard<'static, ()> {
         THREAD_TOGGLE.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn scope_runs_all_tasks_and_keeps_borrow_results() {
-        let _g = locked();
-        for n in [1, 4] {
-            set_threads(n);
-            let mut out = vec![0usize; 64];
-            scope(|s| {
-                for (i, e) in out.iter_mut().enumerate() {
-                    s.spawn(move || *e = i * i);
-                }
-            });
-            assert!(out.iter().enumerate().all(|(i, &e)| e == i * i), "n={n}");
-        }
     }
 
     #[test]
@@ -487,27 +212,66 @@ mod tests {
     }
 
     #[test]
-    fn par_join_returns_both_results() {
+    fn uneven_last_chunk_is_shorter_and_still_covered() {
         let _g = locked();
-        for n in [1, 2] {
-            set_threads(n);
-            let data = vec![1.0f64; 1000];
-            let (a, b) = par_join(
-                || data.iter().sum::<f64>(),
-                || data.iter().map(|x| x * 2.0).sum::<f64>(),
-            );
-            assert_eq!(a, 1000.0);
-            assert_eq!(b, 2000.0);
-        }
+        set_threads(2);
+        let lens = StdMutex::new(Vec::new());
+        let mut v = vec![0usize; 10];
+        par_chunks_mut(&mut v, 4, |ci, chunk| {
+            lens.lock().unwrap().push((ci, chunk.len()));
+            chunk.fill(ci + 1);
+        });
+        let mut lens = lens.into_inner().unwrap();
+        lens.sort_unstable();
+        assert_eq!(lens, vec![(0, 4), (1, 4), (2, 2)]);
+        assert_eq!(v, vec![1, 1, 1, 1, 2, 2, 2, 2, 3, 3]);
+    }
+
+    #[test]
+    fn more_threads_than_chunks_starts_one_helper_per_extra_chunk() {
+        let _g = locked();
+        set_threads(8);
+        let caller = std::thread::current().id();
+        let ids = StdMutex::new(Vec::new());
+        let mut v = vec![0u64; 3];
+        par_chunks_mut(&mut v, 1, |ci, slot| {
+            ids.lock().unwrap().push(std::thread::current().id());
+            slot[0] = ci as u64 * 10;
+        });
+        assert_eq!(v, vec![0, 10, 20]);
+        let ids = ids.into_inner().unwrap();
+        assert_eq!(ids.len(), 3);
+        // Three chunks use at most the caller and two helpers, not eight.
+        let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
+        assert!(distinct.len() <= 3);
+        // A single chunk runs on the caller and starts no thread.
+        let mut one = [0usize; 4];
+        par_chunks_mut(&mut one, 4, |_, chunk| {
+            assert_eq!(std::thread::current().id(), caller);
+            chunk.fill(7);
+        });
+        assert_eq!(one, [7; 4]);
     }
 
     #[test]
     fn nested_scopes_do_not_deadlock() {
+        // A thread that opens a nested call must not pick up another outer
+        // chunk while it waits: outer chunks running inside each other
+        // recurse without bound and can overflow a thread's stack.
         let _g = locked();
         set_threads(4);
-        let mut out = vec![0u64; 8];
+        thread_local! {
+            static DEPTH: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        }
+        let max_depth = AtomicUsize::new(0);
+        let mut out = vec![0u64; 64];
         par_chunks_mut(&mut out, 1, |i, slot| {
-            // Each outer task runs an inner parallel computation.
+            let depth = DEPTH.with(|d| {
+                d.set(d.get() + 1);
+                d.get()
+            });
+            max_depth.fetch_max(depth, Ordering::Relaxed);
+            // Each outer chunk runs an inner parallel computation.
             let mut inner = vec![0u64; 16];
             par_chunks_mut(&mut inner, 2, |j, chunk| {
                 for (k, e) in chunk.iter_mut().enumerate() {
@@ -515,89 +279,77 @@ mod tests {
                 }
             });
             slot[0] = inner.iter().sum();
+            DEPTH.with(|d| d.set(d.get() - 1));
         });
         for (i, &v) in out.iter().enumerate() {
             let expect: u64 = (0..16).map(|e| (i + e) as u64).sum();
-            assert_eq!(v, expect, "outer task {i}");
+            assert_eq!(v, expect, "outer chunk {i}");
         }
-    }
-
-    #[test]
-    fn nested_scopes_run_inline_so_outer_tasks_never_stack() {
-        // A nested scope's wait must never pick up another outer task:
-        // outer tasks running inside each other recurse without bound and
-        // can overflow a pool thread's stack.
-        let _g = locked();
-        set_threads(2);
-        thread_local! {
-            static DEPTH: Cell<usize> = const { Cell::new(0) };
-        }
-        let max_depth = AtomicUsize::new(0);
-        let mut out = vec![0usize; 256];
-        scope(|s| {
-            for (i, slot) in out.iter_mut().enumerate() {
-                let max_depth = &max_depth;
-                s.spawn(move || {
-                    let depth = DEPTH.with(|d| {
-                        d.set(d.get() + 1);
-                        d.get()
-                    });
-                    max_depth.fetch_max(depth, Ordering::Relaxed);
-                    let mut inner = [0usize; 4];
-                    scope(|t| {
-                        for (j, e) in inner.iter_mut().enumerate() {
-                            t.spawn(move || *e = i * j);
-                        }
-                    });
-                    *slot = inner.iter().sum();
-                    DEPTH.with(|d| d.set(d.get() - 1));
-                });
-            }
-        });
-        assert!(out.iter().enumerate().all(|(i, &v)| v == 6 * i));
         assert_eq!(
             max_depth.load(Ordering::Relaxed),
             1,
-            "an outer task ran inside another"
+            "an outer chunk ran inside another"
         );
+    }
+
+    #[test]
+    fn nested_call_returns_the_sequential_result() {
+        let _g = locked();
+        let run = || {
+            let mut out = vec![0.0f64; 12];
+            par_chunks_mut(&mut out, 3, |i, outer| {
+                let mut inner = vec![0.0f64; 40];
+                par_chunks_mut(&mut inner, 7, |j, chunk| {
+                    for (k, e) in chunk.iter_mut().enumerate() {
+                        *e = ((i * 40 + j * 7 + k) as f64).sqrt() / 3.0;
+                    }
+                });
+                for (k, e) in outer.iter_mut().enumerate() {
+                    *e = inner.iter().skip(k).sum();
+                }
+            });
+            out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        set_threads(1);
+        let seq = run();
+        set_threads(3);
+        assert_eq!(run(), seq);
+        set_threads(1);
     }
 
     #[test]
     fn task_panic_propagates_after_settling() {
         let _g = locked();
         set_threads(2);
+        let mut out = vec![0u32; 16];
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            scope(|s| {
-                s.spawn(|| panic!("boom"));
-                s.spawn(|| ());
+            par_chunks_mut(&mut out, 1, |i, slot| {
+                if i == 3 {
+                    panic!("boom");
+                }
+                slot[0] = i as u32 + 1;
             });
         }));
-        assert!(caught.is_err(), "scope must re-raise task panics");
+        let payload = caught.expect_err("the chunk's panic must re-raise");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+        for (i, &v) in out.iter().enumerate() {
+            let expect = if i == 3 { 0 } else { i as u32 + 1 };
+            assert_eq!(v, expect, "slot {i}");
+        }
     }
 
     #[test]
     fn sequential_mode_runs_inline_in_order() {
         let _g = locked();
         set_threads(1);
+        let caller = std::thread::current().id();
         let order = StdMutex::new(Vec::new());
-        scope(|s| {
-            s.spawn(|| order.lock().unwrap().push(1));
-            order.lock().unwrap().push(2);
-            s.spawn(|| order.lock().unwrap().push(3));
+        let mut v = vec![0u8; 9];
+        par_chunks_mut(&mut v, 2, |ci, _| {
+            assert_eq!(std::thread::current().id(), caller);
+            order.lock().unwrap().push(ci);
         });
-        assert_eq!(order.into_inner().unwrap(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn row_chunk_len_is_row_aligned() {
-        let _g = locked();
-        set_threads(4);
-        for rows in [1usize, 7, 100, 257] {
-            for stride in [1usize, 16, 33] {
-                let c = row_chunk_len(rows, stride);
-                assert!(c > 0 && c % stride == 0, "rows={rows} stride={stride}");
-            }
-        }
+        assert_eq!(order.into_inner().unwrap(), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

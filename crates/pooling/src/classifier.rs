@@ -223,7 +223,7 @@ impl<T: GraphScalar> PoolingClassifier<T> {
     ) -> Tensor<T> {
         let mut tape = Tape::new();
         let pooled = self.pooled(&mut tape, graph, features, ctx);
-        tape.value(pooled)
+        tape.value(pooled).clone()
     }
 
     fn pooled(

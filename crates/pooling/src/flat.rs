@@ -311,15 +311,15 @@ mod tests {
 
         let (mut t, a, hv) = setup(&h);
         let s = SumReadout.forward(&mut t, a, hv, &mut ctx);
-        assert_close(&t.value(s), &Tensor::row_vector(&[4.0, 2.0]), 1e-12);
+        assert_close(t.value(s), &Tensor::row_vector(&[4.0, 2.0]), 1e-12);
 
         let (mut t, a, hv) = setup(&h);
         let m = MeanReadout.forward(&mut t, a, hv, &mut ctx);
-        assert_close(&t.value(m), &Tensor::row_vector(&[2.0, 1.0]), 1e-12);
+        assert_close(t.value(m), &Tensor::row_vector(&[2.0, 1.0]), 1e-12);
 
         let (mut t, a, hv) = setup(&h);
         let x = MaxReadout.forward(&mut t, a, hv, &mut ctx);
-        assert_close(&t.value(x), &Tensor::row_vector(&[3.0, 4.0]), 1e-12);
+        assert_close(t.value(x), &Tensor::row_vector(&[3.0, 4.0]), 1e-12);
     }
 
     #[test]
@@ -371,7 +371,7 @@ mod tests {
                 rng: &mut rng,
             };
             let o = r.forward(&mut t, a, hv, &mut ctx);
-            out.push(t.value(o));
+            out.push(t.value(o).clone());
         }
         assert_close(&out[0], &out[1], 1e-10);
     }

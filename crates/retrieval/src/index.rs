@@ -594,8 +594,8 @@ impl GraphIndex {
 }
 
 /// Embeds corpus indices `lo..hi` with a fresh classifier replica (the
-/// model's parameters are `Rc`-bound and cannot be shared across the
-/// pool's threads).
+/// model's parameters are `Rc`-bound and cannot be shared across
+/// threads).
 fn embed_chunk<T: GraphScalar>(
     snapshot: &ModelSnapshot<T>,
     corpus: &RetrievalCorpus,

@@ -123,7 +123,7 @@ impl Batcher {
         // is dropped (the real one is built inside the model thread).
         snapshot.build_classifier().map_err(ServeError::Snapshot)?;
         // The retrieval index is built *before* the model thread spawns
-        // (index build parallelises over the pool itself); the built
+        // (the index build hands its chunks to scoped threads); the built
         // index is plain owned data and moves into the thread. A build
         // failure surfaces through the same startup error path as a bad
         // snapshot.

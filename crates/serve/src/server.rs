@@ -38,7 +38,8 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Maximum accepted request body, in bytes.
     pub max_body: usize,
-    /// Model-side tunables (cache capacity, WL rounds, similarity scale).
+    /// Model-side tunables (cache capacity, WL rounds, the `/search`
+    /// corpus and its default budget).
     pub service: ServiceConfig,
 }
 

@@ -39,11 +39,12 @@
 //!   `f64` regardless of `T`, narrowing per sample — an `f32` tensor is
 //!   the rounding of the `f64` tensor drawn from the same seed, and both
 //!   dtypes consume the RNG stream identically.
-//! * Above fixed size thresholds, `matmul`, `softmax_rows`, `map` and the
-//!   elementwise binary ops run on the `hap-par` pool in row/chunk blocks;
-//!   each output element is written by one worker in the sequential
-//!   kernel's arithmetic order, so results are byte-identical at every
-//!   `HAP_THREADS` setting — for both dtypes.
+//! * Every kernel runs on its calling thread and starts no thread. HAP
+//!   pools one small graph at a time: no product of the benchmark
+//!   workloads reaches a million multiply–adds, and handing one to
+//!   another thread costs more than it saves (EXPERIMENTS.md
+//!   "Parallelism"). Whole tasks go to other threads one level up, through
+//!   `hap-par`.
 
 #![deny(missing_docs)]
 

@@ -44,29 +44,23 @@
 //! skipping tile, since `0 · ∞` is a NaN that the skip never adds. Tiling
 //! and the vector width change only where values live, not which
 //! additions happen in which order, so results are the same bits on any
-//! x86-64 CPU, with or without AVX2, and at any `HAP_THREADS` (a NaN
-//! result is NaN, but Rust leaves its sign and payload unspecified); and
-//! the CSR SpMM walk (which visits the same non-zeros in the same
-//! ascending order) stays byte-identical to the dense product.
+//! x86-64 CPU, with or without AVX2 (a NaN result is NaN, but Rust leaves
+//! its sign and payload unspecified); and the CSR SpMM walk (which visits
+//! the same non-zeros in the same ascending order) stays byte-identical to
+//! the dense product.
+//!
+//! # Threads
+//!
+//! Every operation here runs on its calling thread. The products HAP
+//! computes are small: the largest in the benchmark workloads is 0.38M
+//! multiply–adds (a `train` step), where the two-thread row blocking this
+//! module once had needed about 0.64M to break even, and a scoped thread
+//! costs tens of microseconds to start (EXPERIMENTS.md "Parallelism").
+//! `HAP_THREADS` therefore cannot change a bit here. Callers that hand
+//! whole graphs, shards or pairs to other threads do so through `hap-par`.
 
 use crate::{Dtype, Scalar, ShapeError, Tensor};
 use std::ops::{Add, Mul, Neg, Sub};
-
-/// Multiply–add count (`n·k·m`) from which the dense products run their
-/// row blocks on the `hap-par` pool: the crossover measured on the AVX2
-/// tile (2-vCPU host, f64; EXPERIMENTS.md "Gradient pool and pool
-/// threshold"). Every product of the `train` workload (at most 0.36M)
-/// stays on the calling thread; `n = 200` (8M) is parallel.
-pub(crate) const PAR_MATMUL_FLOPS: usize = 640_000;
-
-/// The same crossover for CSR SpMM (`nnz·m`), lower because its indirect
-/// loads make a multiply–add about three times dearer.
-pub(crate) const PAR_SPMM_FLOPS: usize = 250_000;
-
-/// Element count above which elementwise kernels (`map`, `zip_with`,
-/// `softmax_rows`) use the parallel path. An `n = 200` attention score
-/// matrix (40 000 elements) crosses it; `n = 100` (10 000) does not.
-const PAR_ELEMWISE_LEN: usize = 32_768;
 
 /// Register-tile height: rows of the output accumulated simultaneously.
 const MR: usize = 4;
@@ -74,7 +68,7 @@ const MR: usize = 4;
 /// Left-operand accessor: lets the one block driver serve both the plain
 /// (`a[i·lda + p]`) and transposed (`a[p·lda + i]`) left layouts without a
 /// copy. Monomorphised away — `at` compiles to a single indexed load.
-trait Lhs<T: Scalar>: Sync {
+trait Lhs<T: Scalar> {
     fn at(&self, i: usize, p: usize) -> T;
 }
 
@@ -131,34 +125,21 @@ impl<'a, T: Scalar, L: Lhs<T>> Gemm<'a, T, L> {
         }
     }
 
-    /// Fills `out` (zeros on entry), row-chunked on the `hap-par` pool
-    /// above the work threshold, each output row owned by one worker.
+    /// Fills `out` (zeros on entry) on the calling thread: [`Gemm::block`]
+    /// in its AVX2 compile when the CPU has AVX2, and in its portable
+    /// compile otherwise.
     fn run(&self, out: &mut Tensor<T>) {
-        let (rows, m) = (out.rows(), self.m);
-        if m == 0 {
+        if self.m == 0 {
             return;
         }
-        if rows * self.depth * m >= PAR_MATMUL_FLOPS && hap_par::threads() > 1 {
-            let chunk_len = hap_par::row_chunk_len(rows, m);
-            let rows_per_chunk = chunk_len / m;
-            hap_par::par_chunks_mut(out.as_mut_slice(), chunk_len, |ci, chunk| {
-                self.block_dispatched(ci * rows_per_chunk, chunk);
-            });
-        } else {
-            self.block_dispatched(0, out.as_mut_slice());
-        }
-    }
-
-    /// Runs [`Gemm::block`] in its AVX2 compile when the CPU has AVX2, and
-    /// in its portable compile otherwise.
-    fn block_dispatched(&self, row0: usize, out: &mut [T]) {
+        let out = out.as_mut_slice();
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") {
             // SAFETY: `block_avx2` requires a CPU with AVX2, which
             // `is_x86_feature_detected!("avx2")` has just confirmed.
-            return unsafe { self.block_avx2(row0, out) };
+            return unsafe { self.block_avx2(out) };
         }
-        self.block(row0, out);
+        self.block(out);
     }
 
     /// [`Gemm::block`] compiled with AVX2 code generation. The body is the
@@ -169,28 +150,26 @@ impl<'a, T: Scalar, L: Lhs<T>> Gemm<'a, T, L> {
     /// The CPU running it must support AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn block_avx2(&self, row0: usize, out: &mut [T]) {
-        self.block(row0, out);
+    unsafe fn block_avx2(&self, out: &mut [T]) {
+        self.block(out);
     }
 
-    /// The block driver: fills `out`, a block of whole output rows
-    /// starting at global row `row0`, tile by tile. Each output element is
-    /// accumulated by exactly one tile in the fixed ascending-`p` order,
-    /// so results are byte-identical whether row blocks run sequentially
-    /// or on `hap-par` workers.
+    /// The block driver: fills `out`, the whole row-major output, tile by
+    /// tile. Each output element is accumulated by exactly one tile in the
+    /// fixed ascending-`p` order.
     #[inline(always)]
-    fn block(&self, row0: usize, out: &mut [T]) {
+    fn block(&self, out: &mut [T]) {
         // Tile width `NR`: 8 `f64`s or 16 `f32`s, 64 bytes either way, so
         // a tile row of `b` is one cache line and the accumulator block
         // is `MR` cache lines of SIMD registers.
         match T::DTYPE {
-            Dtype::F64 => self.block_w::<8>(row0, out),
-            Dtype::F32 => self.block_w::<16>(row0, out),
+            Dtype::F64 => self.block_w::<8>(out),
+            Dtype::F32 => self.block_w::<16>(out),
         }
     }
 
     #[inline(always)]
-    fn block_w<const W: usize>(&self, row0: usize, out: &mut [T]) {
+    fn block_w<const W: usize>(&self, out: &mut [T]) {
         let m = self.m;
         let rows = out.len() / m;
         let mut i0 = 0;
@@ -199,15 +178,15 @@ impl<'a, T: Scalar, L: Lhs<T>> Gemm<'a, T, L> {
             let mut j0 = 0;
             while j0 < m {
                 let w = W.min(m - j0);
-                let (gi0, tile_out) = (row0 + i0, &mut out[i0 * m + j0..]);
+                let tile_out = &mut out[i0 * m + j0..];
                 // Three inlined calls, so that the full tile and the bottom
                 // edge each see constant strip widths.
                 if mr == MR && w == W && self.finite {
-                    self.tile::<W, false>(gi0, MR, j0, W, tile_out);
+                    self.tile::<W, false>(i0, MR, j0, W, tile_out);
                 } else if w == W {
-                    self.tile::<W, true>(gi0, mr, j0, W, tile_out);
+                    self.tile::<W, true>(i0, mr, j0, W, tile_out);
                 } else {
-                    self.tile::<W, true>(gi0, mr, j0, w, tile_out);
+                    self.tile::<W, true>(i0, mr, j0, w, tile_out);
                 }
                 j0 += w;
             }
@@ -215,7 +194,7 @@ impl<'a, T: Scalar, L: Lhs<T>> Gemm<'a, T, L> {
         }
     }
 
-    /// One tile of `mr ≤ MR` output rows (from global row `gi0`) and
+    /// One tile of `mr ≤ MR` output rows (from row `i0`) and
     /// `w ≤ W` columns (from `j0`), written at the head of `out` with row
     /// stride `m`. It always runs the full `MR × W` register block and
     /// stores only the live `mr × w` corner: a bottom-edge tile reads zero
@@ -225,7 +204,7 @@ impl<'a, T: Scalar, L: Lhs<T>> Gemm<'a, T, L> {
     #[inline(always)]
     fn tile<const W: usize, const SKIP: bool>(
         &self,
-        gi0: usize,
+        i0: usize,
         mr: usize,
         j0: usize,
         w: usize,
@@ -251,7 +230,7 @@ impl<'a, T: Scalar, L: Lhs<T>> Gemm<'a, T, L> {
             };
             for (r, acc_r) in acc.iter_mut().enumerate() {
                 let av = if r < mr {
-                    self.lhs.at(gi0 + r, p)
+                    self.lhs.at(i0 + r, p)
                 } else {
                     T::ZERO
                 };
@@ -295,11 +274,8 @@ impl<T: Scalar> Tensor<T> {
     /// assert!(msg.contains("matmul") && msg.contains("(2, 3)"), "got: {msg}");
     /// ```
     ///
-    /// Runs the register-blocked GEMM kernel (see the module docs); above a
-    /// fixed work threshold the output is computed as row blocks on the
-    /// [`hap_par`] pool. Each output element is accumulated by one worker
-    /// in the fixed ascending-`p` order, so results are byte-identical at
-    /// every `HAP_THREADS` setting.
+    /// Runs the register-blocked GEMM kernel (see the module docs) on the
+    /// calling thread.
     pub fn try_matmul(&self, rhs: &Tensor<T>) -> Result<Tensor<T>, ShapeError> {
         if self.cols() != rhs.rows() {
             return Err(ShapeError::binary(
@@ -354,11 +330,6 @@ impl<T: Scalar> Tensor<T> {
     /// let err = Tensor::<f64>::zeros(2, 3).try_matmul_nt(&Tensor::zeros(3, 2)).unwrap_err();
     /// assert!(err.to_string().contains("matmul_nt"));
     /// ```
-    ///
-    /// Parallelism follows [`Tensor::try_matmul`]: above the same work
-    /// threshold, output row blocks run on the [`hap_par`] pool with one
-    /// writer per row, so results are byte-identical at every
-    /// `HAP_THREADS` setting.
     pub fn try_matmul_nt(&self, rhs: &Tensor<T>) -> Result<Tensor<T>, ShapeError> {
         if self.cols() != rhs.cols() {
             return Err(ShapeError::binary(
@@ -407,11 +378,6 @@ impl<T: Scalar> Tensor<T> {
     /// let err = Tensor::<f64>::zeros(2, 3).try_matmul_tn(&Tensor::zeros(3, 2)).unwrap_err();
     /// assert!(err.to_string().contains("matmul_tn"));
     /// ```
-    ///
-    /// Parallelism follows [`Tensor::try_matmul`]: above the same work
-    /// threshold, output row blocks run on the [`hap_par`] pool with one
-    /// writer per row, so results are byte-identical at every
-    /// `HAP_THREADS` setting.
     pub fn try_matmul_tn(&self, rhs: &Tensor<T>) -> Result<Tensor<T>, ShapeError> {
         if self.rows() != rhs.rows() {
             return Err(ShapeError::binary(
@@ -472,7 +438,7 @@ impl<T: Scalar> Tensor<T> {
         &self,
         rhs: &Tensor<T>,
         op_name: &'static str,
-        f: impl Fn(T, T) -> T + Sync,
+        f: impl Fn(T, T) -> T,
     ) -> Result<Tensor<T>, ShapeError> {
         if self.shape() != rhs.shape() {
             return Err(ShapeError::binary(
@@ -483,17 +449,6 @@ impl<T: Scalar> Tensor<T> {
             ));
         }
         let (a, b) = (self.as_slice(), rhs.as_slice());
-        if self.len() >= PAR_ELEMWISE_LEN && hap_par::threads() > 1 {
-            let mut out = Tensor::zeros(self.rows(), self.cols());
-            let chunk_len = hap_par::row_chunk_len(self.len(), 1);
-            hap_par::par_chunks_mut(out.as_mut_slice(), chunk_len, |ci, dst| {
-                let base = ci * chunk_len;
-                for (j, d) in dst.iter_mut().enumerate() {
-                    *d = f(a[base + j], b[base + j]);
-                }
-            });
-            return Ok(out);
-        }
         let data = a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect();
         Ok(Tensor::from_vec(self.rows(), self.cols(), data))
     }
@@ -505,9 +460,8 @@ impl<T: Scalar> Tensor<T> {
 
     /// In-place elementwise sum: `self ← self + rhs`.
     ///
-    /// Byte-identical to `&*self + rhs` (same per-element `a + b`, same
-    /// chunked parallel path above the elementwise threshold) but writes
-    /// into `self`'s existing buffer instead of allocating a result — the
+    /// Byte-identical to `&*self + rhs` (same per-element `a + b`) but
+    /// writes into `self`'s existing buffer instead of allocating a result — the
     /// autograd tape uses it to accumulate gradient contributions without
     /// a fresh allocation per summand.
     ///
@@ -529,18 +483,7 @@ impl<T: Scalar> Tensor<T> {
                 "elementwise operands must have identical shapes",
             ));
         }
-        let b = rhs.as_slice();
-        if self.len() >= PAR_ELEMWISE_LEN && hap_par::threads() > 1 {
-            let chunk_len = hap_par::row_chunk_len(self.len(), 1);
-            hap_par::par_chunks_mut(self.as_mut_slice(), chunk_len, |ci, dst| {
-                let base = ci * chunk_len;
-                for (j, d) in dst.iter_mut().enumerate() {
-                    *d += b[base + j];
-                }
-            });
-            return Ok(());
-        }
-        for (d, &y) in self.as_mut_slice().iter_mut().zip(b) {
+        for (d, &y) in self.as_mut_slice().iter_mut().zip(rhs.as_slice()) {
             *d += y;
         }
         Ok(())
@@ -578,25 +521,8 @@ impl<T: Scalar> Tensor<T> {
     // ----- scalar & map ops ---------------------------------------------
 
     /// Applies `f` to each element.
-    ///
-    /// `f` must be [`Sync`]: above a size threshold the elements are mapped
-    /// in disjoint chunks on the [`hap_par`] pool (each output element is
-    /// written by exactly one worker, so results are byte-identical at
-    /// every thread count).
-    pub fn map(&self, f: impl Fn(T) -> T + Sync) -> Tensor<T> {
-        let src = self.as_slice();
-        if self.len() >= PAR_ELEMWISE_LEN && hap_par::threads() > 1 {
-            let mut out = Tensor::zeros(self.rows(), self.cols());
-            let chunk_len = hap_par::row_chunk_len(self.len(), 1);
-            hap_par::par_chunks_mut(out.as_mut_slice(), chunk_len, |ci, dst| {
-                let base = ci * chunk_len;
-                for (j, d) in dst.iter_mut().enumerate() {
-                    *d = f(src[base + j]);
-                }
-            });
-            return out;
-        }
-        let data = src.iter().map(|&x| f(x)).collect();
+    pub fn map(&self, f: impl Fn(T) -> T) -> Tensor<T> {
+        let data = self.as_slice().iter().map(|&x| f(x)).collect();
         Tensor::from_vec(self.rows(), self.cols(), data)
     }
 
@@ -856,47 +782,31 @@ impl<T: Scalar> Tensor<T> {
     // ----- numerically-stable softmax -----------------------------------
 
     /// Row-wise softmax with the standard max-subtraction stabilisation.
-    ///
-    /// Each row is normalised independently, so above a size threshold the
-    /// rows are processed in blocks on the [`hap_par`] pool; per-row
-    /// arithmetic order is unchanged and results are byte-identical at
-    /// every thread count.
     pub fn softmax_rows(&self) -> Tensor<T> {
-        fn softmax_block<T: Scalar>(chunk: &mut [T], cols: usize) {
-            for row in chunk.chunks_mut(cols) {
-                let m = row.iter().copied().fold(T::NEG_INFINITY, T::max);
-                let mut z = T::ZERO;
-                for x in row.iter_mut() {
-                    *x = (*x - m).exp();
-                    z += *x;
-                }
-                // Debug-gated row-sum sanity: `z` is 0 when every logit is
-                // −∞ (the division then manufactures NaNs) and NaN when any
-                // logit is NaN. Catch the degenerate row at its source in
-                // debug/test builds; release builds keep the branch-free
-                // hot loop.
-                debug_assert!(
-                    z.is_finite() && z > T::ZERO,
-                    "softmax row normaliser must be positive and finite, got {z} \
-                     (row max {m})"
-                );
-                for x in row.iter_mut() {
-                    *x /= z;
-                }
-            }
-        }
         let mut out = self.clone();
         let cols = out.cols();
         if cols == 0 {
             return out;
         }
-        if out.len() >= PAR_ELEMWISE_LEN && hap_par::threads() > 1 {
-            let chunk_len = hap_par::row_chunk_len(out.rows(), cols);
-            hap_par::par_chunks_mut(out.as_mut_slice(), chunk_len, |_, chunk| {
-                softmax_block(chunk, cols);
-            });
-        } else {
-            softmax_block(out.as_mut_slice(), cols);
+        for row in out.as_mut_slice().chunks_mut(cols) {
+            let m = row.iter().copied().fold(T::NEG_INFINITY, T::max);
+            let mut z = T::ZERO;
+            for x in row.iter_mut() {
+                *x = (*x - m).exp();
+                z += *x;
+            }
+            // Debug-gated row-sum sanity: `z` is 0 when every logit is −∞
+            // (the division then manufactures NaNs) and NaN when any logit
+            // is NaN. Catch the degenerate row at its source in debug/test
+            // builds; release builds keep the branch-free hot loop.
+            debug_assert!(
+                z.is_finite() && z > T::ZERO,
+                "softmax row normaliser must be positive and finite, got {z} \
+                 (row max {m})"
+            );
+            for x in row.iter_mut() {
+                *x /= z;
+            }
         }
         out
     }
@@ -988,7 +898,7 @@ mod tests {
         let m = b.cols();
         let mut out = Tensor::zeros(rows, m);
         if m > 0 {
-            Gemm::new(lhs, depth, b.as_slice(), m).block(0, out.as_mut_slice());
+            Gemm::new(lhs, depth, b.as_slice(), m).block(out.as_mut_slice());
         }
         out
     }
@@ -1027,7 +937,7 @@ mod tests {
     /// Shapes `(n, k, m)` of `a · b` straddling every tile boundary: under,
     /// at and over `MR` (4) rows and both `NR` widths (8 for f64, 16 for
     /// f32) of columns, `k = 0`, one-row and one-column operands, and
-    /// `n = 200`, whose 222k multiply–adds take the `hap-par` path.
+    /// one `n = 200` product.
     const SHAPES: [(usize, usize, usize); 19] = [
         (1, 1, 1),
         (3, 5, 7),

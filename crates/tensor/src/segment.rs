@@ -17,10 +17,8 @@
 //!   normaliser of ASAP-style pooling: scores for one graph's nodes
 //!   compete only with each other, never across graphs in a batch.
 //!
-//! All three kernels are sequential: segments are small (one graph each)
-//! and the surrounding SpMM dominates, so per-segment arithmetic order is
-//! trivially fixed and results are byte-identical at every `HAP_THREADS`
-//! setting.
+//! Like every kernel in this crate, all three run on the calling thread,
+//! one segment after another in a fixed arithmetic order.
 
 use crate::{Scalar, ShapeError, Tensor};
 

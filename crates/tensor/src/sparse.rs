@@ -6,14 +6,13 @@
 //! `a[i][p] == 0.0` entries and accumulates the survivors in ascending
 //! `p`, so a CSR row walk performs the *exact same sequence* of
 //! multiply–adds per output row — [`CsrMatrix::spmm`] is byte-identical to
-//! [`Tensor::matmul`] on the densified matrix at every `HAP_THREADS`
-//! setting, not merely close. Propagating sparse therefore never changes a
+//! [`Tensor::matmul`] on the densified matrix, not merely close. Both run
+//! on the calling thread. Propagating sparse therefore never changes a
 //! result, which is what lets every fixed-graph propagation in the
 //! workspace run on CSR alone. The contract holds for both element types
 //! ([`crate::Scalar`]): the kernels are generic and monomorphise to the
 //! same arithmetic per dtype.
 
-use crate::ops::PAR_SPMM_FLOPS;
 use crate::{Scalar, ShapeError, Tensor};
 
 /// A sparse matrix in compressed-sparse-row form.
@@ -286,12 +285,9 @@ impl<T: Scalar> CsrMatrix<T> {
     ///
     /// Byte-identical to `self.to_dense().matmul(rhs)`: the dense kernel
     /// skips zero left-entries and accumulates the rest in ascending
-    /// column order, which is exactly the CSR row walk. From `nnz · m =
-    /// 250 000` multiply–adds (SpMM's own pool crossover, measured lower
-    /// than the dense product's), output row blocks run on the
-    /// [`hap_par`] pool; each output row is owned by one worker and
-    /// accumulated in the sequential order, so results are byte-identical
-    /// at every `HAP_THREADS` setting.
+    /// column order, which is exactly the CSR row walk. Each non-zero's
+    /// contribution streams across its output row; the zero entries the
+    /// dense kernel would skip are pre-skipped by construction.
     ///
     /// # Errors
     /// Returns a [`ShapeError`] when `self.cols() != rhs.rows()`.
@@ -306,22 +302,31 @@ impl<T: Scalar> CsrMatrix<T> {
         }
         let m = rhs.cols();
         let mut out = Tensor::zeros(self.rows, m);
-        if m == 0 || self.rows == 0 {
+        if m == 0 {
             return Ok(out);
         }
-        let b = rhs.as_slice();
-        // Parallel crossover uses the *actual* multiply–add count
-        // (nnz · m), the sparse analogue of the dense n·k·m heuristic.
-        if self.nnz() * m >= PAR_SPMM_FLOPS && hap_par::threads() > 1 {
-            let chunk_len = hap_par::row_chunk_len(self.rows, m);
-            let rows_per_chunk = chunk_len / m;
-            hap_par::par_chunks_mut(out.as_mut_slice(), chunk_len, |ci, out_chunk| {
-                self.spmm_block(b, m, ci * rows_per_chunk, out_chunk);
-            });
-        } else {
-            self.spmm_block(b, m, 0, out.as_mut_slice());
-        }
+        self.spmm_rows(rhs.as_slice(), m, out.as_mut_slice());
         Ok(out)
+    }
+
+    /// The SpMM row walk: fills `out` (`rows × m`, zeros on entry) from
+    /// this matrix and `b` (`cols × m`), both row-major. Kept out of line
+    /// so that `out` arrives as its own `&mut` argument, which the
+    /// compiler knows cannot overlap `b`: inlined into
+    /// [`CsrMatrix::try_spmm`], it guarded the vector loop with an overlap
+    /// check per stored entry and ran about 10 % slower in an in-process
+    /// A/B (EXPERIMENTS.md "Kernels on the calling thread").
+    #[inline(never)]
+    fn spmm_rows(&self, b: &[T], m: usize, out: &mut [T]) {
+        for (i, out_row) in out.chunks_mut(m).enumerate() {
+            for idx in self.indptr[i]..self.indptr[i + 1] {
+                let a_ip = self.values[idx];
+                let b_row = &b[self.indices[idx] * m..self.indices[idx] * m + m];
+                for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                    *o += a_ip * bv;
+                }
+            }
+        }
     }
 
     /// Panicking variant of [`CsrMatrix::try_spmm`].
@@ -364,25 +369,6 @@ impl<T: Scalar> CsrMatrix<T> {
             }
         }
         out
-    }
-
-    /// The SpMM row kernel, shared verbatim by the sequential and
-    /// parallel paths: fills the output rows in `out` (a block of whole
-    /// rows starting at global row `row0`) from this matrix and `b`
-    /// (`cols × m`, row-major). Streams each non-zero's contribution
-    /// across the output row in ascending column order — the zero entries
-    /// the dense kernel would skip are pre-skipped by construction.
-    fn spmm_block(&self, b: &[T], m: usize, row0: usize, out: &mut [T]) {
-        for (local_i, out_row) in out.chunks_mut(m).enumerate() {
-            let i = row0 + local_i;
-            for idx in self.indptr[i]..self.indptr[i + 1] {
-                let a_ip = self.values[idx];
-                let b_row = &b[self.indices[idx] * m..self.indices[idx] * m + m];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ip * bv;
-                }
-            }
-        }
     }
 }
 

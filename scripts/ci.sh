@@ -20,10 +20,12 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # hap-rand and hap-par carry #![deny(missing_docs)]).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
 
-# Training trajectories must be byte-identical whether the hap-par pool is
-# disabled (HAP_THREADS=1: the exact sequential code path) or sized from
-# the hardware (unset). The differential kernel tests live in
-# crates/integration/tests/par_determinism.rs and run with the suite above.
+# Training trajectories must be byte-identical at HAP_THREADS=1 (no thread
+# is ever started) and unset (sized from the hardware). Every kernel a
+# training step runs stays on the calling thread; what does run on
+# hap-par's scoped threads is the index build, the retrieval shard scans
+# and batch_ged, covered by the retrieval replays below and by
+# crates/integration/tests/par_determinism.rs.
 HAP_THREADS=1 cargo test -q --offline -p hap-train --test determinism
 env -u HAP_THREADS cargo test -q --offline -p hap-train --test determinism
 
@@ -32,8 +34,9 @@ env -u HAP_THREADS cargo test -q --offline -p hap-train --test determinism
 # (crates/autograd/src/gradcheck.rs), and an f32 training run is both
 # bit-reproducible against itself and tracks the f64 trajectory within
 # single-precision drift (crates/train/tests/determinism.rs) — at both
-# threading modes, since the GEMM kernel's parallel dispatch is
-# dtype-generic and a lane-width bug could surface in only one dtype.
+# threading modes, so that neither dtype can come to depend on the thread
+# count (only the index build, the shard scans and batch_ged start
+# threads).
 HAP_THREADS=1 cargo test -q --offline -p hap-autograd --lib -- gradcheck_f32
 env -u HAP_THREADS cargo test -q --offline -p hap-autograd --lib -- gradcheck_f32
 HAP_THREADS=1 cargo test -q --offline -p hap-train --test determinism -- f32_
@@ -59,15 +62,17 @@ rm -f "$ABLATION_TMP"
 # The fused transposed-GEMM kernels (matmul_nt / matmul_tn) must match the
 # composed transpose+matmul path bit-for-bit at every thread setting — the
 # tape-level fusion in hap-autograd relies on it, and the goldens above
-# only exercise the shapes a training run happens to hit.
+# only exercise the shapes a training run happens to hit. The same suite
+# runs batch_ged, which hands pairs to scoped threads, at both settings.
 HAP_THREADS=1 cargo test -q --offline -p hap-integration --test par_determinism
 env -u HAP_THREADS cargo test -q --offline -p hap-integration --test par_determinism
 
 # The GEMM kernel is compiled twice, portably and for AVX2, and each call
 # picks one at run time. These tests run every case through the public
 # (dispatched) API and through the portable driver called directly, so an
-# AVX2 host still checks the bits a CPU without AVX2 computes; their
-# n = 200 case takes the hap-par path, hence both threading modes.
+# AVX2 host still checks the bits a CPU without AVX2 computes. The kernel
+# starts no thread, so both threading modes must agree; only the index
+# build, the shard scans and batch_ged run on scoped threads.
 GEMM_TESTS=(microkernel_matches_streaming_reference_bitwise
   matmul_nt_matches_composed_bitwise matmul_tn_matches_composed_bitwise)
 HAP_THREADS=1 cargo test -q --offline -p hap-tensor --lib -- "${GEMM_TESTS[@]}"
@@ -84,8 +89,8 @@ env -u HAP_THREADS cargo test -q --offline -p hap-integration --test obs_determi
 # GEMM forward and backward, the CSR-only GCN and edge-list GAT layers
 # must match their dense oracles bit-for-bit, and a block-diagonal
 # BatchGraph forward must reproduce every per-graph embedding — again at
-# both threading modes, since the sparse kernel has its own parallel
-# dispatch.
+# both threading modes: the sparse kernel starts no thread, while the
+# batched forward also runs inside the index build's scoped threads.
 HAP_THREADS=1 cargo test -q --offline -p hap-integration --test sparse_batch_determinism
 env -u HAP_THREADS cargo test -q --offline -p hap-integration --test sparse_batch_determinism
 
@@ -191,7 +196,8 @@ grep -q '"errors": 0,' "$STREAM_TMP/a.json" || {
 rm -rf "$STREAM_TMP"
 
 # Retrieval smoke test: a small index replayed three times — twice pinned
-# to one thread, once with the pool sized from the hardware — must return
+# to one thread, once with the index build's chunks and the shard scans on
+# scoped threads sized from the hardware — must return
 # byte-identical top-k lists (the results_hash covers every (id,
 # distance-bits) pair of every exhaustive and cascade answer). The
 # admissibility property tests also run under both threading modes.
