@@ -255,22 +255,10 @@ mod tests {
 
     #[test]
     fn nested_scopes_do_not_deadlock() {
-        // A thread that opens a nested call must not pick up another outer
-        // chunk while it waits: outer chunks running inside each other
-        // recurse without bound and can overflow a thread's stack.
         let _g = locked();
         set_threads(4);
-        thread_local! {
-            static DEPTH: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-        }
-        let max_depth = AtomicUsize::new(0);
-        let mut out = vec![0u64; 64];
+        let mut out = vec![0u64; 8];
         par_chunks_mut(&mut out, 1, |i, slot| {
-            let depth = DEPTH.with(|d| {
-                d.set(d.get() + 1);
-                d.get()
-            });
-            max_depth.fetch_max(depth, Ordering::Relaxed);
             // Each outer chunk runs an inner parallel computation.
             let mut inner = vec![0u64; 16];
             par_chunks_mut(&mut inner, 2, |j, chunk| {
@@ -279,12 +267,38 @@ mod tests {
                 }
             });
             slot[0] = inner.iter().sum();
-            DEPTH.with(|d| d.set(d.get() - 1));
         });
         for (i, &v) in out.iter().enumerate() {
             let expect: u64 = (0..16).map(|e| (i + e) as u64).sum();
             assert_eq!(v, expect, "outer chunk {i}");
         }
+    }
+
+    #[test]
+    fn nested_scopes_run_inline_so_outer_tasks_never_stack() {
+        // A thread that opens a nested call claims only that call's chunks
+        // while it waits, never another outer chunk: outer chunks running
+        // inside each other recurse without bound and can overflow a
+        // thread's stack.
+        let _g = locked();
+        set_threads(2);
+        thread_local! {
+            static DEPTH: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        }
+        let max_depth = AtomicUsize::new(0);
+        let mut out = vec![0usize; 256];
+        par_chunks_mut(&mut out, 1, |i, slot| {
+            let depth = DEPTH.with(|d| {
+                d.set(d.get() + 1);
+                d.get()
+            });
+            max_depth.fetch_max(depth, Ordering::Relaxed);
+            let mut inner = [0usize; 4];
+            par_chunks_mut(&mut inner, 1, |j, e| e[0] = i * j);
+            slot[0] = inner.iter().sum();
+            DEPTH.with(|d| d.set(d.get() - 1));
+        });
+        assert!(out.iter().enumerate().all(|(i, &v)| v == 6 * i));
         assert_eq!(
             max_depth.load(Ordering::Relaxed),
             1,
