@@ -30,9 +30,10 @@ pub enum Op<T: Scalar = f64> {
     /// A leaf bound to a trainable [`Param`]; backward accumulates into the
     /// parameter's gradient buffer.
     Leaf(Param<T>),
-    /// `C = A · B`. Gradients: `dA = G·Bᵀ`, `dB = Aᵀ·G` (computed with the
-    /// fused `matmul_nt` / `matmul_tn` kernels — byte-identical to the
-    /// composed transpose+matmul, without materialising the transposes).
+    /// `C = A · B`. Gradients: `dA = G·Bᵀ`, `dB = Aᵀ·G`, computed with
+    /// `matmul_nt` (one transpose of `B` feeding the GEMM) and `matmul_tn`
+    /// (which reads `A` in place), both byte-identical to the composed
+    /// transpose and `matmul`.
     MatMul,
     /// Fused `C = A · Bᵀ` (`A`: `n×k`, `B`: `m×k`). Gradients:
     /// `dA = G·B`, `dB = Gᵀ·A`.

@@ -594,6 +594,28 @@ fn accumulate<T: Scalar>(grads: &mut [Option<Tensor<T>>], idx: usize, delta: Ten
     }
 }
 
+/// `g ∘ f(x)` in one pass, for the backward of an elementwise `y = φ(x)`
+/// whose derivative `f` reads `x` or `y`: the bits of
+/// `g.hadamard(&x.map(f))`, without the intermediate tensor.
+fn chain<T: Scalar>(g: &Tensor<T>, x: &Tensor<T>, f: impl Fn(T) -> T) -> Tensor<T> {
+    let data = g
+        .as_slice()
+        .iter()
+        .zip(x.as_slice())
+        .map(|(&gv, &xv)| gv * f(xv))
+        .collect();
+    Tensor::from_vec(g.rows(), g.cols(), data)
+}
+
+/// Which of `rows` rows `indices` selects, or `None` when a row repeats.
+fn distinct_rows(indices: &[usize], rows: usize) -> Option<Vec<bool>> {
+    let mut gathered = vec![false; rows];
+    let distinct = indices
+        .iter()
+        .all(|&src| !std::mem::replace(&mut gathered[src], true));
+    distinct.then_some(gathered)
+}
+
 /// [`accumulate`] of a borrowed delta: copies it only into an empty slot.
 fn accumulate_ref<T: Scalar>(grads: &mut [Option<Tensor<T>>], idx: usize, delta: &Tensor<T>) {
     match &mut grads[idx] {
@@ -614,9 +636,10 @@ impl<T: Scalar> Node<T> {
             Op::Constant => {}
             Op::Leaf(param) => param.accumulate_grad(g),
             Op::MatMul => {
-                // Fused kernels: same summation order and zero-skip as the
-                // former `g.matmul(&Bᵀ)` / `Aᵀ.matmul(g)`, minus two
-                // transpose allocations per node per sweep.
+                // dA = G·Bᵀ is `matmul_nt`, one transpose of B feeding the
+                // GEMM; dB = Aᵀ·G reads A in place through `matmul_tn`.
+                // Both keep the composed products' summation order and
+                // zero-skip.
                 accumulate(grads, p0, g.matmul_nt(parent(1)));
                 accumulate(grads, p1, parent(0).matmul_tn(g));
             }
@@ -662,22 +685,20 @@ impl<T: Scalar> Node<T> {
             Op::Shift(_) => accumulate_ref(grads, p0, g),
             Op::Transpose => accumulate(grads, p0, g.transpose()),
             Op::Relu => {
-                let mask = parent(0).map(|e| if e > T::ZERO { T::ONE } else { T::ZERO });
-                accumulate(grads, p0, g.hadamard(&mask));
+                let dx = chain(g, parent(0), |e| if e > T::ZERO { T::ONE } else { T::ZERO });
+                accumulate(grads, p0, dx);
             }
             Op::LeakyRelu(alpha) => {
                 let alpha_t = T::from_f64(*alpha);
-                let mask = parent(0).map(move |e| if e >= T::ZERO { T::ONE } else { alpha_t });
-                accumulate(grads, p0, g.hadamard(&mask));
+                let dx = chain(
+                    g,
+                    parent(0),
+                    |e| if e >= T::ZERO { T::ONE } else { alpha_t },
+                );
+                accumulate(grads, p0, dx);
             }
-            Op::Sigmoid => {
-                let dy = y.map(|e| e * (T::ONE - e));
-                accumulate(grads, p0, g.hadamard(&dy));
-            }
-            Op::Tanh => {
-                let dy = y.map(|e| T::ONE - e * e);
-                accumulate(grads, p0, g.hadamard(&dy));
-            }
+            Op::Sigmoid => accumulate(grads, p0, chain(g, y, |e| e * (T::ONE - e))),
+            Op::Tanh => accumulate(grads, p0, chain(g, y, |e| T::ONE - e * e)),
             Op::SoftmaxRows => {
                 let (rows, cols) = y.shape();
                 let mut dx = Tensor::zeros(rows, cols);
@@ -702,19 +723,14 @@ impl<T: Scalar> Node<T> {
                 accumulate(grads, p0, dx);
             }
             Op::Exp => accumulate(grads, p0, g.hadamard(y)),
-            Op::Ln => {
-                let inv = parent(0).map(|e| T::ONE / e);
-                accumulate(grads, p0, g.hadamard(&inv));
-            }
+            Op::Ln => accumulate(grads, p0, chain(g, parent(0), |e| T::ONE / e)),
             Op::Sqrt => {
                 let half = T::from_f64(0.5);
-                let dy = y.map(move |e| half / e);
-                accumulate(grads, p0, g.hadamard(&dy));
+                accumulate(grads, p0, chain(g, y, |e| half / e));
             }
             Op::PowConst(p) => {
                 let (p, pt) = (*p, T::from_f64(*p));
-                let dy = parent(0).map(move |e| pt * e.powf(p - 1.0));
-                accumulate(grads, p0, g.hadamard(&dy));
+                accumulate(grads, p0, chain(g, parent(0), |e| pt * e.powf(p - 1.0)));
             }
             Op::HStack => {
                 let ca = parent(0).cols();
@@ -728,13 +744,37 @@ impl<T: Scalar> Node<T> {
             }
             Op::GatherRows(indices) => {
                 let (rows, cols) = parent(0).shape();
-                let mut dx = Tensor::zeros(rows, cols);
-                for (gi, &src) in indices.iter().enumerate() {
-                    for (d, &gv) in dx.row_mut(src).iter_mut().zip(g.row(gi)) {
-                        *d += gv;
+                let gathered = grads[p0]
+                    .as_ref()
+                    .and_then(|_| distinct_rows(indices, rows));
+                match (&mut grads[p0], gathered) {
+                    // `dX` is `0.0 + g` on a gathered row and `+0.0` on
+                    // every other row; a filled slot adds exactly those, in
+                    // place, as `add_in_place` would add the whole `dX`.
+                    (Some(acc), Some(gathered)) => {
+                        for (r, hit) in gathered.into_iter().enumerate() {
+                            if !hit {
+                                acc.row_mut(r).iter_mut().for_each(|a| *a += T::ZERO);
+                            }
+                        }
+                        for (gi, &src) in indices.iter().enumerate() {
+                            for (a, &gv) in acc.row_mut(src).iter_mut().zip(g.row(gi)) {
+                                *a += T::ZERO + gv;
+                            }
+                        }
+                    }
+                    // An empty slot takes the whole `dX`; a repeated source
+                    // row sums its gradient rows before they reach the slot.
+                    _ => {
+                        let mut dx = Tensor::zeros(rows, cols);
+                        for (gi, &src) in indices.iter().enumerate() {
+                            for (d, &gv) in dx.row_mut(src).iter_mut().zip(g.row(gi)) {
+                                *d += gv;
+                            }
+                        }
+                        accumulate(grads, p0, dx);
                     }
                 }
-                accumulate(grads, p0, dx);
             }
             Op::GatherEntries(src) => {
                 let (rows, cols) = parent(0).shape();
@@ -987,6 +1027,162 @@ mod tests {
             let z = t.hadamard(z, z);
             t.sum_all(z)
         });
+    }
+
+    /// Same bits, except that any NaN matches any NaN (Rust leaves the
+    /// sign and payload of an arithmetic NaN unspecified).
+    fn assert_bits_eq<T: Scalar>(tag: &str, got: &Tensor<T>, expect: &Tensor<T>) {
+        assert_eq!(got.shape(), expect.shape(), "{tag}");
+        for (x, y) in got.as_slice().iter().zip(expect.as_slice()) {
+            if !(x.is_nan() && y.is_nan()) {
+                assert_eq!(x.to_bits_u64(), y.to_bits_u64(), "{tag}: {x} vs {y}");
+            }
+        }
+    }
+
+    /// `rows × 3` entries cycling through ±0.0, ±∞, NaN, a subnormal and
+    /// ordinary values of both signs, starting at offset `k`.
+    fn specials<T: Scalar>(rows: usize, k: usize) -> Tensor<T> {
+        let v = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1e-310,
+            0.75,
+            -1.5,
+            2.25,
+            -0.3,
+        ];
+        let data = (0..rows * 3)
+            .map(|e| T::from_f64(v[(e + k) % v.len()]))
+            .collect();
+        Tensor::from_vec(rows, 3, data)
+    }
+
+    #[test]
+    fn one_pass_elementwise_backwards_match_the_mask_oracle_bitwise() {
+        // Each `g ∘ f(x)` rule against the two-pass form it replaced: the
+        // derivative as a tensor (`map`), then `hadamard`. Inputs and
+        // upstream gradients both hold ±0.0, ±∞ and NaN.
+        fn check<T: Scalar>(dtype: &str) {
+            type Rule<T> = (
+                &'static str,
+                fn(&mut Tape<T>, Var) -> Var,
+                fn(&Tensor<T>, &Tensor<T>) -> Tensor<T>,
+            );
+            let rules: [Rule<T>; 7] = [
+                (
+                    "relu",
+                    |t, x| t.relu(x),
+                    |x, _| x.map(|e| if e > T::ZERO { T::ONE } else { T::ZERO }),
+                ),
+                (
+                    "leaky_relu",
+                    |t, x| t.leaky_relu(x, 0.2),
+                    |x, _| {
+                        let alpha = T::from_f64(0.2);
+                        x.map(move |e| if e >= T::ZERO { T::ONE } else { alpha })
+                    },
+                ),
+                ("ln", |t, x| t.ln(x), |x, _| x.map(|e| T::ONE / e)),
+                (
+                    "sqrt",
+                    |t, x| t.sqrt(x),
+                    |_, y| {
+                        let half = T::from_f64(0.5);
+                        y.map(move |e| half / e)
+                    },
+                ),
+                (
+                    "pow_const",
+                    |t, x| t.pow_const(x, 1.5),
+                    |x, _| {
+                        let pt = T::from_f64(1.5);
+                        x.map(move |e| pt * e.powf(0.5))
+                    },
+                ),
+                (
+                    "sigmoid",
+                    |t, x| t.sigmoid(x),
+                    |_, y| y.map(|e| e * (T::ONE - e)),
+                ),
+                ("tanh", |t, x| t.tanh(x), |_, y| y.map(|e| T::ONE - e * e)),
+            ];
+            for (name, op, derivative) in rules {
+                for k in 0..4 {
+                    let (x0, g) = (specials::<T>(4, k), specials::<T>(4, 3 * k + 1));
+                    let mut t = Tape::<T>::new();
+                    let x = t.constant(x0.clone());
+                    let y = op(&mut t, x);
+                    t.backward_with_seed(y, g.clone());
+                    let expect = g.hadamard(&derivative(&x0, t.value(y)));
+                    assert_bits_eq(&format!("{dtype} {name} k={k}"), &t.grad(x), &expect);
+                }
+            }
+        }
+        check::<f64>("f64");
+        check::<f32>("f32");
+    }
+
+    #[test]
+    fn gather_rows_into_a_filled_slot_matches_the_buffer_oracle_bitwise() {
+        // `x`'s slot is filled first by a pass-through (`shift`) with a
+        // gradient holding −0.0, ±∞ and NaN; the gather's backward then
+        // adds into it. The oracle is the old rule: scatter-add into a
+        // zeroed buffer, then add the whole buffer.
+        /// `x`'s gradient when the gather gets `g_gather` and the
+        /// pass-through `g_slot`, against the oracle's.
+        fn run<T: Scalar>(tag: &str, indices: &[usize], g_gather: &Tensor<T>, g_slot: &Tensor<T>) {
+            let n = g_slot.rows();
+            let mut t = Tape::<T>::new();
+            let x = t.constant(specials::<T>(n, 5));
+            let y = t.gather_rows(x, indices);
+            let w = t.shift(x, 0.0);
+            let out = t.vstack(y, w);
+            t.backward_with_seed(out, g_gather.vstack(g_slot));
+            let mut dx = Tensor::<T>::zeros(n, 3);
+            for (gi, &src) in indices.iter().enumerate() {
+                for (d, &gv) in dx.row_mut(src).iter_mut().zip(g_gather.row(gi)) {
+                    *d += gv;
+                }
+            }
+            assert_bits_eq(tag, &t.grad(x), &(g_slot + &dx));
+        }
+        fn check<T: Scalar>(dtype: &str) {
+            let cases: [&[usize]; 6] = [
+                &[0, 2, 5],
+                &[4, 1, 3],
+                &[2, 0, 2, 5],
+                &[5, 4, 3, 2, 1, 0],
+                &[1, 1, 1],
+                &[],
+            ];
+            for indices in cases {
+                for k in 0..3 {
+                    let (g_gather, g_slot) = (specials(indices.len(), 2 * k + 1), specials(6, k));
+                    run::<T>(
+                        &format!("{dtype} {indices:?} k={k}"),
+                        indices,
+                        &g_gather,
+                        &g_slot,
+                    );
+                }
+            }
+            // A repeated row sums its gradient rows before they reach the
+            // slot, which rounding shows: 1 + (h + h) is 1 + ε, while
+            // (1 + h) + h would be 1.
+            let h = Tensor::full(2, 3, T::EPSILON * T::from_f64(0.5));
+            run::<T>(
+                &format!("{dtype} rounding"),
+                &[0, 0],
+                &h,
+                &Tensor::ones(2, 3),
+            );
+        }
+        check::<f64>("f64");
+        check::<f32>("f32");
     }
 
     #[test]

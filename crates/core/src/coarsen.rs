@@ -148,6 +148,18 @@ impl<T: Scalar> HapCoarsen<T> {
         let scaled = tape.scale(noisy, 1.0 / self.tau);
         tape.softmax_rows(scaled)
     }
+
+    /// Steps 1–9 of Algorithm 1: the assignment `M` and `H' = MᵀH`
+    /// (Eq. 17). Returns `(M, Mᵀ, H')`.
+    fn cluster_features(&self, tape: &mut Tape<T>, h: Var) -> (Var, Var, Var) {
+        let m = {
+            let _t = hap_obs::time_scope("core.coarsen.assignment");
+            self.assignment(tape, h)
+        };
+        let mt = tape.transpose(m);
+        let h_new = tape.matmul(mt, h);
+        (m, mt, h_new)
+    }
 }
 
 impl<T: GraphScalar> CoarsenModule<T> for HapCoarsen<T> {
@@ -159,14 +171,7 @@ impl<T: GraphScalar> CoarsenModule<T> for HapCoarsen<T> {
         ctx: &mut PoolCtx<'_>,
     ) -> (Var, Var) {
         let _t = hap_obs::time_scope("core.coarsen");
-        // Steps 1–8 of Algorithm 1: content + attention assignment.
-        let m = {
-            let _t = hap_obs::time_scope("core.coarsen.assignment");
-            self.assignment(tape, h)
-        };
-        // Step 9: cluster formation H' = MᵀH (Eq. 17).
-        let mt = tape.transpose(m);
-        let h_new = tape.matmul(mt, h);
+        let (m, mt, h_new) = self.cluster_features(tape, h);
         // Step 10: A' = MᵀAM (Eq. 18). A fixed input graph enters as its
         // raw-A CSR, so MᵀA costs O(m·N') and no N×N matrix is formed;
         // the product is bitwise the dense one (`Tape::matmul_csr`).
@@ -186,6 +191,31 @@ impl<T: GraphScalar> CoarsenModule<T> for HapCoarsen<T> {
             hap_obs::check_finite("coarsen.features", tape.value(h_new).as_slice());
         }
         (a_out, h_new)
+    }
+
+    /// `H'` alone: no `MᵀA`, `(MᵀA)M` or Eq. 19. A training pass with soft
+    /// sampling still draws Eq. 19's `N'²` uniforms, so `ctx.rng` ends
+    /// where [`CoarsenModule::forward`] leaves it.
+    fn forward_features(
+        &self,
+        tape: &mut Tape<T>,
+        _adj: AdjacencyRef<'_>,
+        h: Var,
+        ctx: &mut PoolCtx<'_>,
+    ) -> Var {
+        let _t = hap_obs::time_scope("core.coarsen");
+        let (m, _, h_new) = self.cluster_features(tape, h);
+        if self.soft_sampling && ctx.training {
+            // The draws `soft_sample` makes for its Gumbel noise.
+            let clusters = tape.shape(m).1;
+            for _ in 0..clusters * clusters {
+                let _: f64 = ctx.rng.gen_range(f64::EPSILON..1.0);
+            }
+        }
+        if hap_obs::trace_enabled() {
+            hap_obs::check_finite("coarsen.features", tape.value(h_new).as_slice());
+        }
+        h_new
     }
 
     fn name(&self) -> &'static str {

@@ -308,14 +308,20 @@ impl<T: GraphScalar> HapModel<T> {
             // the previous level's dense `A'` on the tape.
             let mut a = AdjacencyRef::Fixed(g);
             let mut embeddings = Vec::with_capacity(self.coarseners.len());
+            let last = self.coarseners.len() - 1;
             for (k, coarsen) in self.coarseners.iter().enumerate() {
                 let _p = hap_obs::phase(level_label(k));
                 if k > 0 {
                     h = self.encoders[k].forward(tape, a, h);
                 }
-                let (a2, h2) = coarsen.forward(tape, a, h, ctx);
-                a = AdjacencyRef::Dynamic(a2);
-                h = h2;
+                // Nothing reads the last level's `A'`.
+                if k == last {
+                    h = coarsen.forward_features(tape, a, h, ctx);
+                } else {
+                    let (a2, h2) = coarsen.forward(tape, a, h, ctx);
+                    a = AdjacencyRef::Dynamic(a2);
+                    h = h2;
+                }
                 embeddings.push(tape.col_means(h));
             }
             out.push(embeddings);

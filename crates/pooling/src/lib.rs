@@ -89,6 +89,21 @@ pub trait CoarsenModule<T: GraphScalar = f64> {
         ctx: &mut PoolCtx<'_>,
     ) -> (Var, Var);
 
+    /// Coarsens the graph and returns only `H'`, for the last level of a
+    /// hierarchy, where nothing reads `A'`. Its value is bitwise
+    /// `forward(..).1`, and it leaves `ctx.rng` where `forward` would. The
+    /// default is `forward(..).1`; a module overrides it to skip building
+    /// `A'`.
+    fn forward_features(
+        &self,
+        tape: &mut Tape<T>,
+        adj: AdjacencyRef<'_>,
+        h: Var,
+        ctx: &mut PoolCtx<'_>,
+    ) -> Var {
+        self.forward(tape, adj, h, ctx).1
+    }
+
     /// Method name for experiment tables.
     fn name(&self) -> &'static str;
 }

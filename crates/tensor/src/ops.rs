@@ -31,23 +31,28 @@
 //!   tile's accumulators take eight of the sixteen registers instead of
 //!   spilling. On an AVX2 host the tests check the portable compile's
 //!   bits by calling it directly, but its speed is not measured there.
+//! * An `m = 1` product (a matrix times a column, as in MOA's attention
+//!   logits) skips the tiles: each output is one dot product, four rows
+//!   at a time so that their sums are independent.
 //!
 //! **Bitwise contract** (what the committed determinism goldens pin): for
 //! every output element, contributions are accumulated in ascending `p`,
 //! starting from `+0.0`, with no FMA contraction, and the contribution of
-//! an exact zero of the left operand (`a[i][p] == 0.0`) is skipped. A full
-//! tile whose right operand is all finite (one scan per call) adds that
-//! zero's product instead of branching on it: the product is `±0.0`, and
-//! an accumulator that starts at `+0.0` is never `−0.0` (round-to-nearest
-//! gives `−0.0` only for `−0.0 + −0.0`), so adding `±0.0` leaves its bits
-//! as the skip would. A right operand holding `±∞` or NaN keeps the
-//! skipping tile, since `0 · ∞` is a NaN that the skip never adds. Tiling
-//! and the vector width change only where values live, not which
-//! additions happen in which order, so results are the same bits on any
-//! x86-64 CPU, with or without AVX2 (a NaN result is NaN, but Rust leaves
-//! its sign and payload unspecified); and the CSR SpMM walk (which visits
-//! the same non-zeros in the same ascending order) stays byte-identical to
-//! the dense product.
+//! an exact zero of the left operand (`a[i][p] == 0.0`) is skipped. The
+//! kernel never scans an operand for that. A full tile adds a zero's
+//! product instead of branching on it. When the right entry is finite the
+//! product is `±0.0`, and an accumulator that starts at `+0.0` is never
+//! `−0.0` (round-to-nearest gives `−0.0` only for `−0.0 + −0.0`), so adding
+//! `±0.0` leaves its bits as the skip would. When the right entry is `±∞`
+//! or NaN, `0 · ∞` is a NaN that the skip never adds, and it makes the
+//! sum NaN: a full tile with any NaN sum is therefore recomputed with the
+//! skip, and every tile stores the skip's bits. Edge tiles always skip, and
+//! the `m = 1` dot adds `+0.0` for a zero left entry. Tiling and the vector
+//! width change only where values live, not which additions happen in
+//! which order, so results are the same bits on any x86-64 CPU, with or
+//! without AVX2 (a NaN result is NaN, but Rust leaves its sign and payload
+//! unspecified); and the CSR SpMM walk (which visits the same non-zeros in
+//! the same ascending order) stays byte-identical to the dense product.
 //!
 //! # Threads
 //!
@@ -70,6 +75,11 @@ const MR: usize = 4;
 /// copy. Monomorphised away — `at` compiles to a single indexed load.
 trait Lhs<T: Scalar> {
     fn at(&self, i: usize, p: usize) -> T;
+
+    /// Entries `(i₀ + r, p)` for `r < MR`, for `p = 0, 1, …`: a full
+    /// tile's left operand, read as iterators over whole rows or columns
+    /// instead of one checked index per entry.
+    fn panel(&self, i0: usize) -> impl Iterator<Item = [T; MR]> + '_;
 }
 
 /// Row-major left operand: element `(i, p)` at `a[i * lda + p]`.
@@ -82,6 +92,16 @@ impl<T: Scalar> Lhs<T> for LhsRows<'_, T> {
     #[inline(always)]
     fn at(&self, i: usize, p: usize) -> T {
         self.a[i * self.lda + p]
+    }
+
+    #[inline(always)]
+    fn panel(&self, i0: usize) -> impl Iterator<Item = [T; MR]> + '_ {
+        let rows = &self.a[i0 * self.lda..][..MR * self.lda];
+        let (r0, rest) = rows.split_at(self.lda);
+        let (r1, rest) = rest.split_at(self.lda);
+        let (r2, r3) = rest.split_at(self.lda);
+        let rows = r0.iter().zip(r1).zip(r2).zip(r3);
+        rows.map(|(((&x0, &x1), &x2), &x3)| [x0, x1, x2, x3])
     }
 }
 
@@ -98,6 +118,12 @@ impl<T: Scalar> Lhs<T> for LhsCols<'_, T> {
     fn at(&self, i: usize, p: usize) -> T {
         self.a[p * self.lda + i]
     }
+
+    #[inline(always)]
+    fn panel(&self, i0: usize) -> impl Iterator<Item = [T; MR]> + '_ {
+        let runs = self.a.chunks_exact(self.lda);
+        runs.map(move |row| row[i0..i0 + MR].try_into().expect("run is MR wide"))
+    }
 }
 
 /// The operands of one dense product: output element `(i, j)` is the sum
@@ -108,23 +134,9 @@ struct Gemm<'a, T, L> {
     depth: usize,
     b: &'a [T],
     m: usize,
-    /// Every entry of `b` is finite, so a full tile may add a zero left
-    /// entry's `±0.0` product instead of skipping it (module docs).
-    finite: bool,
 }
 
-impl<'a, T: Scalar, L: Lhs<T>> Gemm<'a, T, L> {
-    fn new(lhs: L, depth: usize, b: &'a [T], m: usize) -> Self {
-        let finite = b.iter().all(|x| x.is_finite());
-        Self {
-            lhs,
-            depth,
-            b,
-            m,
-            finite,
-        }
-    }
-
+impl<T: Scalar, L: Lhs<T>> Gemm<'_, T, L> {
     /// Fills `out` (zeros on entry) on the calling thread: [`Gemm::block`]
     /// in its AVX2 compile when the CPU has AVX2, and in its portable
     /// compile otherwise.
@@ -159,6 +171,9 @@ impl<'a, T: Scalar, L: Lhs<T>> Gemm<'a, T, L> {
     /// fixed ascending-`p` order.
     #[inline(always)]
     fn block(&self, out: &mut [T]) {
+        if self.m == 1 {
+            return self.dots(out);
+        }
         // Tile width `NR`: 8 `f64`s or 16 `f32`s, 64 bytes either way, so
         // a tile row of `b` is one cache line and the accumulator block
         // is `MR` cache lines of SIMD registers.
@@ -179,14 +194,15 @@ impl<'a, T: Scalar, L: Lhs<T>> Gemm<'a, T, L> {
             while j0 < m {
                 let w = W.min(m - j0);
                 let tile_out = &mut out[i0 * m + j0..];
-                // Three inlined calls, so that the full tile and the bottom
-                // edge each see constant strip widths.
-                if mr == MR && w == W && self.finite {
-                    self.tile::<W, false>(i0, MR, j0, W, tile_out);
-                } else if w == W {
-                    self.tile::<W, true>(i0, mr, j0, W, tile_out);
-                } else {
-                    self.tile::<W, true>(i0, mr, j0, w, tile_out);
+                // A full tile adds zero left entries' products and is rerun
+                // with the skip only if one of its sums is NaN (module
+                // docs). Separate inlined calls, so that the full tile and
+                // the bottom edge each see constant strip widths.
+                let stored = mr == MR && w == W && self.full_tile::<W>(i0, j0, tile_out);
+                if !stored && w == W {
+                    self.tile::<W>(i0, mr, j0, W, tile_out);
+                } else if !stored {
+                    self.tile::<W>(i0, mr, j0, w, tile_out);
                 }
                 j0 += w;
             }
@@ -194,22 +210,41 @@ impl<'a, T: Scalar, L: Lhs<T>> Gemm<'a, T, L> {
         }
     }
 
+    /// A full `MR × W` tile from row `i0` and column `j0`, written at the
+    /// head of `out` with row stride `m`, that adds every product, zero
+    /// left entries' included. A tile with a NaN sum stores nothing and
+    /// returns `false`, for the caller to rerun with the skip (module
+    /// docs).
+    #[inline(always)]
+    fn full_tile<const W: usize>(&self, i0: usize, j0: usize, out: &mut [T]) -> bool {
+        let m = self.m;
+        let mut acc = [[T::ZERO; W]; MR];
+        let strips = self.b.chunks_exact(m).map(|row| &row[j0..j0 + W]);
+        for (av, bp) in self.lhs.panel(i0).zip(strips) {
+            for (acc_r, &a) in acc.iter_mut().zip(&av) {
+                for (x, &bv) in acc_r.iter_mut().zip(bp) {
+                    *x += a * bv;
+                }
+            }
+        }
+        // Branch-free over the whole block: one test per tile.
+        if acc.iter().flatten().fold(false, |nan, x| nan | x.is_nan()) {
+            return false;
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            out[r * m..][..W].copy_from_slice(acc_r);
+        }
+        true
+    }
+
     /// One tile of `mr ≤ MR` output rows (from row `i0`) and
     /// `w ≤ W` columns (from `j0`), written at the head of `out` with row
-    /// stride `m`. It always runs the full `MR × W` register block and
-    /// stores only the live `mr × w` corner: a bottom-edge tile reads zero
-    /// left entries for its missing rows, which the skip passes over.
-    /// `SKIP` branches past zero left entries; without it their `±0.0`
-    /// products are added, which needs a finite `b` (module docs).
+    /// stride `m`, skipping zero left entries. It always runs the full
+    /// `MR × W` register block and stores only the live `mr × w` corner: a
+    /// bottom-edge tile reads zero left entries for its missing rows, which
+    /// the skip passes over.
     #[inline(always)]
-    fn tile<const W: usize, const SKIP: bool>(
-        &self,
-        i0: usize,
-        mr: usize,
-        j0: usize,
-        w: usize,
-        out: &mut [T],
-    ) {
+    fn tile<const W: usize>(&self, i0: usize, mr: usize, j0: usize, w: usize, out: &mut [T]) {
         let m = self.m;
         let mut acc = [[T::ZERO; W]; MR];
         for p in 0..self.depth {
@@ -234,7 +269,7 @@ impl<'a, T: Scalar, L: Lhs<T>> Gemm<'a, T, L> {
                 } else {
                     T::ZERO
                 };
-                if SKIP && av == T::ZERO {
+                if av == T::ZERO {
                     continue; // adjacency matrices are mostly zeros
                 }
                 for (a, &bv) in acc_r.iter_mut().zip(&bp) {
@@ -245,6 +280,36 @@ impl<'a, T: Scalar, L: Lhs<T>> Gemm<'a, T, L> {
         for (r, acc_r) in acc.iter().take(mr).enumerate() {
             out[r * m..][..w].copy_from_slice(&acc_r[..w]);
         }
+    }
+
+    /// An `m = 1` product: one dot product of each left row with the
+    /// column `b`, `MR` rows at a time so that their sums are independent.
+    /// A zero left entry adds `+0.0`, which leaves a sum's bits as skipping
+    /// it would (module docs), so this needs no retry.
+    #[inline(always)]
+    fn dots(&self, out: &mut [T]) {
+        let i0 = out.len() - out.len() % MR;
+        let mut blocks = out.chunks_exact_mut(MR);
+        for (k, o) in (&mut blocks).enumerate() {
+            self.dot_rows::<MR>(k * MR, o);
+        }
+        let rest = blocks.into_remainder();
+        for (r, o) in rest.chunks_exact_mut(1).enumerate() {
+            self.dot_rows::<1>(i0 + r, o);
+        }
+    }
+
+    /// Rows `i0..i0 + R` of an `m = 1` product, into `out` (`R` long).
+    #[inline(always)]
+    fn dot_rows<const R: usize>(&self, i0: usize, out: &mut [T]) {
+        let mut acc = [T::ZERO; R];
+        for (p, &bv) in self.b[..self.depth].iter().enumerate() {
+            for (r, a) in acc.iter_mut().enumerate() {
+                let av = self.lhs.at(i0 + r, p);
+                *a += if av == T::ZERO { T::ZERO } else { av * bv };
+            }
+        }
+        out.copy_from_slice(&acc);
     }
 }
 
@@ -291,7 +356,13 @@ impl<T: Scalar> Tensor<T> {
             a: self.as_slice(),
             lda: k,
         };
-        Gemm::new(lhs, k, rhs.as_slice(), m).run(&mut out);
+        let gemm = Gemm {
+            lhs,
+            depth: k,
+            b: rhs.as_slice(),
+            m,
+        };
+        gemm.run(&mut out);
         Ok(out)
     }
 
@@ -393,7 +464,13 @@ impl<T: Scalar> Tensor<T> {
             a: self.as_slice(),
             lda: k,
         };
-        Gemm::new(lhs, n, rhs.as_slice(), m).run(&mut out);
+        let gemm = Gemm {
+            lhs,
+            depth: n,
+            b: rhs.as_slice(),
+            m,
+        };
+        gemm.run(&mut out);
         Ok(out)
     }
 
@@ -408,25 +485,34 @@ impl<T: Scalar> Tensor<T> {
 
     /// Transpose.
     ///
-    /// Processed in square tiles so that both the strided reads and the
-    /// strided writes stay within a cache-line-sized working set; for the
-    /// matrices in this workspace (up to a few hundred rows) this roughly
-    /// halves the cost of the naive row-major sweep.
+    /// Copies four source rows per pass: each pass reads the four rows
+    /// front to back and writes four adjacent entries of every output
+    /// row, so a write fills half a cache line (`f64`) instead of one
+    /// entry. Rows left over after the last group of four are copied one
+    /// per pass.
     pub fn transpose(&self) -> Tensor<T> {
-        const BLOCK: usize = 32;
         let (r, c) = (self.rows(), self.cols());
         let mut out = Tensor::zeros(c, r);
+        if r == 0 || c == 0 {
+            return out;
+        }
         let src = self.as_slice();
         let dst = out.as_mut_slice();
-        for rb in (0..r).step_by(BLOCK) {
-            let r_end = (rb + BLOCK).min(r);
-            for cb in (0..c).step_by(BLOCK) {
-                let c_end = (cb + BLOCK).min(c);
-                for i in rb..r_end {
-                    for j in cb..c_end {
-                        dst[j * r + i] = src[i * c + j];
-                    }
-                }
+        let quads = src.chunks_exact(4 * c);
+        let rest = quads.remainder();
+        for (q, quad) in quads.enumerate() {
+            let (r0, tail) = quad.split_at(c);
+            let (r1, tail) = tail.split_at(c);
+            let (r2, r3) = tail.split_at(c);
+            let rows = dst.chunks_exact_mut(r).zip(r0).zip(r1).zip(r2).zip(r3);
+            for ((((col, &x0), &x1), &x2), &x3) in rows {
+                col[4 * q..4 * q + 4].copy_from_slice(&[x0, x1, x2, x3]);
+            }
+        }
+        let i0 = r - rest.len() / c;
+        for (k, row) in rest.chunks_exact(c).enumerate() {
+            for (col, &x) in dst.chunks_exact_mut(r).zip(row) {
+                col[i0 + k] = x;
             }
         }
         out
@@ -850,7 +936,7 @@ impl<T: Scalar> Neg for &Tensor<T> {
 
 #[cfg(test)]
 mod tests {
-    use super::{Gemm, Lhs, LhsCols, LhsRows};
+    use super::{Gemm, Lhs, LhsCols, LhsRows, MR};
     use crate::testutil::assert_close;
     use crate::{Scalar, Tensor};
 
@@ -898,7 +984,13 @@ mod tests {
         let m = b.cols();
         let mut out = Tensor::zeros(rows, m);
         if m > 0 {
-            Gemm::new(lhs, depth, b.as_slice(), m).block(out.as_mut_slice());
+            let gemm = Gemm {
+                lhs,
+                depth,
+                b: b.as_slice(),
+                m,
+            };
+            gemm.block(out.as_mut_slice());
         }
         out
     }
@@ -936,9 +1028,13 @@ mod tests {
 
     /// Shapes `(n, k, m)` of `a · b` straddling every tile boundary: under,
     /// at and over `MR` (4) rows and both `NR` widths (8 for f64, 16 for
-    /// f32) of columns, `k = 0`, one-row and one-column operands, and
-    /// one `n = 200` product.
-    const SHAPES: [(usize, usize, usize); 19] = [
+    /// f32) of columns, `k = 0`, one-row and one-column operands (the
+    /// `m = 1` dot product, with row counts on and off a multiple of `MR`),
+    /// and one `n = 200` product.
+    const SHAPES: [(usize, usize, usize); 22] = [
+        (4, 16, 1),
+        (37, 16, 1),
+        (5, 3, 1),
         (1, 1, 1),
         (3, 5, 7),
         (4, 8, 8),
@@ -979,7 +1075,8 @@ mod tests {
     ///   full tiles add zero left entries' products instead of skipping;
     /// * `2`: both hold them, and row `k / 2` of `b` is `±∞`/NaN while
     ///   column `k / 2` of `a` is zero in all but every fifth row, so only
-    ///   the skip keeps most outputs from being NaN.
+    ///   the skip keeps most outputs from being NaN, and full tiles rerun
+    ///   with it.
     fn operands(n: usize, k: usize, m: usize, kind: usize) -> (Tensor, Tensor) {
         let special = |i: usize, j: usize, every: usize| {
             let h = i * 31 + j * 17 + 5;
@@ -1050,6 +1147,57 @@ mod tests {
     }
 
     #[test]
+    fn full_tile_reruns_with_the_skip_only_where_a_sum_is_nan() {
+        // One right entry is ±∞ or NaN, and the left column it meets is
+        // zero in the first `MR` rows: adding that zero's product would
+        // make the tile's sums NaN, which only the skip avoids. With `m`
+        // columns of one row block, every other tile is finite. A second
+        // row block (`n = 8`) meets the entry with a non-zero and is
+        // non-finite in the streaming oracle too. The other entries carry
+        // ±0.0 and subnormals of both dtypes. `m = 1` runs the dot product.
+        const FINITE: [f64; 6] = [0.0, -0.0, 1e-310, -1e-310, 1e-40, -1e-40];
+        fn check<T: Scalar>(tag: &str, a: &Tensor<T>, b: &Tensor<T>) {
+            let expect = reference_matmul(a, b);
+            for (got, path) in [
+                (a.matmul(b), "dispatched"),
+                (portable_matmul(a, b), "portable"),
+            ] {
+                bits_eq(&format!("{tag} {path}"), &got, &expect);
+                let head = got.slice_rows(0, got.rows().min(MR));
+                assert!(head.all_finite(), "{tag} {path}: first rows {head:?}");
+            }
+        }
+        for &(n, k, m) in &[
+            (4, 9, 40),
+            (8, 9, 40),
+            (4, 6, 16),
+            (4, 16, 1),
+            (9, 7, 1),
+            (1, 5, 1),
+        ] {
+            let p_bad = k / 2;
+            for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                for j_bad in [0, m / 2, m - 1] {
+                    let a = from_fn(n, k, |i, p| match (i, p) {
+                        (i, p) if p == p_bad && i < MR => [0.0, -0.0][i % 2],
+                        (i, p) if (i + p) % 4 == 0 => FINITE[(i * 5 + p) % FINITE.len()],
+                        _ => (i as f64 - 0.7 * p as f64) * 0.31 + 0.05,
+                    });
+                    let b = from_fn(k, m, |p, j| match (p, j) {
+                        (p, j) if p == p_bad && j == j_bad => bad,
+                        (p, j) if (p + 2 * j) % 5 == 0 => FINITE[(p + j) % FINITE.len()],
+                        _ => (p as f64 * 1.3 - j as f64) * 0.17 + 0.05,
+                    });
+                    let tag = format!("({n},{k},{m}) {bad} at column {j_bad}");
+                    check(&format!("f64 {tag}"), &a, &b);
+                    let (a32, b32): (Tensor<f32>, Tensor<f32>) = (a.cast(), b.cast());
+                    check(&format!("f32 {tag}"), &a32, &b32);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn transpose_involution() {
         let a = Tensor::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         let t = a.transpose();
@@ -1058,10 +1206,70 @@ mod tests {
         assert_close(&t.transpose(), &a, 1e-12);
     }
 
+    /// The transpose this module used before the four-row copy: 32-square
+    /// tiles, kept as the oracle for [`Tensor::transpose`].
+    fn tiled_transpose<T: Scalar>(a: &Tensor<T>) -> Tensor<T> {
+        const BLOCK: usize = 32;
+        let (r, c) = a.shape();
+        let mut out = Tensor::zeros(c, r);
+        let (src, dst) = (a.as_slice(), out.as_mut_slice());
+        for rb in (0..r).step_by(BLOCK) {
+            for cb in (0..c).step_by(BLOCK) {
+                for i in rb..(rb + BLOCK).min(r) {
+                    for j in cb..(cb + BLOCK).min(c) {
+                        dst[j * r + i] = src[i * c + j];
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn transpose_matches_tiled_oracle_bitwise() {
+        // Empty shapes, row counts on and off a multiple of four, and
+        // entries with every special value: a copy keeps NaN payloads too.
+        let shapes = [
+            (0, 0),
+            (0, 5),
+            (5, 0),
+            (1, 7),
+            (3, 3),
+            (4, 1),
+            (5, 9),
+            (6, 1),
+            (7, 33),
+            (8, 16),
+            (13, 40),
+            (33, 7),
+            (37, 16),
+            (64, 65),
+        ];
+        fn check<T: Scalar>(tag: &str, a: &Tensor<T>) {
+            let (got, expect) = (a.transpose(), tiled_transpose(a));
+            assert_eq!(got.shape(), expect.shape(), "{tag}");
+            for (x, y) in got.as_slice().iter().zip(expect.as_slice()) {
+                assert_eq!(x.to_bits_u64(), y.to_bits_u64(), "{tag}");
+            }
+        }
+        for (r, c) in shapes {
+            let a = from_fn(r, c, |i, j| {
+                let h = i * 7 + j * 3;
+                if h % 5 == 0 {
+                    SPECIALS[h % SPECIALS.len()]
+                } else {
+                    (i * c + j) as f64 * 0.5 - 3.0
+                }
+            });
+            check(&format!("f64 {r}x{c}"), &a);
+            check(&format!("f32 {r}x{c}"), &a.cast::<f32>());
+        }
+    }
+
     #[test]
     fn transpose_blocked_matches_naive_across_block_boundaries() {
-        // Shapes straddling the 32-wide tile edge: exact multiple, one
-        // under, one over, and a thin strip.
+        // Shapes straddling the old 32-wide tile edge and the four-row
+        // groups: exact multiple, one under, one over, and a thin strip.
         for &(r, c) in &[(32, 32), (31, 33), (64, 65), (1, 100), (100, 1), (33, 7)] {
             let a = from_fn(r, c, |i, j| (i * c + j) as f64 * 0.5 - 3.0);
             let t = a.transpose();

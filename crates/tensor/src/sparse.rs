@@ -346,6 +346,11 @@ impl<T: Scalar> CsrMatrix<T> {
     /// its work is `nnz · lhs.rows()`, the sparse share of a product the
     /// dense kernel would spend `cols² · lhs.rows()` on.
     ///
+    /// Left rows are taken eight (`LEFT_BLOCK`) at a time: each stored row is
+    /// walked once per block, and every entry feeds that many independent
+    /// sums, one per left row, instead of one running sum that waits on
+    /// its previous addition.
+    ///
     /// # Panics
     /// Panics when `lhs.cols() != self.rows()`; debug builds also assert
     /// symmetry.
@@ -358,19 +363,47 @@ impl<T: Scalar> CsrMatrix<T> {
             self.shape()
         );
         debug_assert!(self.is_symmetric(), "spmm_left requires a symmetric matrix");
-        let mut out = Tensor::zeros(lhs.rows(), self.cols);
-        for (i, out_row) in (0..lhs.rows()).zip(out.as_mut_slice().chunks_mut(self.cols.max(1))) {
-            let x = lhs.row(i);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let span = self.indptr[j]..self.indptr[j + 1];
-                for (&k, &a) in self.indices[span.clone()].iter().zip(&self.values[span]) {
-                    *o += a * x[k];
-                }
+        let n = self.cols;
+        let mut out = Tensor::zeros(lhs.rows(), n);
+        if n == 0 {
+            return out;
+        }
+        let block = LEFT_BLOCK * n;
+        let x_blocks = lhs.as_slice().chunks(block);
+        for (x, out) in x_blocks.zip(out.as_mut_slice().chunks_mut(block)) {
+            // A full block's call sees a constant lane count.
+            if x.len() == block {
+                self.left_block(x, LEFT_BLOCK, out);
+            } else {
+                self.left_block(x, x.len() / n, out);
             }
         }
         out
     }
+
+    /// `lanes ≤ LEFT_BLOCK` rows of [`CsrMatrix::spmm_left`]: `x` holds the
+    /// left rows and `out` their output rows, both row-major and `cols`
+    /// wide.
+    #[inline(always)]
+    fn left_block(&self, x: &[T], lanes: usize, out: &mut [T]) {
+        let n = self.cols;
+        for j in 0..n {
+            let span = self.indptr[j]..self.indptr[j + 1];
+            let mut acc = [T::ZERO; LEFT_BLOCK];
+            for (&k, &a) in self.indices[span.clone()].iter().zip(&self.values[span]) {
+                for (r, s) in acc.iter_mut().enumerate().take(lanes) {
+                    *s += a * x[r * n + k];
+                }
+            }
+            for (r, &s) in acc.iter().enumerate().take(lanes) {
+                out[r * n + j] = s;
+            }
+        }
+    }
 }
+
+/// Left rows per pass of [`CsrMatrix::spmm_left`].
+const LEFT_BLOCK: usize = 8;
 
 #[cfg(test)]
 mod tests {
@@ -441,6 +474,80 @@ mod tests {
             {
                 assert_eq!(l.to_bits(), v.to_bits(), "n = {n}");
                 assert_eq!(l.to_bits(), d.to_bits(), "n = {n}");
+            }
+        }
+    }
+
+    /// The `spmm_left` this module used before the eight-row blocks: one
+    /// running sum per output, kept as the oracle.
+    fn spmm_left_by_rows<T: Scalar>(s: &CsrMatrix<T>, lhs: &Tensor<T>) -> Tensor<T> {
+        let mut out = Tensor::zeros(lhs.rows(), s.cols);
+        for (i, out_row) in (0..lhs.rows()).zip(out.as_mut_slice().chunks_mut(s.cols.max(1))) {
+            let x = lhs.row(i);
+            for (j, o) in out_row.iter_mut().enumerate() {
+                let span = s.indptr[j]..s.indptr[j + 1];
+                for (&k, &a) in s.indices[span.clone()].iter().zip(&s.values[span]) {
+                    *o += a * x[k];
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn spmm_left_blocks_match_the_row_by_row_oracle_bitwise() {
+        // Left row counts under, at and over one and two blocks of eight;
+        // stored −0.0 values (which no constructor keeps, so they are
+        // written in place, symmetrically) and left operands holding ±0.0,
+        // subnormals, ±∞ and NaN.
+        fn check<T: Scalar>(tag: &str, s: &CsrMatrix<T>, x: &Tensor<T>) {
+            let (got, expect) = (s.spmm_left(x), spmm_left_by_rows(s, x));
+            assert_eq!(got.shape(), expect.shape(), "{tag}");
+            for (a, b) in got.as_slice().iter().zip(expect.as_slice()) {
+                if !(a.is_nan() && b.is_nan()) {
+                    assert_eq!(a.to_bits_u64(), b.to_bits_u64(), "{tag}: {a} vs {b}");
+                }
+            }
+        }
+        let specials = [0.0, -0.0, 1e-310, -1e-40, f64::INFINITY, f64::NAN];
+        for (n, density) in [(1, 1.0), (6, 0.5), (37, 0.3), (50, 0.1)] {
+            let mut rng = Rng::from_seed(n as u64);
+            let mut a = Tensor::zeros(n, n);
+            for i in 0..n {
+                for j in i..n {
+                    if rng.gen_f64() < density {
+                        let v = rng.gen_f64() - 0.5;
+                        a[(i, j)] = v;
+                        a[(j, i)] = v;
+                    }
+                }
+            }
+            // `cast` drops stored zeros, so each dtype writes its own.
+            fn negative_zeros<T: Scalar>(mut s: CsrMatrix<T>) -> CsrMatrix<T> {
+                for r in 0..s.rows {
+                    for idx in s.indptr[r]..s.indptr[r + 1] {
+                        if (r + s.indices[idx]) % 3 == 0 {
+                            s.values[idx] = T::from_f64(-0.0);
+                        }
+                    }
+                }
+                assert!(s.is_symmetric());
+                s
+            }
+            let s = CsrMatrix::from_dense(&a);
+            let s32 = negative_zeros(s.cast::<f32>());
+            let s = negative_zeros(s);
+            assert!(n < 6 || s.values.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()));
+            for rows in [1, 3, 8, 9, 17] {
+                let mut x = random_sparse(rows, n, 1.0, 40 + rows as u64);
+                for (e, v) in x.as_mut_slice().iter_mut().enumerate() {
+                    if e % 7 == 3 {
+                        *v = specials[e % specials.len()];
+                    }
+                }
+                let tag = format!("{rows} rows over {n} nodes");
+                check(&format!("f64 {tag}"), &s, &x);
+                check(&format!("f32 {tag}"), &s32, &x.cast::<f32>());
             }
         }
     }

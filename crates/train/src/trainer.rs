@@ -72,9 +72,9 @@ pub type EvalFn<'a> = dyn FnMut(usize, &mut PoolCtx<'_>) -> bool + 'a;
 /// [`Stepper::step`].
 pub struct Stepper<T: Scalar> {
     adam: Adam<T>,
-    // One tape for the whole run: `reset()` between groups keeps the
-    // node bookkeeping's capacity and parks gradient buffers for reuse
-    // instead of reallocating them every step.
+    // One tape for the whole run: `reset()` between groups drops the last
+    // pass's values and gradients but keeps the node and gradient
+    // vectors' capacity, so they are not regrown every step.
     tape: Tape<T>,
     grad_clip: Option<f64>,
     sample_step: u64,

@@ -71,10 +71,19 @@ env -u HAP_THREADS cargo test -q --offline -p hap-integration --test par_determi
 # picks one at run time. These tests run every case through the public
 # (dispatched) API and through the portable driver called directly, so an
 # AVX2 host still checks the bits a CPU without AVX2 computes. The kernel
-# starts no thread, so both threading modes must agree; only the index
+# scans no operand for non-finite values: a full tile adds zero left
+# entries' products and reruns with the zero-skip only when a sum comes
+# out NaN, and the m = 1 dot product adds +0.0 for them. The streaming
+# oracle pins both, with a non-finite right entry under a zero inside one
+# full tile. The transpose (which feeds matmul_nt) and spmm_left's
+# eight-row blocks are checked against the code they replaced. No kernel
+# starts a thread, so both threading modes must agree; only the index
 # build, the shard scans and batch_ged run on scoped threads.
 GEMM_TESTS=(microkernel_matches_streaming_reference_bitwise
-  matmul_nt_matches_composed_bitwise matmul_tn_matches_composed_bitwise)
+  matmul_nt_matches_composed_bitwise matmul_tn_matches_composed_bitwise
+  full_tile_reruns_with_the_skip_only_where_a_sum_is_nan
+  transpose_matches_tiled_oracle_bitwise
+  spmm_left_blocks_match_the_row_by_row_oracle_bitwise)
 HAP_THREADS=1 cargo test -q --offline -p hap-tensor --lib -- "${GEMM_TESTS[@]}"
 env -u HAP_THREADS cargo test -q --offline -p hap-tensor --lib -- "${GEMM_TESTS[@]}"
 
